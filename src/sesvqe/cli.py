@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import circuits, measurement, resources, vqe
+from . import circuits, measurement, resources, statevector, vqe
 from .encoding import build_map, register_width
 from .hamiltonian import (
     PenaltyConfig,
@@ -203,7 +203,6 @@ def cmd_solve(args, argv) -> int:
     overrides = {
         "seed": args.seed,
         "max_evaluations": args.max_evaluations,
-        "jobs": args.jobs,
     }
     config = load_solve_config(Path(args.config), overrides)
     if args.shots is not None:
@@ -296,7 +295,7 @@ def cmd_reconstruct(args, argv) -> int:
         )
     emap = build_map(h.n_sites, "shifted") if args.protocol == "binary" else None
     if args.shots is not None and args.protocol == "original":
-        state = sv_state_from_sites(alpha)
+        state = statevector.embed_sites(alpha, 1 << np.arange(alpha.size), alpha.size)
     else:
         state = alpha
     energy, diagnostics = measurement.estimate_energy(
@@ -307,7 +306,6 @@ def cmd_reconstruct(args, argv) -> int:
         seed=args.seed,
         emap=emap,
         epsilon=args.epsilon,
-        jobs=args.jobs,
     )
     exact_energy = float((alpha.conj() @ h.matrix @ alpha).real)
     report = {
@@ -332,17 +330,6 @@ def cmd_reconstruct(args, argv) -> int:
     print(f"report {out}")
     print(f"manifest {manifest}")
     return 0
-
-
-def sv_state_from_sites(alpha: np.ndarray):
-    """One-hot register state carrying site amplitudes ``alpha``."""
-    from . import statevector as sv
-
-    n = alpha.size
-    register = np.zeros(2**n, dtype=complex)
-    for j in range(n):
-        register[1 << j] = alpha[j]
-    return sv.StateVector(n, register)
 
 
 def cmd_resources(args, argv) -> int:
@@ -390,7 +377,6 @@ def build_parser() -> _Parser:
     solve.add_argument("--seed", type=int, default=None)
     solve.add_argument("--shots", default=None)
     solve.add_argument("--max-evaluations", type=int, default=None)
-    solve.add_argument("--jobs", type=int, default=None)
     solve.set_defaults(func=cmd_solve)
 
     rec = sub.add_parser("reconstruct", help="estimate a state profile and its energy")
@@ -402,7 +388,6 @@ def build_parser() -> _Parser:
     rec.add_argument("--shots", type=int, default=None)
     rec.add_argument("--seed", type=int, default=0)
     rec.add_argument("--epsilon", type=float, default=None)
-    rec.add_argument("--jobs", type=int, default=1)
     rec.add_argument("--out", default=None)
     rec.set_defaults(func=cmd_reconstruct)
 

@@ -11,18 +11,20 @@ measurements alone:
   elsewhere.  Each X/Y setting resolves every encoded pair whose codewords
   differ exactly at ell.
 
-Every pair estimate is stored in site order (j < k) with value conventions
-cos: 2 r_j r_k cos(t_k - t_j) and sin: 2 r_j r_k sin(t_k - t_j).  Relative
-phases come from a maximum-weight spanning tree over the measured pairs, so a
-state is reconstructed up to one global phase per connected component.
+Estimates are arrays over one pair list per (protocol, N), built once: the
+chain pairs (j, j+1) for ``original``, the hypercube edges of the encoding
+map for ``binary``.  Every pair is stored in site order (j < k) with value
+conventions cos: 2 r_j r_k cos(t_k - t_j) and sin: 2 r_j r_k sin(t_k - t_j).
+Relative phases come from a maximum-weight spanning forest over the measured
+pairs, so a state is reconstructed up to one global phase per connected
+component.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import functools
 from dataclasses import dataclass, field
 
-import networkx as nx
 import numpy as np
 
 from . import statevector as sv
@@ -51,12 +53,17 @@ class MeasurementSetting:
 class SettingEstimates:
     """Estimates extracted from one setting.
 
-    Keys are ``prob:j``, ``cos:j:k`` or ``sin:j:k`` (site-ordered);
-    ``shots_used`` is None in exact mode.
+    ``kind`` is ``prob`` (``values[i]`` estimates |alpha|^2 of site
+    ``sites[i]``), ``cos`` or ``sin`` (``values[i]`` estimates the correlator
+    of the site-ordered pair ``(sites[i], partners[i])``).  ``shots_used`` is
+    None in exact mode.
     """
 
     setting_label: str
-    estimates: dict
+    kind: str
+    sites: np.ndarray = field(repr=False)
+    values: np.ndarray = field(repr=False)
+    partners: np.ndarray | None = field(default=None, repr=False)
     shots_used: int | None = None
     extras: dict | None = None
 
@@ -79,9 +86,9 @@ class AmplitudeProfile:
 
     def __post_init__(self):
         r = np.asarray(self.magnitudes, dtype=float)
-        if np.any(r < 0):
+        if (r < 0).any():
             raise ValueError("magnitudes must be non-negative")
-        norm_sq = float(np.sum(r**2))
+        norm_sq = float((r**2).sum())
         if norm_sq > 1.0 + 1e-6:
             raise ValueError(f"profile is super-normalized: sum r^2 = {norm_sq!r}")
 
@@ -115,15 +122,21 @@ class AmplitudeProfile:
 class PhaseGraph:
     """Measured pair-phase relations over the active sites.
 
-    ``edges`` holds ``(j, k, delta, weight)`` with ``delta`` estimating
-    ``t_k - t_j`` and ``weight = cos_est^2 + sin_est^2``; ``tree_edges`` is
-    the maximum-weight spanning forest actually used for propagation.
+    Edge ``i`` joins sites ``edge_j[i] < edge_k[i]`` (edges sorted in site
+    order); ``delta[i]`` estimates ``t_k - t_j`` and ``weight[i]`` is
+    ``cos_est^2 + sin_est^2``.  ``in_tree`` marks the maximum-weight spanning
+    forest actually used for propagation; ``component[s]`` is the component
+    index of site ``s`` (components numbered by their lowest site), -1 for an
+    inactive site.
     """
 
     n_sites: int
-    edges: tuple
-    tree_edges: tuple
-    component_of: dict
+    edge_j: np.ndarray = field(repr=False)
+    edge_k: np.ndarray = field(repr=False)
+    delta: np.ndarray = field(repr=False)
+    weight: np.ndarray = field(repr=False)
+    in_tree: np.ndarray = field(repr=False)
+    component: np.ndarray = field(repr=False)
     n_components: int
 
 
@@ -151,20 +164,91 @@ def settings_binary(num_qubits: int) -> list:
     return out
 
 
-def _is_site_vector(source) -> bool:
-    return isinstance(source, np.ndarray)
+@dataclass(frozen=True)
+class _PairGroup:
+    """The pairs one X/Y setting resolves.
+
+    Pair ``i`` joins sites ``j[i] < k[i]``.  The setting measures the raw
+    correlator 2 conj(a_low) a_high in register order: ``low`` is the site on
+    the X qubit (one-hot) or whose codeword has bit 0 at the flip axis
+    (packed).  ``sign`` is +1 where ``low`` is ``j``, so ``sign * Im(raw)``
+    is the site-ordered sine.
+    """
+
+    j: np.ndarray
+    k: np.ndarray
+    low: np.ndarray
+    high: np.ndarray
+    sign: np.ndarray
 
 
-def _hist_mean(hist: sv.ShotHistogram, value_fn) -> float:
-    total = 0.0
-    for bits, count in hist.counts.items():
-        total += count * value_fn(bits)
-    return total / hist.total_shots
+@dataclass(frozen=True)
+class _Layout:
+    """What the estimators need of one (protocol, N), built once.
+
+    ``groups[axis]`` holds the pairs of the X/Y settings on flip axis
+    ``axis`` (key ``None`` for the one-hot settings); ``positions`` holds
+    each site's codeword (packed only).
+    """
+
+    sites: np.ndarray
+    groups: dict
+    positions: np.ndarray | None = None
 
 
-def _bit(bits: str, qubit: int) -> int:
-    # bitstrings are big-endian: leftmost char is the top qubit
-    return int(bits[len(bits) - 1 - qubit])
+def _read_only(*arrays) -> tuple:
+    for a in arrays:
+        a.setflags(write=False)  # shared by every later estimate
+    return arrays
+
+
+def _pair_group(j, k, j_is_low) -> _PairGroup:
+    low, high = np.where(j_is_low, j, k), np.where(j_is_low, k, j)
+    return _PairGroup(*_read_only(j, k, low, high, np.where(j_is_low, 1.0, -1.0)))
+
+
+@functools.lru_cache(maxsize=64)
+def _chain_layout(n_sites: int) -> _Layout:
+    j = np.arange(n_sites - 1)
+    # the alternating pattern puts X on even qubits
+    (sites,) = _read_only(np.arange(n_sites))
+    return _Layout(sites, {None: _pair_group(j, j + 1, j % 2 == 0)})
+
+
+def _binary_layout(emap: EncodingMap) -> _Layout:
+    j, k, axis = np.array(hypercube_edges(emap), dtype=np.int64).reshape(-1, 3).T
+    positions = np.array(emap.codewords, dtype=np.int64)
+    j_is_low = (positions[j] >> axis) & 1 == 0
+    groups = {}
+    for a in range(emap.num_qubits):
+        on_axis = axis == a
+        groups[a] = _pair_group(j[on_axis], k[on_axis], j_is_low[on_axis])
+    sites, positions = _read_only(np.arange(emap.n_sites), positions)
+    return _Layout(sites, groups, positions)
+
+
+def _layout(protocol: str, n_sites: int, emap: EncodingMap | None) -> _Layout:
+    """The protocol's layout; the packed one is built once per encoding map."""
+    if protocol == "original":
+        return _chain_layout(n_sites)
+    layout = getattr(emap, "_layout_cache", None)
+    if layout is None:
+        layout = _binary_layout(emap)
+        object.__setattr__(emap, "_layout_cache", layout)
+    return layout
+
+
+_ORIGINAL_KINDS = {"MZ": "prob", "MXX": "cos", "MXY": "sin"}
+
+
+def _kind(setting: MeasurementSetting) -> str:
+    if setting.protocol == "original":
+        if setting.label not in _ORIGINAL_KINDS:
+            raise ValueError(f"unknown original-protocol setting {setting.label!r}")
+        return _ORIGINAL_KINDS[setting.label]
+    if setting.label == "BZ":
+        return "prob"
+    return "cos" if setting.label.startswith("BX") else "sin"
 
 
 def _check_source(source, setting: MeasurementSetting):
@@ -173,152 +257,70 @@ def _check_source(source, setting: MeasurementSetting):
             raise ValueError(
                 f"histogram for setting {source.setting_label!r} used with {setting.label!r}"
             )
-        width = len(next(iter(source.counts), ""))
-        if width and width != len(setting.bases):
-            raise ValueError(
-                f"histogram width {width} != setting width {len(setting.bases)}"
-            )
+        width = source.num_qubits
     elif isinstance(source, sv.StateVector):
-        if source.num_qubits != len(setting.bases):
-            raise ValueError(
-                f"state width {source.num_qubits} != setting width {len(setting.bases)}"
-            )
+        width = source.num_qubits
+    else:
+        return
+    if width != len(setting.bases):
+        kind = "histogram" if isinstance(source, sv.ShotHistogram) else "state"
+        raise ValueError(f"{kind} width {width} != setting width {len(setting.bases)}")
 
 
-def _estimate_original(source, setting: MeasurementSetting) -> SettingEstimates:
-    n = len(setting.bases)
-    est = {}
-    shots = None
-    if _is_site_vector(source):
+def _estimate_exact(source, setting, layout: _Layout, kind: str):
+    """Estimates read straight from the site amplitudes."""
+    n_sites = layout.sites.size
+    from_register = isinstance(source, sv.StateVector)
+    if from_register:
+        positions = layout.positions
+        if positions is None:
+            positions = 1 << np.arange(source.num_qubits)
+        alpha = source.amplitudes[positions]
+    elif isinstance(source, np.ndarray):
         alpha = np.asarray(source, dtype=complex)
-        if alpha.size != n:
-            raise ValueError(f"site vector length {alpha.size} != {n} sites")
-        if setting.label == "MZ":
-            for j in range(n):
-                est[f"prob:{j}"] = float(abs(alpha[j]) ** 2)
-        elif setting.label == "MXX":
-            for j in range(n - 1):
-                est[f"cos:{j}:{j + 1}"] = float(2.0 * (np.conj(alpha[j]) * alpha[j + 1]).real)
-        elif setting.label == "MXY":
-            for j in range(n - 1):
-                est[f"sin:{j}:{j + 1}"] = float(2.0 * (np.conj(alpha[j]) * alpha[j + 1]).imag)
-        else:
-            raise ValueError(f"unknown original-protocol setting {setting.label!r}")
-    elif isinstance(source, sv.StateVector):
-        state = source
-        if setting.label == "MZ":
-            for j in range(n):
-                zj = sv.expectation_pauli(state, sv.PauliString.single(n, j, "Z"))
-                est[f"prob:{j}"] = (1.0 - zj) / 2.0
-        elif setting.label == "MXX":
-            for j in range(n - 1):
-                est[f"cos:{j}:{j + 1}"] = sv.expectation_pauli(
-                    state, sv.PauliString.pair(n, j, "X", j + 1, "X")
-                )
-        elif setting.label == "MXY":
-            # pattern puts X on even qubits; odd-first pairs measure (Y, X)
-            # and flip sign relative to the (X, Y)-ordered correlator
-            for j in range(n - 1):
-                la, lb = setting.bases[j], setting.bases[j + 1]
-                raw = sv.expectation_pauli(state, sv.PauliString.pair(n, j, la, j + 1, lb))
-                est[f"sin:{j}:{j + 1}"] = raw if la == "X" else -raw
-        else:
-            raise ValueError(f"unknown original-protocol setting {setting.label!r}")
-    elif isinstance(source, sv.ShotHistogram):
-        shots = source.total_shots
-        if setting.label == "MZ":
-            for j in range(n):
-                zj = _hist_mean(source, lambda bits, j=j: 1.0 - 2.0 * _bit(bits, j))
-                est[f"prob:{j}"] = (1.0 - zj) / 2.0
-        elif setting.label == "MXX":
-            for j in range(n - 1):
-                est[f"cos:{j}:{j + 1}"] = _hist_mean(
-                    source,
-                    lambda bits, j=j: (1 - 2 * _bit(bits, j)) * (1 - 2 * _bit(bits, j + 1)),
-                )
-        elif setting.label == "MXY":
-            for j in range(n - 1):
-                raw = _hist_mean(
-                    source,
-                    lambda bits, j=j: (1 - 2 * _bit(bits, j)) * (1 - 2 * _bit(bits, j + 1)),
-                )
-                est[f"sin:{j}:{j + 1}"] = raw if setting.bases[j] == "X" else -raw
-        else:
-            raise ValueError(f"unknown original-protocol setting {setting.label!r}")
+        if alpha.size != n_sites:
+            raise ValueError(f"site vector length {alpha.size} != {n_sites} sites")
     else:
         raise TypeError(f"unsupported source type {type(source).__name__}")
-    return SettingEstimates(setting.label, est, shots)
+    if kind == "prob":
+        probs = np.abs(alpha) ** 2
+        extras = None
+        if from_register or setting.protocol == "binary":
+            extras = {"unencoded_mass": float(1.0 - probs.sum())}
+        return SettingEstimates(setting.label, kind, layout.sites, probs, extras=extras)
+    group = layout.groups[setting.axis]
+    raw = 2.0 * (np.conj(alpha[group.low]) * alpha[group.high])
+    values = raw.real if kind == "cos" else group.sign * raw.imag
+    return SettingEstimates(setting.label, kind, group.j, values, group.k)
 
 
-def _oriented_sin(value: float, emap: EncodingMap, j: int, k: int, axis: int) -> float:
-    # raw value estimates 2 r r sin(t_head - t_tail) with the tail holding
-    # bit 0 at the flip axis; flip the sign when the tail is the larger site
-    if (emap.codeword(j) >> axis) & 1 == 0:
-        return value
-    return -value
-
-
-def _estimate_binary(source, setting: MeasurementSetting, emap: EncodingMap) -> SettingEstimates:
-    n = emap.num_qubits
-    if len(setting.bases) != n:
-        raise ValueError(f"setting width {len(setting.bases)} != register width {n}")
-    est = {}
-    shots = None
-    extras = {}
-    if _is_site_vector(source):
-        alpha = np.asarray(source, dtype=complex)
-        if alpha.size != emap.n_sites:
-            raise ValueError(f"site vector length {alpha.size} != {emap.n_sites} sites")
-        register = np.zeros(2**n, dtype=complex)
-        register[list(emap.codewords)] = alpha
-        source = sv.StateVector(n, register)
-    if isinstance(source, sv.StateVector):
-        if setting.label == "BZ":
-            p = np.abs(source.amplitudes) ** 2
-            for site in range(emap.n_sites):
-                est[f"prob:{site}"] = float(p[emap.codeword(site)])
-            extras["unencoded_mass"] = float(1.0 - sum(est.values()))
-        else:
-            axis = setting.axis
-            p = sv.measurement_distribution(source, setting.bases)
-            for j, k, pos in hypercube_edges(emap):
-                if pos != axis:
-                    continue
-                base0 = emap.codeword(j) & ~(1 << axis)
-                base1 = base0 | (1 << axis)
-                raw = float(p[base0] - p[base1])
-                if setting.label.startswith("BX"):
-                    est[f"cos:{j}:{k}"] = raw
-                else:
-                    est[f"sin:{j}:{k}"] = _oriented_sin(raw, emap, j, k, axis)
-    elif isinstance(source, sv.ShotHistogram):
-        shots = source.total_shots
-        if setting.label == "BZ":
-            known = 0
-            for site in range(emap.n_sites):
-                word = sv.bitstring(emap.codeword(site), n)
-                count = source.counts.get(word, 0)
-                est[f"prob:{site}"] = count / shots
-                known += count
-            extras["unknown_codeword_count"] = shots - known
-            extras["unencoded_mass"] = (shots - known) / shots
-        else:
-            axis = setting.axis
-            for j, k, pos in hypercube_edges(emap):
-                if pos != axis:
-                    continue
-                base0 = emap.codeword(j) & ~(1 << axis)
-                base1 = base0 | (1 << axis)
-                c0 = source.counts.get(sv.bitstring(base0, n), 0)
-                c1 = source.counts.get(sv.bitstring(base1, n), 0)
-                raw = (c0 - c1) / shots
-                if setting.label.startswith("BX"):
-                    est[f"cos:{j}:{k}"] = raw
-                else:
-                    est[f"sin:{j}:{k}"] = _oriented_sin(raw, emap, j, k, axis)
+def _estimate_histogram(hist: sv.ShotHistogram, setting, layout: _Layout, kind: str):
+    """Estimates from integer outcome counts; each mean is an exact integer over the shots."""
+    shots = hist.total_shots
+    counts = hist.counts
+    if setting.protocol == "binary":
+        if kind == "prob":
+            found = counts[layout.positions]
+            unknown = shots - int(found.sum())
+            extras = {"unknown_codeword_count": unknown, "unencoded_mass": unknown / shots}
+            return SettingEstimates(setting.label, kind, layout.sites, found / shots,
+                                    shots_used=shots, extras=extras)
+        group = layout.groups[setting.axis]
+        positions = layout.positions
+        raw = (counts[positions[group.low]] - counts[positions[group.high]]) / shots
     else:
-        raise TypeError(f"unsupported source type {type(source).__name__}")
-    return SettingEstimates(setting.label, est, shots, extras or None)
+        # means of +-1 bit products over the observed outcomes
+        outcomes = np.flatnonzero(counts)
+        seen = counts[outcomes]
+        bits = (outcomes[:, None] >> np.arange(hist.num_qubits)) & 1
+        if kind == "prob":
+            z = (shots - 2 * (seen @ bits)) / shots
+            return SettingEstimates(setting.label, kind, layout.sites, (1.0 - z) / 2.0,
+                                    shots_used=shots)
+        group = layout.groups[None]
+        raw = (shots - 2 * (seen @ (bits[:, :-1] ^ bits[:, 1:]))) / shots
+    values = raw if kind == "cos" else group.sign * raw
+    return SettingEstimates(setting.label, kind, group.j, values, group.k, shots_used=shots)
 
 
 def estimate_setting(source, setting: MeasurementSetting, emap: EncodingMap | None = None):
@@ -326,16 +328,27 @@ def estimate_setting(source, setting: MeasurementSetting, emap: EncodingMap | No
 
     ``source`` is a site-amplitude vector (numpy array), a StateVector over
     the register the setting addresses, or a ShotHistogram recorded for this
-    setting.  Binary-protocol settings need the encoding map.
+    setting.  Binary-protocol settings need the encoding map.  A StateVector
+    is read through its amplitudes on the encoded basis states; the weight
+    it carries elsewhere is reported as ``extras["unencoded_mass"]``.
     """
     _check_source(source, setting)
     if setting.protocol == "original":
-        return _estimate_original(source, setting)
-    if setting.protocol == "binary":
+        n_sites = len(setting.bases)
+    elif setting.protocol == "binary":
         if emap is None:
             raise ValueError("binary-protocol estimation requires an encoding map")
-        return _estimate_binary(source, setting, emap)
-    raise ValueError(f"unknown protocol {setting.protocol!r}")
+        if len(setting.bases) != emap.num_qubits:
+            raise ValueError(
+                f"setting width {len(setting.bases)} != register width {emap.num_qubits}"
+            )
+        n_sites = emap.n_sites
+    else:
+        raise ValueError(f"unknown protocol {setting.protocol!r}")
+    layout = _layout(setting.protocol, n_sites, emap)
+    if isinstance(source, sv.ShotHistogram):
+        return _estimate_histogram(source, setting, layout, _kind(setting))
+    return _estimate_exact(source, setting, layout, _kind(setting))
 
 
 def pick_epsilon(shots: int | None) -> float:
@@ -345,104 +358,193 @@ def pick_epsilon(shots: int | None) -> float:
     return max(1e-6, 3.0 / np.sqrt(shots))
 
 
-def merge_estimates(estimate_list) -> dict:
-    merged = {}
-    for se in estimate_list:
-        for key, value in se.estimates.items():
-            if key in merged:
-                raise ValueError(f"duplicate estimate key {key!r} across settings")
-            merged[key] = (value, se.shots_used)
-    return merged
+def _estimate_name(kind: str, j, k) -> str:
+    return f"{kind}:{j}" if kind == "prob" else f"{kind}:{j}:{k}"
 
 
-def reconstruct_profile(merged: dict, n_sites: int, epsilon: float | None = None):
-    """Turn merged setting estimates into (AmplitudeProfile, PhaseGraph).
+def _keyed(parts: list, kind: str, n_sites: int) -> tuple:
+    """One kind's estimates as ``(key, j, k, value)`` in ascending key order.
 
-    Magnitudes come from the Z-type estimates (negative estimates clamp to
-    zero before the square root); relative phases from atan2 of the paired
-    sine/cosine estimates, spread from each component's lowest active site
-    over a maximum-weight spanning tree.
+    The key is the site of a probability and ``j * n_sites + k`` of a pair;
+    a repeated key is refused.
     """
+    if len(parts) == 1:
+        j, k, value = parts[0]
+    elif parts:
+        j, k, value = (np.concatenate(column) for column in zip(*parts))
+    else:
+        j = k = np.empty(0, dtype=np.int64)
+        value = np.empty(0)
+    key = j if kind == "prob" else j * n_sites + k
+    if key.size > 1 and not (key[1:] > key[:-1]).all():
+        order = np.argsort(key, kind="stable")
+        key, j, k, value = key[order], j[order], k[order], value[order]
+        repeated = np.flatnonzero(key[1:] == key[:-1])
+        if repeated.size:
+            name = _estimate_name(kind, j[repeated[0]], k[repeated[0]])
+            raise ValueError(f"duplicate estimate key {name!r} across settings")
+    return key, j, k, value
+
+
+def merge_estimates(estimate_list, n_sites: int) -> tuple:
+    """Collect per-setting estimates into site- and pair-indexed arrays.
+
+    Returns ``(probs, pair_j, pair_k, cos, sin, shots)``: site probabilities,
+    the measured pairs in site order with their cosine and sine estimates,
+    and the smallest per-setting shot count (None in exact mode).  Refuses a
+    site out of range, an estimate given twice and a pair that has only one
+    of its cosine and sine.
+    """
+    parts = {"prob": [], "cos": [], "sin": []}
+    for se in estimate_list:
+        j = np.asarray(se.sites, dtype=np.int64)
+        k = j if se.partners is None else np.asarray(se.partners, dtype=np.int64)
+        parts[se.kind].append((j, k, np.asarray(se.values, dtype=float)))
+    ends = np.concatenate([np.empty(0, dtype=np.int64)] + [
+        end for column in parts.values() for j, k, _ in column for end in (j, k)
+    ])
+    if ends.size and (ends.min() < 0 or ends.max() >= n_sites):
+        for kind, column in parts.items():
+            for j, k, _ in column:
+                bad = np.flatnonzero((np.minimum(j, k) < 0) | (np.maximum(j, k) >= n_sites))
+                if bad.size:
+                    name = _estimate_name(kind, j[bad[0]], k[bad[0]])
+                    raise ValueError(f"estimate {name!r} out of range for {n_sites} sites")
+    prob_key, _, _, prob_value = _keyed(parts["prob"], "prob", n_sites)
+    cos_key, pair_j, pair_k, cos_value = _keyed(parts["cos"], "cos", n_sites)
+    sin_key, _, _, sin_value = _keyed(parts["sin"], "sin", n_sites)
+    if cos_key.size != sin_key.size or not (cos_key == sin_key).all():
+        lone = np.setxor1d(cos_key, sin_key)[0]
+        raise ValueError(
+            f"pair ({lone // n_sites},{lone % n_sites}) is missing a cosine or sine estimate"
+        )
     probs = np.zeros(n_sites)
-    shot_values = [s for _, s in merged.values() if s is not None]
+    probs[prob_key] = prob_value
+    shots = [se.shots_used for se in estimate_list if se.shots_used is not None]
+    return probs, pair_j, pair_k, cos_value, sin_value, (min(shots) if shots else None)
+
+
+def _spanning_forest(active: list, js: list, ks: list, deltas: list, weights: list) -> tuple:
+    """Maximum-weight spanning forest over the active sites, and the phases it gives.
+
+    Kruskal with a union-find: edges by descending weight, ties in edge order
+    (a stable sort).  Each component's root is its lowest site, where its
+    phase is 0; phases spread from there along tree edges.  Returns
+    ``(in_tree, component, n_components, phases)`` as lists.
+    """
+    n_sites = len(active)
+    root = list(range(n_sites))
+
+    def find(s):
+        while root[s] != s:
+            root[s] = s = root[root[s]]  # path halving
+        return s
+
+    in_tree = [False] * len(js)
+    links = [[] for _ in range(n_sites)]
+    for e in sorted(range(len(js)), key=weights.__getitem__, reverse=True):
+        j, k = js[e], ks[e]
+        a, b = find(j), find(k)
+        if a == b:
+            continue
+        if a < b:
+            root[b] = a
+        else:
+            root[a] = b
+        in_tree[e] = True
+        links[j].append((k, deltas[e]))
+        links[k].append((j, -deltas[e]))
+
+    component = [-1] * n_sites
+    phases = [np.nan] * n_sites
+    n_components = 0
+    for start in range(n_sites):
+        if not active[start] or root[start] != start:
+            continue
+        component[start] = n_components
+        phases[start] = 0.0
+        frontier = [start]
+        for site in frontier:
+            for other, step in links[site]:
+                if component[other] < 0:
+                    component[other] = n_components
+                    phases[other] = phases[site] + step
+                    frontier.append(other)
+        n_components += 1
+    return in_tree, component, n_components, phases
+
+
+def reconstruct_profile(probs, pair_j, pair_k, cos, sin, epsilon: float | None = None,
+                        shots: int | None = None):
+    """Turn merged estimates into (AmplitudeProfile, PhaseGraph).
+
+    Magnitudes come from the site probabilities (negative estimates clamp to
+    zero before the square root); relative phases from atan2 of each pair's
+    sine/cosine estimates, spread from each component's lowest active site
+    over a maximum-weight spanning forest.  ``epsilon`` defaults to
+    ``pick_epsilon(shots)``.
+    """
+    probs = np.asarray(probs, dtype=float)
+    j, k = np.asarray(pair_j), np.asarray(pair_k)
+    c, s = np.asarray(cos, dtype=float), np.asarray(sin, dtype=float)
+    n_sites = probs.size
     if epsilon is None:
-        epsilon = pick_epsilon(min(shot_values) if shot_values else None)
-    for key, (value, _) in merged.items():
-        if key.startswith("prob:"):
-            site = int(key.split(":")[1])
-            if not 0 <= site < n_sites:
-                raise ValueError(f"estimate {key!r} out of range for {n_sites} sites")
-            probs[site] = value
+        epsilon = pick_epsilon(shots)
     magnitudes = np.sqrt(np.clip(probs, 0.0, None))
     active = magnitudes > epsilon
 
-    pair_data = {}
-    for key, (value, _) in merged.items():
-        if key.startswith("prob:"):
-            continue
-        kind, j, k = key.split(":")
-        j, k = int(j), int(k)
-        pair_data.setdefault((j, k), {})[kind] = value
-    edges = []
-    for (j, k), comps in sorted(pair_data.items()):
-        if "cos" not in comps or "sin" not in comps:
-            raise ValueError(f"pair ({j},{k}) is missing a cosine or sine estimate")
-        if not (active[j] and active[k]):
-            continue
-        delta = float(np.arctan2(comps["sin"], comps["cos"]))
-        weight = float(comps["sin"] ** 2 + comps["cos"] ** 2)
-        edges.append((j, k, delta, weight))
-
-    graph = nx.Graph()
-    graph.add_nodes_from(int(s) for s in np.flatnonzero(active))
-    for j, k, delta, weight in edges:
-        graph.add_edge(j, k, delta=delta, weight=weight)
-    phases = np.full(n_sites, np.nan)
-    tree_edges = []
-    component_of = {}
-    components = sorted(nx.connected_components(graph), key=min)
-    for comp_index, comp in enumerate(components):
-        for site in comp:
-            component_of[site] = comp_index
-        sub = graph.subgraph(comp)
-        tree = nx.maximum_spanning_tree(sub, weight="weight")
-        root = min(comp)
-        phases[root] = 0.0
-        for parent, child in nx.bfs_edges(tree, root):
-            data = tree.edges[parent, child]
-            j, k = (parent, child) if parent < child else (child, parent)
-            sign = 1.0 if (parent, child) == (j, k) else -1.0
-            phases[child] = phases[parent] + sign * data["delta"]
-            tree_edges.append((j, k))
-
-    reference = int(min(component_of)) if component_of else None
-    profile = AmplitudeProfile(
-        n_sites, magnitudes, phases, active, float(epsilon), reference
+    keep = active[j] & active[k]
+    if not keep.all():
+        j, k, c, s = j[keep], k[keep], c[keep], s[keep]
+    delta = np.arctan2(s, c)
+    # squares through libm pow, as Python's ``x ** 2`` computes them: np.square
+    # differs in the last bit for about 0.1% of inputs, enough to reorder
+    # near-tied shot-mode edges and so change which tree is used
+    weights = [y**2 + x**2 for x, y in zip(c.tolist(), s.tolist())]
+    active_sites = active.tolist()
+    in_tree, component, n_components, phases = _spanning_forest(
+        active_sites, j.tolist(), k.tolist(), delta.tolist(), weights
     )
-    pgraph = PhaseGraph(
-        n_sites,
-        tuple(edges),
-        tuple(sorted(tree_edges)),
-        component_of,
-        len(components),
-    )
+
+    reference = active_sites.index(True) if True in active_sites else None
+    profile = AmplitudeProfile(n_sites, magnitudes, np.array(phases), active, float(epsilon), reference)
+    pgraph = PhaseGraph(n_sites, j, k, delta, np.array(weights), np.array(in_tree, dtype=bool),
+                        np.array(component), n_components)
     return profile, pgraph
 
 
-def _settings_for(protocol: str, n_sites: int, emap: EncodingMap | None):
+@functools.lru_cache(maxsize=64)
+def _settings(protocol: str, width: int) -> tuple:
+    return tuple(settings_original(width) if protocol == "original" else settings_binary(width))
+
+
+def _settings_for(protocol: str, n_sites: int, emap: EncodingMap | None) -> tuple:
     if protocol == "original":
-        return settings_original(n_sites)
+        return _settings(protocol, n_sites)
     if protocol == "binary":
         if emap is None:
             raise ValueError("binary protocol requires an encoding map")
-        return settings_binary(emap.num_qubits)
+        return _settings(protocol, emap.num_qubits)
     raise ValueError(f"unknown protocol {protocol!r}")
 
 
-def _site_vector_to_register(alpha: np.ndarray, emap: EncodingMap) -> sv.StateVector:
-    register = np.zeros(2**emap.num_qubits, dtype=complex)
-    register[list(emap.codewords)] = alpha
-    return sv.StateVector(emap.num_qubits, register)
+def _pairs_of(mask: np.ndarray) -> list:
+    j, k = np.nonzero(mask)
+    return list(zip(j.tolist(), k.tolist()))
+
+
+def _unmeasured_terms(h: SiteHamiltonian, profile: AmplitudeProfile, pgraph: PhaseGraph) -> tuple:
+    """Coupled pairs (j < k, h_jk != 0) with an inactive site, and across components."""
+    active = profile.active
+    if active.all() and pgraph.n_components == 1:
+        return [], []
+    coupled = np.triu(h.matrix != 0, 1)
+    both = np.outer(active, active)
+    inactive = _pairs_of(coupled & ~both)
+    if pgraph.n_components < 2:
+        return inactive, []
+    component = pgraph.component
+    return inactive, _pairs_of(coupled & both & (component[:, None] != component[None, :]))
 
 
 def estimate_energy(
@@ -453,7 +555,6 @@ def estimate_energy(
     seed=0,
     emap: EncodingMap | None = None,
     epsilon: float | None = None,
-    jobs: int = 1,
 ):
     """Full protocol run: settings -> estimates -> profile -> energy.
 
@@ -465,46 +566,29 @@ def estimate_energy(
     settings = _settings_for(protocol, h.n_sites, emap)
     state = source
     if shots is not None:
-        if _is_site_vector(source):
+        if isinstance(source, np.ndarray):
             if protocol == "original":
                 raise ValueError(
                     "shot mode on the one-hot register needs a StateVector source"
                 )
-            state = _site_vector_to_register(np.asarray(source, dtype=complex), emap)
+            state = sv.embed_sites(source, _layout(protocol, h.n_sites, emap).positions,
+                                   emap.num_qubits)
         seed_root = list(seed) if isinstance(seed, (tuple, list)) else [seed]
 
-    def run_setting(item):
-        idx, setting = item
+    results = []
+    for idx, setting in enumerate(settings):
         if shots is None:
-            return estimate_setting(state, setting, emap)
+            results.append(estimate_setting(state, setting, emap))
+            continue
         rng = np.random.default_rng(np.random.SeedSequence(seed_root + [idx]))
         hist = sv.sample_bitstrings(state, setting.bases, shots, rng, setting.label)
-        return estimate_setting(hist, setting, emap)
+        results.append(estimate_setting(hist, setting, emap))
 
-    items = list(enumerate(settings))
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run_setting, items))
-    else:
-        results = [run_setting(item) for item in items]
-
-    merged = merge_estimates(results)
-    profile, pgraph = reconstruct_profile(merged, h.n_sites, epsilon)
+    probs, pair_j, pair_k, cos, sin, min_shots = merge_estimates(results, h.n_sites)
+    profile, pgraph = reconstruct_profile(probs, pair_j, pair_k, cos, sin, epsilon, min_shots)
     energy = energy_from_profile(h, profile)
+    inactive_terms, unresolved = _unmeasured_terms(h, profile, pgraph)
 
-    unresolved = []
-    inactive_terms = []
-    for j in range(h.n_sites):
-        for k in range(j + 1, h.n_sites):
-            if h.matrix[j, k] == 0:
-                continue
-            if not (profile.active[j] and profile.active[k]):
-                inactive_terms.append((j, k))
-            elif pgraph.component_of.get(j) != pgraph.component_of.get(k):
-                unresolved.append((j, k))
-    warnings = []
-    if unresolved:
-        warnings.append("unresolved-phase")
     unencoded = 0.0
     unknown_codewords = 0
     for se in results:
@@ -516,13 +600,13 @@ def estimate_energy(
         "settings": [s.label for s in settings],
         "shots_per_setting": shots,
         "epsilon": profile.threshold,
-        "inactive_sites": [int(s) for s in np.flatnonzero(~profile.active)],
+        "inactive_sites": np.flatnonzero(~profile.active).tolist(),
         "n_components": pgraph.n_components,
         "cross_component_terms": unresolved,
         "inactive_terms": inactive_terms,
         "unencoded_mass": unencoded,
         "unknown_codeword_count": unknown_codewords,
-        "warnings": warnings,
+        "warnings": ["unresolved-phase"] if unresolved else [],
         "profile": profile_summary(profile),
         "phase_graph": phase_graph_summary(pgraph),
     }
@@ -531,23 +615,25 @@ def estimate_energy(
 
 def profile_summary(profile: AmplitudeProfile) -> dict:
     """JSON-ready rendering; inactive phases become None."""
+    active = np.asarray(profile.active, dtype=bool).tolist()
     return {
         "n_sites": profile.n_sites,
-        "magnitudes": [float(r) for r in profile.magnitudes],
+        "magnitudes": np.asarray(profile.magnitudes, dtype=float).tolist(),
         "phases": [
-            float(p) if a else None
-            for p, a in zip(profile.phases, profile.active)
+            p if a else None
+            for p, a in zip(np.asarray(profile.phases, dtype=float).tolist(), active)
         ],
-        "active": [bool(a) for a in profile.active],
+        "active": active,
         "threshold": float(profile.threshold),
         "reference_site": profile.reference_site,
     }
 
 
 def phase_graph_summary(pgraph: PhaseGraph) -> dict:
+    js, ks = pgraph.edge_j.tolist(), pgraph.edge_k.tolist()
     return {
-        "edges": [[j, k, float(d), float(w)] for j, k, d, w in pgraph.edges],
-        "tree_edges": [list(e) for e in pgraph.tree_edges],
+        "edges": [list(e) for e in zip(js, ks, pgraph.delta.tolist(), pgraph.weight.tolist())],
+        "tree_edges": [[j, k] for j, k, t in zip(js, ks, pgraph.in_tree.tolist()) if t],
         "n_components": pgraph.n_components,
-        "component_of": sorted([int(s), int(c)] for s, c in pgraph.component_of.items()),
+        "component_of": [[s, c] for s, c in enumerate(pgraph.component.tolist()) if c >= 0],
     }

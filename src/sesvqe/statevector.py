@@ -13,6 +13,7 @@ import numpy as np
 
 _NORM_TOL = 1e-10
 _HERM_IM_TOL = 1e-12
+MAX_SIM_WIDTH = 22  # widest dense register a run may allocate
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -128,20 +129,31 @@ class PauliString:
 
 @dataclass(frozen=True)
 class ShotHistogram:
-    """Measurement record for one setting: big-endian bitstring -> count."""
+    """Measurement record for one setting.
+
+    ``counts[i]`` is the number of shots with outcome index ``i`` (qubit
+    ``k`` read bit ``(i >> k) & 1``), so the array has 2^width entries.
+    """
 
     setting_label: str
-    counts: dict
+    counts: np.ndarray = field(repr=False)
     total_shots: int
 
     def __post_init__(self):
+        counts = np.asarray(self.counts)
         if self.total_shots <= 0:
             raise ValueError("total_shots must be positive")
-        if sum(self.counts.values()) != self.total_shots:
+        if counts.ndim != 1 or counts.size < 2 or counts.size & (counts.size - 1):
+            raise ValueError(f"histogram needs 2^width outcome counts, got shape {counts.shape}")
+        if counts.dtype.kind not in "iu" or np.any(counts < 0):
+            raise ValueError("histogram counts must be non-negative integers")
+        if int(counts.sum()) != self.total_shots:
             raise ValueError("histogram counts do not sum to total_shots")
-        for key in self.counts:
-            if set(key) - {"0", "1"}:
-                raise ValueError(f"malformed bitstring key {key!r}")
+        object.__setattr__(self, "counts", counts)
+
+    @property
+    def num_qubits(self) -> int:
+        return self.counts.size.bit_length() - 1
 
 
 def basis_state(num_qubits: int, index: int) -> StateVector:
@@ -291,15 +303,6 @@ def measurement_distribution(state: StateVector, bases: str) -> np.ndarray:
     return p / p.sum()
 
 
-def bitstring(index: int, num_qubits: int) -> str:
-    """Big-endian rendering; leftmost character is qubit ``num_qubits - 1``."""
-    return format(index, f"0{num_qubits}b")
-
-
-def bitstring_index(bits: str) -> int:
-    return int(bits, 2)
-
-
 def sample_bitstrings(
     state: StateVector, bases: str, shots: int, seed, label: str = ""
 ) -> ShotHistogram:
@@ -312,11 +315,21 @@ def sample_bitstrings(
         raise ValueError("shots must be positive")
     p = measurement_distribution(state, bases)
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    draws = rng.multinomial(shots, p)
-    counts = {
-        bitstring(i, state.num_qubits): int(c) for i, c in enumerate(draws) if c > 0
-    }
-    return ShotHistogram(label or bases, counts, shots)
+    return ShotHistogram(label or bases, rng.multinomial(shots, p), shots)
+
+
+def embed_sites(alpha, positions, num_qubits: int) -> StateVector:
+    """Register state holding ``alpha[s]`` at basis index ``positions[s]``.
+
+    Refuses a register wider than MAX_SIM_WIDTH before allocating it.
+    """
+    if num_qubits > MAX_SIM_WIDTH:
+        raise ValueError(
+            f"a {num_qubits}-qubit register is too wide to simulate; limit is {MAX_SIM_WIDTH}"
+        )
+    register = np.zeros(2**num_qubits, dtype=complex)
+    register[positions] = alpha
+    return StateVector(num_qubits, register)
 
 
 def extract_subregister(state: StateVector, keep_qubits, fixed: dict):

@@ -29,6 +29,7 @@ from .hamiltonian import (
     extend_with_penalty,
     ground_energy,
 )
+from .statevector import MAX_SIM_WIDTH
 
 ANSATZE = ("one_hot_ses", "binary_ses", "hardware_efficient")
 PROTOCOLS = ("original", "binary", "exact_operator")
@@ -43,7 +44,6 @@ _COMPATIBLE = {
 
 PLATEAU_TOL = 1e-9
 PLATEAU_WINDOW_PER_DIM = 50
-_MAX_SIM_WIDTH = 22
 
 # block-sweep simplex defaults, tuned on disordered chains up to 16 sites
 _BLOCK = 8
@@ -71,7 +71,6 @@ class VqeConfig:
     penalty: PenaltyConfig | None = None
     layers: int = 2
     epsilon: float | None = None
-    jobs: int = 1
     optimizer_options: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -98,8 +97,6 @@ class VqeConfig:
             raise ValueError("penalty extension only applies to hardware_efficient")
         if self.layers < 1:
             raise ValueError("layers must be >= 1")
-        if self.jobs < 1:
-            raise ValueError("jobs must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -141,16 +138,16 @@ def prepare(config: VqeConfig) -> RunPlan:
     if config.ansatz == "one_hot_ses":
         emap = None
         target = h
-        if config.shots is not None and n > _MAX_SIM_WIDTH:
+        if config.shots is not None and n > MAX_SIM_WIDTH:
             raise ValueError(
-                f"one-hot register of {n} qubits is too wide to sample; limit is {_MAX_SIM_WIDTH}"
+                f"one-hot register of {n} qubits is too wide to sample; limit is {MAX_SIM_WIDTH}"
             )
     elif config.ansatz == "binary_ses":
         emap = build_map(n, "shifted")
         target = h
         width = circuits.binary_register_layout(emap)["width"]
-        if width > _MAX_SIM_WIDTH:
-            raise ValueError(f"packed register would need {width} qubits; limit is {_MAX_SIM_WIDTH}")
+        if width > MAX_SIM_WIDTH:
+            raise ValueError(f"packed register would need {width} qubits; limit is {MAX_SIM_WIDTH}")
     else:
         nq = register_width(n)
         penalty = config.penalty or PenaltyConfig.default_for(h, nq)
@@ -180,9 +177,7 @@ def evaluate_cost(plan, params, eval_index: int = 0) -> float:
             alpha = circuits.ses_site_amplitudes(n, params)
             if config.protocol == "exact_operator":
                 return float((alpha.conj() @ h.matrix @ alpha).real)
-            energy, _ = measurement.estimate_energy(
-                h, alpha, "original", epsilon=config.epsilon, jobs=config.jobs
-            )
+            energy, _ = measurement.estimate_energy(h, alpha, "original", epsilon=config.epsilon)
             return energy
         state = circuits.simulate(circuits.build_ses_circuit(n, params))
         energy, _ = measurement.estimate_energy(
@@ -192,7 +187,6 @@ def evaluate_cost(plan, params, eval_index: int = 0) -> float:
             shots=config.shots,
             seed=_shot_seed(config, eval_index),
             epsilon=config.epsilon,
-            jobs=config.jobs,
         )
         return energy
 
@@ -212,7 +206,6 @@ def evaluate_cost(plan, params, eval_index: int = 0) -> float:
             seed=_shot_seed(config, eval_index) if config.shots else 0,
             emap=plan.emap,
             epsilon=config.epsilon,
-            jobs=config.jobs,
         )
         return energy
 
@@ -232,7 +225,6 @@ def evaluate_cost(plan, params, eval_index: int = 0) -> float:
         seed=_shot_seed(config, eval_index) if config.shots else 0,
         emap=plan.emap,
         epsilon=config.epsilon,
-        jobs=config.jobs,
     )
     return energy
 

@@ -341,6 +341,29 @@ class TestReconstruct:
         assert diag["shots_per_setting"] == 100
         assert len(diag["settings"]) == 5
 
+    def test_shot_mode_original_refuses_a_register_too_wide(self, tmp_path, capsys):
+        # 23 sites need a 2^23 one-hot register: refused before it is allocated
+        n = 23
+        ham_path = tmp_path / "h23.json"
+        ham.save_hamiltonian(ham.chain_instance(n), ham_path)
+        amp_path = tmp_path / "amps.json"
+        amp_path.write_text(json.dumps({"amplitudes": [[n**-0.5, 0.0]] * n}))
+        rc = cli.main(
+            [
+                "reconstruct",
+                "--hamiltonian",
+                str(ham_path),
+                "--protocol",
+                "original",
+                "--amplitudes",
+                str(amp_path),
+                "--shots",
+                "100",
+            ]
+        )
+        assert rc == 1
+        assert "23-qubit register is too wide" in capsys.readouterr().err
+
     def test_unnormalized_amplitudes_rejected(self, tmp_path, capsys):
         ham_path = tmp_path / "h2.json"
         ham.save_hamiltonian(ham.chain_instance(2), ham_path)

@@ -7,6 +7,11 @@ Every estimator is checked against the bilinear oracle
 computed directly from the amplitudes being measured.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -81,21 +86,30 @@ class TestSettingFamilies:
             meas.settings_binary(0)
 
 
+def same_entries(a, b) -> bool:
+    """Two settings' estimates cover the same sites or pairs in the same order."""
+    if a.kind != b.kind or a.sites.tolist() != b.sites.tolist():
+        return False
+    return (a.partners is None and b.partners is None) or a.partners.tolist() == b.partners.tolist()
+
+
 class TestOriginalEstimates:
     @pytest.mark.parametrize("n", [2, 3, 5])
     def test_site_vector_route_matches_oracle(self, n):
         alpha = random_site_vector(n, 70 + n)
         for setting in meas.settings_original(n):
-            est = meas.estimate_setting(alpha, setting).estimates
+            est = meas.estimate_setting(alpha, setting)
             if setting.label == "MZ":
-                for j in range(n):
-                    assert est[f"prob:{j}"] == pytest.approx(oracle(alpha, j), abs=1e-12)
+                assert est.kind == "prob"
+                assert est.sites.tolist() == list(range(n))
+                want = [oracle(alpha, j) for j in range(n)]
             else:
-                for j in range(n - 1):
-                    c, s = oracle(alpha, j, j + 1)
-                    want = c if setting.label == "MXX" else s
-                    key = ("cos" if setting.label == "MXX" else "sin") + f":{j}:{j + 1}"
-                    assert est[key] == pytest.approx(want, abs=1e-12)
+                assert est.kind == ("cos" if setting.label == "MXX" else "sin")
+                assert est.sites.tolist() == list(range(n - 1))
+                assert est.partners.tolist() == list(range(1, n))
+                part = 0 if setting.label == "MXX" else 1
+                want = [oracle(alpha, j, j + 1)[part] for j in range(n - 1)]
+            np.testing.assert_allclose(est.values, want, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_state_vector_route_agrees(self, n):
@@ -104,29 +118,29 @@ class TestOriginalEstimates:
         alpha = random_site_vector(n, 80 + n)
         state = onehot_state(alpha)
         for setting in meas.settings_original(n):
-            direct = meas.estimate_setting(alpha, setting).estimates
-            via_state = meas.estimate_setting(state, setting).estimates
-            assert set(direct) == set(via_state)
-            for key in direct:
-                assert via_state[key] == pytest.approx(direct[key], abs=1e-12)
+            direct = meas.estimate_setting(alpha, setting)
+            via_state = meas.estimate_setting(state, setting)
+            assert same_entries(direct, via_state)
+            np.testing.assert_allclose(via_state.values, direct.values, rtol=0, atol=1e-12)
 
     def test_quarter_phase_pair(self):
         # (|01> + i|10>)/sqrt(2): relative phase pi/2 puts everything in sine
         alpha = np.array([1.0, 1j]) / np.sqrt(2.0)
         state = onehot_state(alpha)
         mxy = meas.settings_original(2)[2]
-        est = meas.estimate_setting(state, mxy).estimates
-        assert est["sin:0:1"] == pytest.approx(1.0, abs=1e-12)
+        est = meas.estimate_setting(state, mxy)
+        assert (est.kind, est.sites.tolist(), est.partners.tolist()) == ("sin", [0], [1])
+        assert est.values[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_histogram_route(self):
         alpha = random_site_vector(3, 4)
         state = onehot_state(alpha)
         for setting in meas.settings_original(3):
             hist = sv.sample_bitstrings(state, setting.bases, 200_000, 5, setting.label)
-            est = meas.estimate_setting(hist, setting).estimates
-            exact = meas.estimate_setting(alpha, setting).estimates
-            for key in exact:
-                assert est[key] == pytest.approx(exact[key], abs=0.02)
+            est = meas.estimate_setting(hist, setting)
+            exact = meas.estimate_setting(alpha, setting)
+            assert same_entries(est, exact)
+            np.testing.assert_allclose(est.values, exact.values, rtol=0, atol=0.02)
 
     def test_histogram_label_mismatch(self):
         state = onehot_state(random_site_vector(2, 1))
@@ -141,6 +155,11 @@ class TestOriginalEstimates:
             meas.estimate_setting(state, meas.settings_original(2)[0])
 
 
+def pair_values(est) -> dict:
+    """(j, k) -> value for one X/Y setting's estimates."""
+    return dict(zip(zip(est.sites.tolist(), est.partners.tolist()), est.values.tolist()))
+
+
 class TestBinaryEstimates:
     def test_symmetric_codeword_pair(self):
         # sites 0 and 2 of the 8-site shifted map: codewords 001 and 011
@@ -148,10 +167,10 @@ class TestBinaryEstimates:
         alpha = np.zeros(8, dtype=complex)
         alpha[0] = alpha[2] = 1.0 / np.sqrt(2.0)
         by_label = {s.label: s for s in meas.settings_binary(3)}
-        cos_est = meas.estimate_setting(alpha, by_label["BX1"], emap).estimates
-        sin_est = meas.estimate_setting(alpha, by_label["BY1"], emap).estimates
-        assert cos_est["cos:0:2"] == pytest.approx(1.0, abs=1e-12)
-        assert sin_est["sin:0:2"] == pytest.approx(0.0, abs=1e-12)
+        cos_est = pair_values(meas.estimate_setting(alpha, by_label["BX1"], emap))
+        sin_est = pair_values(meas.estimate_setting(alpha, by_label["BY1"], emap))
+        assert cos_est[0, 2] == pytest.approx(1.0, abs=1e-12)
+        assert sin_est[0, 2] == pytest.approx(0.0, abs=1e-12)
 
     def test_quarter_phase_codeword_pair(self):
         emap = encoding.build_map(8)
@@ -159,25 +178,28 @@ class TestBinaryEstimates:
         alpha[0] = 1.0 / np.sqrt(2.0)
         alpha[2] = 1j / np.sqrt(2.0)
         by_label = {s.label: s for s in meas.settings_binary(3)}
-        cos_est = meas.estimate_setting(alpha, by_label["BX1"], emap).estimates
-        sin_est = meas.estimate_setting(alpha, by_label["BY1"], emap).estimates
-        assert cos_est["cos:0:2"] == pytest.approx(0.0, abs=1e-12)
-        assert sin_est["sin:0:2"] == pytest.approx(1.0, abs=1e-12)
+        cos_est = pair_values(meas.estimate_setting(alpha, by_label["BX1"], emap))
+        sin_est = pair_values(meas.estimate_setting(alpha, by_label["BY1"], emap))
+        assert cos_est[0, 2] == pytest.approx(0.0, abs=1e-12)
+        assert sin_est[0, 2] == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_all_hypercube_edges_exact(self, seed):
         # full 8-site register: all 12 edges recover the bilinear oracle
         emap = encoding.build_map(8)
         alpha = random_site_vector(8, 90 + seed)
-        merged = meas.merge_estimates(
-            [meas.estimate_setting(alpha, s, emap) for s in meas.settings_binary(3)]
+        probs, pair_j, pair_k, cos, sin, shots = meas.merge_estimates(
+            [meas.estimate_setting(alpha, s, emap) for s in meas.settings_binary(3)], 8
         )
-        for j, k, _ in encoding.hypercube_edges(emap):
+        edges = sorted((j, k) for j, k, _ in encoding.hypercube_edges(emap))
+        assert list(zip(pair_j.tolist(), pair_k.tolist())) == edges
+        for i, (j, k) in enumerate(edges):
             c, s = oracle(alpha, j, k)
-            assert merged[f"cos:{j}:{k}"][0] == pytest.approx(c, abs=1e-12)
-            assert merged[f"sin:{j}:{k}"][0] == pytest.approx(s, abs=1e-12)
+            assert cos[i] == pytest.approx(c, abs=1e-12)
+            assert sin[i] == pytest.approx(s, abs=1e-12)
         for j in range(8):
-            assert merged[f"prob:{j}"][0] == pytest.approx(oracle(alpha, j), abs=1e-12)
+            assert probs[j] == pytest.approx(oracle(alpha, j), abs=1e-12)
+        assert shots is None
 
     def test_partial_register_reports_unencoded_mass(self):
         emap = encoding.build_map(5)
@@ -192,10 +214,10 @@ class TestBinaryEstimates:
         state = packed_state(alpha, emap)
         for setting in meas.settings_binary(2):
             hist = sv.sample_bitstrings(state, setting.bases, 400_000, 9, setting.label)
-            est = meas.estimate_setting(hist, setting, emap).estimates
-            exact = meas.estimate_setting(alpha, setting, emap).estimates
-            for key in exact:
-                assert est[key] == pytest.approx(exact[key], abs=0.02)
+            est = meas.estimate_setting(hist, setting, emap)
+            exact = meas.estimate_setting(alpha, setting, emap)
+            assert same_entries(est, exact)
+            np.testing.assert_allclose(est.values, exact.values, rtol=0, atol=0.02)
 
     def test_histogram_unknown_codewords_counted(self):
         # put weight on the unassigned codeword 110 of a 5-site register
@@ -222,19 +244,17 @@ class TestShotUnbiasedness:
         shots = 10_000
         n_seeds = 100
         for idx, setting in enumerate(meas.settings_original(3)):
-            exact = meas.estimate_setting(alpha, setting).estimates
-            sums = {k: [] for k in exact}
-            for seed in range(n_seeds):
-                hist = sv.sample_bitstrings(
-                    state, setting.bases, shots, 1000 * idx + seed, setting.label
-                )
-                est = meas.estimate_setting(hist, setting).estimates
-                for k in exact:
-                    sums[k].append(est[k])
-            for k in exact:
-                draws = np.array(sums[k])
-                sem = max(draws.std(ddof=1), 1e-4) / np.sqrt(n_seeds)
-                assert abs(draws.mean() - exact[k]) < 4.5 * sem
+            exact = meas.estimate_setting(alpha, setting).values
+            draws = np.array([
+                meas.estimate_setting(
+                    sv.sample_bitstrings(state, setting.bases, shots, 1000 * idx + seed, setting.label),
+                    setting,
+                ).values
+                for seed in range(n_seeds)
+            ])
+            for k, want in enumerate(exact):
+                sem = max(draws[:, k].std(ddof=1), 1e-4) / np.sqrt(n_seeds)
+                assert abs(draws[:, k].mean() - want) < 4.5 * sem
 
     def test_binary_protocol(self):
         emap = encoding.build_map(4)
@@ -243,19 +263,20 @@ class TestShotUnbiasedness:
         shots = 10_000
         n_seeds = 100
         for idx, setting in enumerate(meas.settings_binary(2)):
-            exact = meas.estimate_setting(alpha, setting, emap).estimates
-            sums = {k: [] for k in exact}
-            for seed in range(n_seeds):
-                hist = sv.sample_bitstrings(
-                    state, setting.bases, shots, 7000 + 1000 * idx + seed, setting.label
-                )
-                est = meas.estimate_setting(hist, setting, emap).estimates
-                for k in exact:
-                    sums[k].append(est[k])
-            for k in exact:
-                draws = np.array(sums[k])
-                sem = max(draws.std(ddof=1), 1e-4) / np.sqrt(n_seeds)
-                assert abs(draws.mean() - exact[k]) < 4.5 * sem
+            exact = meas.estimate_setting(alpha, setting, emap).values
+            draws = np.array([
+                meas.estimate_setting(
+                    sv.sample_bitstrings(
+                        state, setting.bases, shots, 7000 + 1000 * idx + seed, setting.label
+                    ),
+                    setting,
+                    emap,
+                ).values
+                for seed in range(n_seeds)
+            ])
+            for k, want in enumerate(exact):
+                sem = max(draws[:, k].std(ddof=1), 1e-4) / np.sqrt(n_seeds)
+                assert abs(draws[:, k].mean() - want) < 4.5 * sem
 
 
 def test_pick_epsilon():
@@ -266,11 +287,16 @@ def test_pick_epsilon():
     assert meas.pick_epsilon(10**14) == pytest.approx(1e-6)
 
 
+def prob_estimates(label, values, shots=None):
+    values = np.asarray(values, dtype=float)
+    return meas.SettingEstimates(label, "prob", np.arange(values.size), values, shots_used=shots)
+
+
 def test_merge_estimates_rejects_duplicates():
-    a = meas.SettingEstimates("MZ", {"prob:0": 0.5})
-    b = meas.SettingEstimates("BZ", {"prob:0": 0.6})
+    a = prob_estimates("MZ", [0.5])
+    b = prob_estimates("BZ", [0.6])
     with pytest.raises(ValueError, match="duplicate"):
-        meas.merge_estimates([a, b])
+        meas.merge_estimates([a, b], 1)
 
 
 class TestReconstructProfile:
@@ -280,10 +306,10 @@ class TestReconstructProfile:
             settings = meas.settings_original(alpha.size)
         else:
             settings = meas.settings_binary(emap.num_qubits)
-        merged = meas.merge_estimates(
-            [meas.estimate_setting(alpha, s, emap) for s in settings]
+        probs, pair_j, pair_k, cos, sin, shots = meas.merge_estimates(
+            [meas.estimate_setting(alpha, s, emap) for s in settings], alpha.size
         )
-        return meas.reconstruct_profile(merged, alpha.size, epsilon)
+        return meas.reconstruct_profile(probs, pair_j, pair_k, cos, sin, epsilon, shots)
 
     def test_single_occupied_site(self):
         alpha = np.zeros(5, dtype=complex)
@@ -292,7 +318,7 @@ class TestReconstructProfile:
         assert list(profile.active) == [False, False, True, False, False]
         assert profile.phase(2) == 0.0
         assert pgraph.n_components == 1
-        assert pgraph.tree_edges == ()
+        assert not pgraph.in_tree.any()
         h = ham.random_hermitian_instance(5, seed=1)
         assert ham.energy_from_profile(h, profile) == pytest.approx(
             h.matrix[2, 2].real, abs=1e-12
@@ -326,23 +352,18 @@ class TestReconstructProfile:
         assert ham.energy_from_profile(h, profile) == pytest.approx(want, abs=1e-10)
 
     def test_negative_probability_clamps(self):
-        merged = {
-            "prob:0": (-0.001, 100),
-            "prob:1": (1.0, 100),
-            "cos:0:1": (0.0, 100),
-            "sin:0:1": (0.0, 100),
-        }
-        profile, _ = meas.reconstruct_profile(merged, 2)
+        profile, _ = meas.reconstruct_profile([-0.001, 1.0], [0], [1], [0.0], [0.0], shots=100)
         assert profile.magnitudes[0] == 0.0
 
     def test_missing_sine_estimate_fails(self):
-        merged = {"prob:0": (0.5, None), "prob:1": (0.5, None), "cos:0:1": (1.0, None)}
+        cos = meas.SettingEstimates("MXX", "cos", np.array([0]), np.array([1.0]), np.array([1]))
         with pytest.raises(ValueError, match="missing"):
-            meas.reconstruct_profile(merged, 2)
+            meas.merge_estimates([prob_estimates("MZ", [0.5, 0.5]), cos], 2)
 
     def test_out_of_range_site_fails(self):
+        est = meas.SettingEstimates("MZ", "prob", np.array([3]), np.array([0.5]))
         with pytest.raises(ValueError, match="range"):
-            meas.reconstruct_profile({"prob:3": (0.5, None)}, 2)
+            meas.merge_estimates([est], 2)
 
     def test_cycle_consistency(self):
         # redundant edges not used by the spanning tree still close: the
@@ -350,9 +371,9 @@ class TestReconstructProfile:
         emap = encoding.build_map(8)
         alpha = random_site_vector(8, 33)
         profile, pgraph = self.run_exact(alpha, "binary", emap)
-        assert len(pgraph.edges) == 12
-        assert len(pgraph.tree_edges) == 7
-        for j, k, delta, _ in pgraph.edges:
+        assert pgraph.edge_j.size == 12
+        assert np.count_nonzero(pgraph.in_tree) == 7
+        for j, k, delta in zip(pgraph.edge_j, pgraph.edge_k, pgraph.delta):
             got = profile.phase(k) - profile.phase(j)
             assert abs(np.angle(np.exp(1j * (got - delta)))) < 1e-8
 
@@ -372,8 +393,10 @@ class TestReconstructProfile:
         assert list(tight.active) == [True, False, False]
 
     def test_shot_mode_epsilon_comes_from_shots(self):
-        merged = {"prob:0": (1.0, 10_000)}
-        profile, _ = meas.reconstruct_profile(merged, 1)
+        probs, pair_j, pair_k, cos, sin, shots = meas.merge_estimates(
+            [prob_estimates("MZ", [1.0], shots=10_000)], 1
+        )
+        profile, _ = meas.reconstruct_profile(probs, pair_j, pair_k, cos, sin, shots=shots)
         assert profile.threshold == pytest.approx(0.03)
 
 
@@ -442,18 +465,6 @@ class TestEstimateEnergy:
         assert diag["shots_per_setting"] == 2_000_000
         assert energy == pytest.approx(want, abs=0.02)
 
-    def test_parallel_execution_matches_serial(self):
-        emap = encoding.build_map(4)
-        h = ham.random_hermitian_instance(4, seed=6)
-        alpha = random_site_vector(4, 23)
-        serial, _ = meas.estimate_energy(
-            h, alpha, "binary", shots=5000, seed=7, emap=emap, jobs=1
-        )
-        parallel, _ = meas.estimate_energy(
-            h, alpha, "binary", shots=5000, seed=7, emap=emap, jobs=4
-        )
-        assert serial == parallel
-
     def test_epsilon_override(self):
         h = ham.chain_instance(3)
         alpha = np.array([0.998, 0.05, 0.0], dtype=complex)
@@ -516,3 +527,48 @@ class TestAmplitudeProfile:
         doc = meas.profile_summary(profile)
         assert doc["phases"][1] is None
         json.dumps(doc)
+
+
+NO_NETWORKX_SCRIPT = """
+import sys
+sys.modules["networkx"] = None  # any import of networkx now fails
+import numpy as np
+from sesvqe import encoding, hamiltonian, measurement, statevector
+
+rng = np.random.default_rng(5)
+for n in (5, 8):
+    alpha = rng.normal(size=n) + 1j * rng.normal(size=n)
+    alpha /= np.linalg.norm(alpha)
+    h = hamiltonian.random_hermitian_instance(n, seed=n)
+    want = float((alpha.conj() @ h.matrix @ alpha).real)
+    emap = encoding.build_map(n)
+    energy, _ = measurement.estimate_energy(h, alpha, "original")
+    assert abs(energy - want) < 1e-10, (n, energy, want)
+    energy, diag = measurement.estimate_energy(h, alpha, "binary", emap=emap)
+    assert abs(energy - want) < 1e-10, (n, energy, want)
+    graph = diag["phase_graph"]
+    if n == 8:  # the 3-cube: 12 measured pairs, a 7-edge tree, five cycles
+        assert (len(graph["edges"]), len(graph["tree_edges"])) == (12, 7), graph
+    onehot = statevector.embed_sites(alpha, 1 << np.arange(n), n)
+    energy, _ = measurement.estimate_energy(h, onehot, "original", shots=2000, seed=1)
+    assert np.isfinite(energy)
+    energy, _ = measurement.estimate_energy(h, alpha, "binary", shots=2000, seed=1, emap=emap)
+    assert np.isfinite(energy)
+assert sys.modules["networkx"] is None
+print("ok")
+"""
+
+
+def test_runs_without_networkx():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_NETWORKX_SCRIPT],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "ok"

@@ -157,24 +157,24 @@ class TestExpectation:
 class TestBasisRotationAndSampling:
     def test_ground_state_z_counts(self):
         hist = sv.sample_bitstrings(sv.basis_state(1, 0), "Z", 500, seed=1)
-        assert hist.counts == {"0": 500}
+        assert hist.counts.tolist() == [500, 0]
 
     def test_plus_state_x_counts(self):
         plus = sv.StateVector(1, np.array([1, 1]) / np.sqrt(2))
         hist = sv.sample_bitstrings(plus, "X", 500, seed=2)
-        assert hist.counts == {"0": 500}
+        assert hist.counts.tolist() == [500, 0]
 
     def test_y_eigenstate_counts(self):
         # (|0> + i|1>)/sqrt(2) is the +1 eigenstate of Y
         state = sv.StateVector(1, np.array([1, 1j]) / np.sqrt(2))
         hist = sv.sample_bitstrings(state, "Y", 300, seed=3)
-        assert hist.counts == {"0": 300}
+        assert hist.counts.tolist() == [300, 0]
 
     def test_binomial_frequency_within_five_sigma(self):
         plus = sv.StateVector(1, np.array([1, 1]) / np.sqrt(2))
         shots = 10_000
         hist = sv.sample_bitstrings(plus, "Z", shots, seed=4)
-        freq = hist.counts.get("1", 0) / shots
+        freq = hist.counts[1] / shots
         sigma = 0.5 / np.sqrt(shots)
         assert abs(freq - 0.5) < 5 * sigma
 
@@ -182,9 +182,9 @@ class TestBasisRotationAndSampling:
         state = random_state(3, np.random.default_rng(9))
         a = sv.sample_bitstrings(state, "XYZ", 2000, seed=17)
         b = sv.sample_bitstrings(state, "XYZ", 2000, seed=17)
-        assert a.counts == b.counts
+        assert np.array_equal(a.counts, b.counts)
         c = sv.sample_bitstrings(state, "XYZ", 2000, seed=18)
-        assert c.counts != a.counts
+        assert not np.array_equal(c.counts, a.counts)
 
     def test_distribution_reproduces_pauli_expectations(self):
         # <P> for a product basis equals sum over outcomes of (+-1 parity) * prob
@@ -211,6 +211,18 @@ class TestBasisRotationAndSampling:
             sv.sample_bitstrings(sv.basis_state(1, 0), "Z", 0, seed=0)
 
 
+class TestEmbedSites:
+    def test_places_site_amplitudes(self):
+        state = sv.embed_sites(np.array([0.6, 0.8j]), [1, 2], 2)
+        np.testing.assert_allclose(state.amplitudes, [0, 0.6, 0.8j, 0], atol=0)
+
+    def test_refuses_register_above_the_limit(self):
+        n = sv.MAX_SIM_WIDTH + 1
+        assert n == 23  # a missed guard would allocate 128 MB, not more
+        with pytest.raises(ValueError, match="too wide"):
+            sv.embed_sites(np.ones(n) / np.sqrt(n), 1 << np.arange(n), n)
+
+
 class TestOverlapAndHelpers:
     def test_self_overlap(self):
         state = random_state(3)
@@ -223,16 +235,14 @@ class TestOverlapAndHelpers:
         with pytest.raises(ValueError, match="width"):
             sv.overlap(sv.basis_state(1, 0), sv.basis_state(2, 0))
 
-    def test_bitstring_is_big_endian(self):
-        assert sv.bitstring(1, 3) == "001"
-        assert sv.bitstring(4, 3) == "100"
-        assert sv.bitstring_index("110") == 6
-
     def test_histogram_validation(self):
-        with pytest.raises(ValueError):
-            sv.ShotHistogram("MZ", {"0": 3}, 4)
-        with pytest.raises(ValueError):
-            sv.ShotHistogram("MZ", {"0x": 4}, 4)
+        with pytest.raises(ValueError, match="sum"):
+            sv.ShotHistogram("MZ", np.array([3, 0]), 4)
+        with pytest.raises(ValueError, match="2\\^width"):
+            sv.ShotHistogram("MZ", np.array([4, 0, 0]), 4)
+        with pytest.raises(ValueError, match="non-negative"):
+            sv.ShotHistogram("MZ", np.array([5, -1]), 4)
+        assert sv.ShotHistogram("MZ", np.array([1, 0, 3, 0]), 4).num_qubits == 2
 
     def test_state_validation(self):
         with pytest.raises(ValueError, match="normalized"):

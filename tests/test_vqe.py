@@ -60,8 +60,6 @@ class TestConfigValidation:
             vqe.VqeConfig(self.h, max_evaluations=0)
         with pytest.raises(ValueError, match="layers"):
             vqe.VqeConfig(self.h, ansatz="hardware_efficient", protocol="binary", layers=0)
-        with pytest.raises(ValueError, match="jobs"):
-            vqe.VqeConfig(self.h, jobs=0)
 
     def test_penalty_requires_hardware_efficient(self):
         pen = ham.PenaltyConfig(50.0, 2)
