@@ -9,12 +9,18 @@ CNOT accounting treats CCX and MCX as costed units: CCX = 6 CNOTs, MCX with
 k >= 3 controls = (2k - 3) * 6 CNOTs using one clean helper ancilla.  Their
 primitive realizations are standard library constructions; simulation applies
 them as exact permutations.
+
+Simulation runs a circuit's compiled program (``Circuit.program``), built once
+per circuit: each run of consecutive permutation gates is fused into one
+gather index, and dense gates read their angles from a flat parameter vector,
+so one template circuit serves every parameter binding.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -23,11 +29,25 @@ from .encoding import EncodingMap, build_map
 
 _PARAM_COUNTS = {"RY": 1, "RZ": 1, "A": 2}
 _FIXED_ARITY = {"X": 1, "RY": 1, "RZ": 1, "H": 1, "SDG": 1, "CNOT": 2, "SWAP": 2, "CCX": 3, "A": 2}
+_PERMUTATIONS = frozenset(("X", "CNOT", "CCX", "MCX", "SWAP", "CPREP"))
+_FIXED_MATRICES = {"H": sv.H, "SDG": sv.SDG}
+_UNITARY_TOL = 1e-10
 
-# reversed-direction CNOT: control is the second listed qubit
-_CNOT_REV = np.zeros((4, 4), dtype=complex)
-for _i in range(4):
-    _CNOT_REV[(_i ^ 1) if _i & 2 else _i, _i] = 1.0
+
+def _check_finite(values, what: str) -> None:
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{what} must be finite, got {values!r}")
+
+
+def _check_unitary(matrices, what: str) -> None:
+    """Refuse any matrix of a stack (..., d, d) that is not unitary to 1e-10."""
+    mats = np.asarray(matrices)
+    if mats.size == 0:
+        return
+    eye = np.eye(mats.shape[-1])
+    dev = np.max(np.abs(mats.conj().swapaxes(-1, -2) @ mats - eye))
+    if not dev <= _UNITARY_TOL:
+        raise ValueError(f"{what} is not unitary (deviation {dev:.3e})")
 
 
 @dataclass(frozen=True)
@@ -69,14 +89,13 @@ class GateOp:
         want = _PARAM_COUNTS.get(kind, 0)
         if kind != "UNITARY" and len(self.params) != want:
             raise ValueError(f"{kind} expects {want} parameter(s), got {self.params}")
+        _check_finite(self.params, f"{kind} gate parameters")
         if self.matrix is not None:
             mat = np.asarray(self.matrix, dtype=complex)
             dim = 2 ** len(self.qubits)
             if mat.shape != (dim, dim):
                 raise ValueError(f"matrix shape {mat.shape} mismatches qubits {self.qubits}")
-            dev = np.max(np.abs(mat.conj().T @ mat - np.eye(dim)))
-            if dev > 1e-10:
-                raise ValueError(f"custom gate is not unitary (deviation {dev:.3e})")
+            _check_unitary(mat, "custom gate")
             object.__setattr__(self, "matrix", mat)
 
     def cnot_cost(self) -> int:
@@ -120,6 +139,11 @@ class Circuit:
                         f"gate {g.kind} on qubit {q} exceeds width {self.num_qubits}"
                     )
 
+    @cached_property
+    def program(self) -> "Program":
+        """The compiled form that ``simulate`` runs, built on first use."""
+        return _compile(self)
+
     @property
     def cnot_count(self) -> int:
         return sum(g.cnot_cost() for g in self.gates)
@@ -136,6 +160,101 @@ class Circuit:
         return depth
 
 
+@dataclass(frozen=True)
+class Program:
+    """A circuit compiled for repeated simulation.
+
+    Each step is either a gather index ``g`` (the new amplitude ``i`` is the
+    old amplitude ``g[i]``: one fused run of permutation gates) or a dense gate
+    ``(qubits, kind, index)`` whose matrix is entry ``index`` of the per-kind
+    matrices that ``matrices`` returns.  ``slots[kind]`` holds the offset of
+    each parametric gate's first angle in the flat parameter vector, in gate
+    order; ``params`` is the circuit's own vector.
+    """
+
+    num_qubits: int
+    steps: tuple
+    slots: dict
+    fixed: tuple
+    params: np.ndarray
+
+    def bind(self, params) -> np.ndarray:
+        """Flat parameter vector for one run; refuses a wrong count or non-finite angles."""
+        if params is None:
+            return self.params
+        values = np.asarray(params, dtype=float).reshape(-1)
+        if values.size != self.params.size:
+            raise ValueError(
+                f"circuit takes {self.params.size} parameters, got {values.size}"
+            )
+        _check_finite(values, "circuit parameters")
+        return values
+
+    def matrices(self, values: np.ndarray) -> dict:
+        """Dense matrices for bound parameters, each kind checked for unitarity once."""
+        a = self.slots["A"]
+        mats = {
+            "A": a_gate_matrix(values[a], values[a + 1]),
+            "RY": [sv.ry(t) for t in values[self.slots["RY"]]],
+            "RZ": [sv.rz(t) for t in values[self.slots["RZ"]]],
+        }
+        for kind, stack in mats.items():
+            _check_unitary(stack, f"{kind} gate matrix")
+        mats["FIXED"] = self.fixed
+        return mats
+
+
+def _gather_index(gate: GateOp, idx: np.ndarray) -> np.ndarray:
+    """Gather index of one permutation gate over the basis indices ``idx``."""
+    qubits = gate.qubits
+    if gate.kind == "SWAP":
+        a, b = qubits
+        differ = ((idx >> a) ^ (idx >> b)) & 1
+        return idx ^ (differ * ((1 << a) | (1 << b)))
+    if gate.kind == "CPREP":
+        controls, flip = qubits[:1], sum(1 << t for t in qubits[1:])
+    else:  # X, CNOT, CCX, MCX: controls first, target last
+        controls, flip = qubits[:-1], 1 << qubits[-1]
+    mask = sum(1 << c for c in controls)
+    return np.where(idx & mask == mask, idx ^ flip, idx)
+
+
+def _compile(circuit: Circuit) -> Program:
+    width = circuit.num_qubits
+    if width > sv.MAX_SIM_WIDTH:
+        raise ValueError(
+            f"a {width}-qubit circuit is too wide to simulate; limit is {sv.MAX_SIM_WIDTH}"
+        )
+    idx = np.arange(2**width)
+    steps, fixed, params = [], [], []
+    slots = {"A": [], "RY": [], "RZ": []}
+    gather = None
+    for g in circuit.gates:
+        if g.kind in _PERMUTATIONS:
+            step = _gather_index(g, idx)
+            gather = step if gather is None else gather[step]
+            continue
+        if gather is not None:
+            steps.append(gather)
+            gather = None
+        if g.kind in slots:
+            steps.append((g.qubits, g.kind, len(slots[g.kind])))
+            slots[g.kind].append(len(params))
+            params.extend(g.params)
+        else:
+            steps.append((g.qubits, "FIXED", len(fixed)))
+            fixed.append(g.matrix if g.kind == "UNITARY" else _FIXED_MATRICES[g.kind])
+    if gather is not None:
+        steps.append(gather)
+    return Program(
+        width,
+        tuple(steps),
+        {kind: np.array(s, dtype=np.intp) for kind, s in slots.items()},
+        tuple(fixed),
+        np.array(params, dtype=float),
+    )
+
+
 def gate_counts(circuit: Circuit) -> dict:
     """Width, greedy-layered depth and modeled CNOT count of a circuit."""
     return {
@@ -145,17 +264,26 @@ def gate_counts(circuit: Circuit) -> dict:
     }
 
 
-def a_gate_matrix(beta: float, gamma: float) -> np.ndarray:
+def a_gate_matrix(beta, gamma) -> np.ndarray:
     """Dense 4x4 excitation-preserving rotation, first listed qubit = low bit.
 
-    Built as the literal product of its decomposition: CNOT; Rz^dag(gamma+pi)
-    and Ry^dag(beta+pi/2) on the first qubit; reversed CNOT; Ry(beta+pi/2) and
-    Rz(gamma+pi) on the first qubit; CNOT.
+    Closed form of the decomposition CNOT; Rz^dag(gamma+pi) and
+    Ry^dag(beta+pi/2) on the first qubit; reversed CNOT; Ry(beta+pi/2) and
+    Rz(gamma+pi) on the first qubit; CNOT.  It fixes |00> and |11> and acts on
+    (|01>, |10>) as [[cos b, e^{i g} sin b], [e^{-i g} sin b, -cos b]].
+    Array arguments give a stack of shape (..., 4, 4).
     """
-    r = sv.rz(gamma + math.pi) @ sv.ry(beta + math.pi / 2.0)
-    r_on_first = np.kron(sv.I2, r)
-    rdg_on_first = np.kron(sv.I2, r.conj().T)
-    return sv.CNOT @ r_on_first @ _CNOT_REV @ rdg_on_first @ sv.CNOT
+    beta = np.asarray(beta, dtype=float)
+    gamma = np.asarray(gamma, dtype=float)
+    c, s = np.cos(beta), np.sin(beta)
+    phase = np.exp(1j * gamma)
+    mat = np.zeros(np.broadcast_shapes(beta.shape, gamma.shape) + (4, 4), dtype=complex)
+    mat[..., 0, 0] = mat[..., 3, 3] = 1.0
+    mat[..., 1, 1] = c
+    mat[..., 2, 2] = -c
+    mat[..., 1, 2] = phase * s
+    mat[..., 2, 1] = phase.conj() * s
+    return mat
 
 
 def _as_pair_params(params, n_pairs: int) -> np.ndarray:
@@ -168,6 +296,7 @@ def _as_pair_params(params, n_pairs: int) -> np.ndarray:
         arr = arr.reshape(n_pairs, 2)
     elif arr.shape != (n_pairs, 2):
         raise ValueError(f"expected parameter shape ({n_pairs}, 2), got {arr.shape}")
+    _check_finite(arr, "ansatz parameters")
     return arr
 
 
@@ -205,10 +334,10 @@ def binary_register_layout(emap: EncodingMap) -> dict:
     return layout
 
 
-def _prep_and_unflag(gates, emap, layout, site, flag, prev_word):
+def _prep_and_unflag(gates, emap, layout, site, flag):
     """Controlled write of a codeword followed by the matching unflag."""
     word = emap.codeword(site)
-    targets = [b for b in range(emap.num_qubits) if (word ^ prev_word) >> b & 1]
+    targets = [b for b in range(emap.num_qubits) if word >> b & 1]
     gates.append(GateOp("CPREP", (flag, *targets)))
     frame = [b for b in range(emap.num_qubits) if not (word >> b) & 1]
     for b in frame:
@@ -218,12 +347,7 @@ def _prep_and_unflag(gates, emap, layout, site, flag, prev_word):
         gates.append(GateOp("X", (b,)))
 
 
-def build_binary_ses_circuit(
-    n_sites: int,
-    params,
-    emap: EncodingMap | None = None,
-    prep_mode: str = "from_zero",
-) -> Circuit:
+def build_binary_ses_circuit(n_sites: int, params, emap: EncodingMap | None = None) -> Circuit:
     """Packed-register equivalent of the one-hot ansatz.
 
     One module per site: an A gate on the two workspace ancillas splits off
@@ -233,17 +357,9 @@ def build_binary_ses_circuit(
     receives the residual amplitude through a prep/unflag pair without a new
     A gate.  Produces the same site amplitudes as build_ses_circuit with the
     same parameters.
-
-    ``prep_mode`` selects the controlled-prep targets: ``from_zero`` (default)
-    flips the bits set in the site codeword, matching the actual flagged-branch
-    register content; ``incremental`` flips the bits differing from the
-    previous module's codeword and is kept for cross-checks only (it does not
-    reproduce the one-hot profile).
     """
     if n_sites < 1:
         raise ValueError("n_sites must be >= 1")
-    if prep_mode not in ("from_zero", "incremental"):
-        raise ValueError(f"unknown prep_mode {prep_mode!r}")
     emap = emap or build_map(n_sites)
     if emap.n_sites != n_sites:
         raise ValueError(
@@ -253,15 +369,12 @@ def build_binary_ses_circuit(
     layout = binary_register_layout(emap)
     a0, a1 = layout["flag_a"], layout["flag_b"]
     gates = [GateOp("X", (a0,))]
-    prev = 0
     for i in range(n_sites - 1):
         gates.append(GateOp("A", (a0, a1), (pairs[i, 0], pairs[i, 1])))
         gates.append(GateOp("SWAP", (a0, a1)))
-        _prep_and_unflag(gates, emap, layout, i, a1, prev)
-        if prep_mode == "incremental":
-            prev = emap.codeword(i)
+        _prep_and_unflag(gates, emap, layout, i, a1)
     # terminal transfer: the residual branch still carries its flag on a0
-    _prep_and_unflag(gates, emap, layout, n_sites - 1, a0, prev)
+    _prep_and_unflag(gates, emap, layout, n_sites - 1, a0)
     return Circuit(layout["width"], tuple(gates), "binary_ses")
 
 
@@ -324,44 +437,30 @@ def decompose(circuit: Circuit) -> Circuit:
     return Circuit(circuit.num_qubits, tuple(out), circuit.label)
 
 
-def apply_gate_op(state: sv.StateVector, gate: GateOp) -> sv.StateVector:
-    kind = gate.kind
-    if kind == "X":
-        return sv.apply_mcx(state, (), gate.qubits[0])
-    if kind == "RY":
-        return sv.apply_gate(state, sv.ry(gate.params[0]), gate.qubits)
-    if kind == "RZ":
-        return sv.apply_gate(state, sv.rz(gate.params[0]), gate.qubits)
-    if kind == "H":
-        return sv.apply_gate(state, sv.H, gate.qubits)
-    if kind == "SDG":
-        return sv.apply_gate(state, sv.SDG, gate.qubits)
-    if kind in ("CNOT", "CCX", "MCX"):
-        return sv.apply_mcx(state, gate.qubits[:-1], gate.qubits[-1])
-    if kind == "SWAP":
-        return sv.apply_gate(state, sv.SWAP, gate.qubits)
-    if kind == "A":
-        return sv.apply_gate(state, a_gate_matrix(*gate.params), gate.qubits)
-    if kind == "CPREP":
-        flag = gate.qubits[0]
-        for t in gate.qubits[1:]:
-            state = sv.apply_mcx(state, (flag,), t)
-        return state
-    if kind == "UNITARY":
-        return sv.apply_gate(state, gate.matrix, gate.qubits)
-    raise ValueError(f"cannot simulate gate kind {kind!r}")
+def simulate(circuit: Circuit, params=None) -> sv.StateVector:
+    """Run the circuit's compiled program from |0...0>.
 
-
-def simulate(circuit: Circuit, initial: sv.StateVector | None = None) -> sv.StateVector:
-    """Replay the gate list on the dense simulator from |0...0> by default."""
-    state = initial or sv.basis_state(circuit.num_qubits, 0)
-    if state.num_qubits != circuit.num_qubits:
-        raise ValueError(
-            f"initial state width {state.num_qubits} != circuit width {circuit.num_qubits}"
-        )
-    for g in circuit.gates:
-        state = apply_gate_op(state, g)
-    return state
+    ``params`` binds a flat angle vector to the parametric gates (RY, RZ, A)
+    in gate order, which is the order every ansatz builder takes, so a
+    template circuit built once serves every evaluation; the default is the
+    circuit's own angles.  Dense matrices are checked for unitarity and the
+    norm after every dense step, both to 1e-10.
+    """
+    program = circuit.program
+    mats = program.matrices(program.bind(params))
+    width = program.num_qubits
+    amps = np.zeros(2**width, dtype=complex)
+    amps[0] = 1.0
+    for step in program.steps:
+        if isinstance(step, np.ndarray):
+            amps = amps[step]
+            continue
+        qubits, kind, index = step
+        amps = sv._apply_matrix(amps, mats[kind][index], qubits, width)
+        norm = float(np.vdot(amps, amps).real)
+        if not abs(norm - 1.0) <= sv._NORM_TOL:
+            raise ValueError(f"{kind} gate on {qubits} broke the norm: sum |amp|^2 = {norm!r}")
+    return sv.StateVector(width, amps)
 
 
 def ses_site_amplitudes(n_sites: int, params) -> np.ndarray:
@@ -399,13 +498,11 @@ def binary_data_amplitudes(state: sv.StateVector, emap: EncodingMap):
     """Read the data-register block of a packed-ansatz output state.
 
     Projects every non-data qubit onto 0 and returns (site amplitudes, leaked
-    probability outside that block).  The builders guarantee the leak is at
-    numerical-noise level.
+    probability outside that block).  The data qubits are the low bits, so a
+    site's amplitude sits at its codeword's index.  The builders guarantee
+    the leak is at numerical-noise level.
     """
-    layout = binary_register_layout(emap)
-    fixed = {q: 0 for q in range(emap.num_qubits, state.num_qubits)}
-    sub, weight = sv.extract_subregister(state, layout["data"], fixed)
-    alpha = np.array([sub[emap.codeword(k)] for k in range(emap.n_sites)])
+    alpha = state.amplitudes[np.asarray(emap.codewords)]
     leak = 1.0 - float(np.sum(np.abs(alpha) ** 2))
     return alpha, max(leak, 0.0)
 

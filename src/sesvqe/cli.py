@@ -270,7 +270,7 @@ def _load_site_vector(args) -> tuple:
             emap = build_map(n_sites, "shifted")
             state = circuits.simulate(circuits.build_binary_ses_circuit(n_sites, pairs, emap))
             alpha, leak = circuits.binary_data_amplitudes(state, emap)
-            if leak > 1e-6:
+            if not leak <= 1e-6:
                 raise ConfigError(f"packed ansatz leaked probability {leak:.3e}")
             alpha = alpha / np.linalg.norm(alpha)
         else:
@@ -280,8 +280,10 @@ def _load_site_vector(args) -> tuple:
         doc = json.load(fh)
     raw = _config_get(doc, "amplitudes", required=True)
     alpha = np.array([complex(re, im) for re, im in raw])
+    if not np.all(np.isfinite(alpha)):
+        raise ConfigError("amplitudes must be finite")
     norm = float(np.linalg.norm(alpha))
-    if abs(norm - 1.0) > 1e-6:
+    if not abs(norm - 1.0) <= 1e-6:
         raise ConfigError(f"amplitudes are not normalized (norm {norm!r})")
     return alpha, "amplitudes"
 

@@ -96,19 +96,6 @@ def gray_sequence(num_qubits: int) -> list:
     return [gray_code(i) for i in range(2**num_qubits)]
 
 
-def diff_set(a: int, b: int) -> list:
-    """Bit positions where two codewords differ, ascending."""
-    x = a ^ b
-    out = []
-    pos = 0
-    while x:
-        if x & 1:
-            out.append(pos)
-        x >>= 1
-        pos += 1
-    return out
-
-
 def diff_sets(a: int, b: int, width: int) -> tuple:
     """Split the positions 0..width-1 into (differ, agree) for two codewords.
 

@@ -34,8 +34,10 @@ class SiteHamiltonian:
             raise ValueError(
                 f"matrix shape {mat.shape} does not match n_sites={self.n_sites}"
             )
+        if not np.all(np.isfinite(mat)):
+            raise ValueError("matrix entries must be finite")
         dev = np.max(np.abs(mat - mat.conj().T))
-        if dev > _HERM_TOL:
+        if not dev <= _HERM_TOL:
             raise ValueError(f"matrix is not Hermitian (deviation {dev:.3e})")
         mat = mat.copy()
         mat.setflags(write=False)
@@ -90,13 +92,6 @@ class PenaltyConfig:
         eigs = exact_spectrum(h)
         spread = float(eigs[-1] - eigs[0])
         return PenaltyConfig(max(10.0 * spread, 1.0), num_qubits)
-
-
-def validate(h: SiteHamiltonian) -> None:
-    """Re-check the Hermiticity contract (constructor enforces it too)."""
-    dev = np.max(np.abs(h.matrix - h.matrix.conj().T))
-    if dev > _HERM_TOL:
-        raise ValueError(f"matrix is not Hermitian (deviation {dev:.3e})")
 
 
 def pauli_decompose(h: SiteHamiltonian) -> PauliTermList:
@@ -291,7 +286,7 @@ def load_hamiltonian(path) -> SiteHamiltonian:
         seen.add((row, col))
         val = complex(re, im)
         if row == col:
-            if abs(val.imag) > _HERM_TOL:
+            if not abs(val.imag) <= _HERM_TOL:
                 raise ValueError(f"diagonal entry ({row},{row}) has imaginary part {im}")
             mat[row, row] = val.real
         else:

@@ -1,8 +1,10 @@
-"""Dense statevector simulation with a little-endian qubit convention.
+"""Dense register states with a little-endian qubit convention: state
+vectors, Pauli expectations, basis rotations and shot sampling.
 
 Basis state ``|i>`` assigns qubit ``k`` the bit ``(i >> k) & 1``, so qubit 0 is
 the least significant bit of the amplitude index.  All exported operations
-treat states as immutable and return fresh arrays.
+treat states as immutable and return fresh arrays.  Circuits are simulated by
+``circuits.simulate``, which applies dense gates through ``_apply_matrix``.
 """
 
 from __future__ import annotations
@@ -42,21 +44,6 @@ def rz(theta: float) -> np.ndarray:
     )
 
 
-def _permutation_matrix(num_qubits: int, fn) -> np.ndarray:
-    dim = 2**num_qubits
-    mat = np.zeros((dim, dim), dtype=complex)
-    for col in range(dim):
-        mat[fn(col), col] = 1.0
-    return mat
-
-
-# Two-qubit matrices follow the gate-index convention used by apply_gate: the
-# first listed qubit is the least significant bit of the 4x4 index.
-CNOT = _permutation_matrix(2, lambda i: i ^ 2 if i & 1 else i)
-SWAP = _permutation_matrix(2, lambda i: ((i & 1) << 1) | ((i >> 1) & 1))
-CCX = _permutation_matrix(3, lambda i: i ^ 4 if (i & 3) == 3 else i)
-
-
 @dataclass(frozen=True)
 class StateVector:
     """Normalized pure state over ``num_qubits`` little-endian qubits."""
@@ -74,7 +61,7 @@ class StateVector:
                 f" ({2 ** self.num_qubits},) for {self.num_qubits} qubits"
             )
         norm = float(np.sum(np.abs(amps) ** 2))
-        if abs(norm - 1.0) > _NORM_TOL:
+        if not abs(norm - 1.0) <= _NORM_TOL:
             raise ValueError(f"state is not normalized: sum |amp|^2 = {norm!r}")
         object.__setattr__(self, "amplitudes", amps)
 
@@ -199,41 +186,6 @@ def _apply_matrix(
     return out.transpose(np.argsort(perm)).reshape(-1)
 
 
-def apply_gate(state: StateVector, matrix: np.ndarray, qubits) -> StateVector:
-    """Apply a dense unitary to the listed qubits, returning a new state.
-
-    Unitarity is checked to 1e-10.
-    """
-    matrix = np.asarray(matrix, dtype=complex)
-    m = len(qubits)
-    if matrix.shape != (2**m, 2**m):
-        raise ValueError(
-            f"matrix shape {matrix.shape} does not match {m} target qubit(s)"
-        )
-    _check_qubits(qubits, state.num_qubits)
-    err = np.max(np.abs(matrix.conj().T @ matrix - np.eye(2**m)))
-    if err > 1e-10:
-        raise ValueError(f"gate matrix is not unitary (deviation {err:.3e})")
-    return StateVector(
-        state.num_qubits, _apply_matrix(state.amplitudes, matrix, qubits, state.num_qubits)
-    )
-
-
-def apply_mcx(state: StateVector, controls, target: int) -> StateVector:
-    """Multi-controlled X as an explicit permutation of amplitudes."""
-    _check_qubits(list(controls) + [target], state.num_qubits)
-    idx = np.arange(state.dim)
-    mask = np.ones(state.dim, dtype=bool)
-    for c in controls:
-        mask &= ((idx >> c) & 1) == 1
-    mask &= ((idx >> target) & 1) == 0
-    src = idx[mask]
-    dst = src ^ (1 << target)
-    out = state.amplitudes.copy()
-    out[src], out[dst] = state.amplitudes[dst], state.amplitudes[src]
-    return StateVector(state.num_qubits, out)
-
-
 def pauli_apply(state: StateVector, pauli: PauliString) -> np.ndarray:
     """Return the amplitude array of ``P |state>`` (not necessarily normalized)."""
     if pauli.num_qubits != state.num_qubits:
@@ -259,7 +211,7 @@ def pauli_apply(state: StateVector, pauli: PauliString) -> np.ndarray:
 def expectation_pauli(state: StateVector, pauli: PauliString) -> float:
     """Exact <state| P |state> for a Hermitian Pauli string (real coefficient)."""
     value = np.vdot(state.amplitudes, pauli_apply(state, pauli))
-    if abs(value.imag) > _HERM_IM_TOL:
+    if not abs(value.imag) <= _HERM_IM_TOL:
         raise ValueError(
             f"expectation of Hermitian Pauli came out complex ({value!r});"
             " this indicates an internal error"

@@ -101,13 +101,19 @@ class VqeConfig:
 
 @dataclass(frozen=True)
 class RunPlan:
-    """Config resolved into concrete registers and targets, built once."""
+    """Config resolved into concrete registers and targets, built once.
+
+    ``circuit`` is the ansatz template that ``circuits.simulate`` binds each
+    evaluation's parameters to; it is None when the cost never simulates
+    (one-hot exact mode uses the closed-form cascade).
+    """
 
     config: VqeConfig
     dim: int
     target: SiteHamiltonian
     emap: EncodingMap | None
     exact_ground: float
+    circuit: circuits.Circuit | None = None
 
 
 @dataclass
@@ -135,19 +141,24 @@ def prepare(config: VqeConfig) -> RunPlan:
     """Resolve registers, penalty extension and the exact reference energy."""
     h = config.hamiltonian
     n = h.n_sites
+    zeros = np.zeros(parameter_count(config))
+    circuit = None
     if config.ansatz == "one_hot_ses":
         emap = None
         target = h
-        if config.shots is not None and n > MAX_SIM_WIDTH:
-            raise ValueError(
-                f"one-hot register of {n} qubits is too wide to sample; limit is {MAX_SIM_WIDTH}"
-            )
+        if config.shots is not None:
+            if n > MAX_SIM_WIDTH:
+                raise ValueError(
+                    f"one-hot register of {n} qubits is too wide to sample; limit is {MAX_SIM_WIDTH}"
+                )
+            circuit = circuits.build_ses_circuit(n, zeros)
     elif config.ansatz == "binary_ses":
         emap = build_map(n, "shifted")
         target = h
         width = circuits.binary_register_layout(emap)["width"]
         if width > MAX_SIM_WIDTH:
             raise ValueError(f"packed register would need {width} qubits; limit is {MAX_SIM_WIDTH}")
+        circuit = circuits.build_binary_ses_circuit(n, zeros, emap)
     else:
         nq = register_width(n)
         penalty = config.penalty or PenaltyConfig.default_for(h, nq)
@@ -157,7 +168,8 @@ def prepare(config: VqeConfig) -> RunPlan:
             )
         target = extend_with_penalty(h, penalty)
         emap = build_map(target.n_sites, "plain")
-    return RunPlan(config, parameter_count(config), target, emap, ground_energy(target))
+        circuit = circuits.build_hardware_efficient_circuit(nq, config.layers, zeros)
+    return RunPlan(config, zeros.size, target, emap, ground_energy(target), circuit)
 
 
 def _shot_seed(config: VqeConfig, eval_index: int):
@@ -179,7 +191,7 @@ def evaluate_cost(plan, params, eval_index: int = 0) -> float:
                 return float((alpha.conj() @ h.matrix @ alpha).real)
             energy, _ = measurement.estimate_energy(h, alpha, "original", epsilon=config.epsilon)
             return energy
-        state = circuits.simulate(circuits.build_ses_circuit(n, params))
+        state = circuits.simulate(plan.circuit, params)
         energy, _ = measurement.estimate_energy(
             h,
             state,
@@ -191,9 +203,9 @@ def evaluate_cost(plan, params, eval_index: int = 0) -> float:
         return energy
 
     if config.ansatz == "binary_ses":
-        state = circuits.simulate(circuits.build_binary_ses_circuit(n, params, plan.emap))
+        state = circuits.simulate(plan.circuit, params)
         alpha, leak = circuits.binary_data_amplitudes(state, plan.emap)
-        if leak > 1e-6:
+        if not leak <= 1e-6:
             raise RuntimeError(f"packed ansatz leaked probability {leak:.3e} outside the data block")
         alpha = alpha / np.linalg.norm(alpha)
         if config.protocol == "exact_operator":
@@ -210,10 +222,7 @@ def evaluate_cost(plan, params, eval_index: int = 0) -> float:
         return energy
 
     # hardware_efficient on the penalty-extended target
-    nq = plan.emap.num_qubits
-    state = circuits.simulate(
-        circuits.build_hardware_efficient_circuit(nq, config.layers, params)
-    )
+    state = circuits.simulate(plan.circuit, params)
     if config.protocol == "exact_operator":
         psi = state.amplitudes
         return float((psi.conj() @ plan.target.matrix @ psi).real)
@@ -445,15 +454,12 @@ def final_report(plan: RunPlan, params) -> dict:
         alpha = circuits.ses_site_amplitudes(h.n_sites, params)
         report["leak"] = 0.0
     elif config.ansatz == "binary_ses":
-        state = circuits.simulate(circuits.build_binary_ses_circuit(h.n_sites, params, plan.emap))
+        state = circuits.simulate(plan.circuit, params)
         alpha, leak = circuits.binary_data_amplitudes(state, plan.emap)
         report["leak"] = leak
         alpha = alpha / np.linalg.norm(alpha)
     else:
-        nq = plan.emap.num_qubits
-        state = circuits.simulate(
-            circuits.build_hardware_efficient_circuit(nq, config.layers, params)
-        )
+        state = circuits.simulate(plan.circuit, params)
         psi = state.amplitudes
         physical = psi[: h.n_sites]
         weight = float(np.sum(np.abs(physical) ** 2))

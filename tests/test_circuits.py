@@ -1,9 +1,13 @@
-"""Circuit builders: the pair-rotation gate, both ansatz forms, text I/O."""
+"""Circuit builders: the pair-rotation gate, both ansatz forms, text I/O, and
+the compiled simulator against a per-gate dense kron oracle."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from sesvqe import circuits as qc
 from sesvqe import encoding
@@ -59,6 +63,13 @@ class TestAGate:
         mat = qc.a_gate_matrix(0.83, -2.4)
         np.testing.assert_allclose(mat.conj().T @ mat, np.eye(4), atol=1e-14)
 
+    def test_stacks_over_angle_arrays(self):
+        beta, gamma = np.array([0.3, 1.2, 2.9]), np.array([0.0, -0.7, 3.0])
+        stack = qc.a_gate_matrix(beta, gamma)
+        assert stack.shape == (3, 4, 4)
+        for k in range(3):
+            np.testing.assert_allclose(stack[k], product_form_a(beta[k], gamma[k]), atol=1e-14)
+
     def test_preserves_excitation_sectors(self):
         mat = qc.a_gate_matrix(1.0, 0.5)
         # |00> and |11> are fixed points; the single-excitation block is closed
@@ -68,8 +79,9 @@ class TestAGate:
 
     def test_splitting_action(self):
         beta, gamma = 0.9, 1.7
-        state = sv.basis_state(2, 1)  # |01>: excitation on the first qubit
-        out = sv.apply_gate(state, qc.a_gate_matrix(beta, gamma), [0, 1])
+        # X prepares |01>: the excitation sits on the first qubit
+        circ = qc.Circuit(2, (qc.GateOp("X", (0,)), qc.GateOp("A", (0, 1), (beta, gamma))))
+        out = qc.simulate(circ)
         assert out.amplitudes[1] == pytest.approx(math.cos(beta), abs=1e-14)
         assert out.amplitudes[2] == pytest.approx(
             np.exp(-1j * gamma) * math.sin(beta), abs=1e-14
@@ -172,20 +184,7 @@ class TestBinaryAnsatz:
         )
         assert weight == pytest.approx(1.0, abs=1e-10)
 
-    def test_incremental_mode_differs_at_width_three(self):
-        # the incremental write pattern is kept for cross-checks only
-        params = np.random.default_rng(6).uniform(-np.pi, np.pi, size=14)
-        emap = encoding.build_map(8)
-        state = qc.simulate(
-            qc.build_binary_ses_circuit(8, params, emap, prep_mode="incremental")
-        )
-        alpha, _ = qc.binary_data_amplitudes(state, emap)
-        want = qc.ses_site_amplitudes(8, params)
-        assert np.max(np.abs(np.abs(alpha) - np.abs(want))) > 1e-3
-
     def test_errors(self):
-        with pytest.raises(ValueError, match="prep_mode"):
-            qc.build_binary_ses_circuit(4, np.zeros(6), prep_mode="gray")
         with pytest.raises(ValueError, match="covers"):
             qc.build_binary_ses_circuit(4, np.zeros(6), encoding.build_map(8))
         with pytest.raises(ValueError):
@@ -325,10 +324,20 @@ class TestGateOpValidation:
         with pytest.raises(ValueError, match="exceeds width"):
             qc.Circuit(1, (qc.GateOp("CNOT", (0, 1)),))
 
-    def test_simulate_width_mismatch(self):
-        circ = qc.build_ses_circuit(2, [0.0, 0.0])
-        with pytest.raises(ValueError, match="width"):
-            qc.simulate(circ, sv.basis_state(3, 0))
+    def test_non_finite_angles_refused(self):
+        with pytest.raises(ValueError, match="finite"):
+            qc.GateOp("RY", (0,), (float("nan"),))
+        with pytest.raises(ValueError, match="finite"):
+            qc.build_binary_ses_circuit(4, [0.1, np.nan, 0.2, 0.3, 0.4, 0.5])
+        with pytest.raises(ValueError, match="finite"):
+            qc.ses_site_amplitudes(3, [0.1, 0.2, np.inf, 0.3])
+        with pytest.raises(ValueError, match="finite"):
+            qc.import_circuit("WIDTH 2\nGATE A 0,1 nan,0.5\n")
+
+    def test_non_finite_matrix_refused(self):
+        bad = np.array([[np.nan, 0], [0, 1]])
+        with pytest.raises(ValueError, match="unitary"):
+            qc.GateOp("UNITARY", (0,), matrix=bad)
 
 
 class TestTextFormat:
@@ -370,3 +379,185 @@ class TestTextFormat:
         circ = qc.Circuit(1, (qc.GateOp("UNITARY", (0,), matrix=np.eye(2)),))
         with pytest.raises(ValueError, match="exportable"):
             qc.export_circuit(circ)
+
+
+# ---------------------------------------------------------------------------
+# compiled simulator against a per-gate dense oracle
+
+PROPERTY_SETTINGS = settings(
+    max_examples=60,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+PAULI_Y = np.array([[0, -1j], [1j, 0]])
+PAULI_Z = np.diag([1.0, -1.0])
+
+
+def expm_hermitian(generator, t):
+    """exp(-i t G) for a Hermitian G, through its eigendecomposition."""
+    w, v = np.linalg.eigh(generator)
+    return (v * np.exp(-1j * t * w)) @ v.conj().T
+
+
+def local_permutation(m, fn):
+    mat = np.zeros((2**m, 2**m), dtype=complex)
+    for col in range(2**m):
+        mat[fn(col), col] = 1.0
+    return mat
+
+
+def local_matrix(gate):
+    """The gate's own 2^m x 2^m matrix, first listed qubit = low bit."""
+    m = len(gate.qubits)
+    kind = gate.kind
+    if kind in ("X", "CNOT", "CCX", "MCX"):
+        controls = (1 << (m - 1)) - 1
+        return local_permutation(m, lambda i: i ^ (1 << (m - 1)) if i & controls == controls else i)
+    if kind == "SWAP":
+        return local_permutation(2, lambda i: ((i & 1) << 1) | (i >> 1))
+    if kind == "CPREP":
+        targets = (1 << m) - 2
+        return local_permutation(m, lambda i: i ^ targets if i & 1 else i)
+    if kind == "RY":
+        return expm_hermitian(PAULI_Y, gate.params[0] / 2)
+    if kind == "RZ":
+        return expm_hermitian(PAULI_Z, gate.params[0] / 2)
+    if kind == "H":
+        return np.array([[1, 1], [1, -1]]) / math.sqrt(2)
+    if kind == "SDG":
+        return np.diag([1, -1j])
+    if kind == "A":
+        return product_form_a(*gate.params)
+    return gate.matrix
+
+
+def kron_embed(local, qubits, width):
+    """Full-register operator: sum over local entries of kron products of |r><c| factors."""
+    m = len(qubits)
+    full = np.zeros((2**width, 2**width), dtype=complex)
+    for r in range(2**m):
+        for c in range(2**m):
+            if local[r, c] == 0:
+                continue
+            factors = [np.eye(2)] * width
+            for pos, q in enumerate(qubits):
+                factors[q] = np.outer(np.eye(2)[(r >> pos) & 1], np.eye(2)[(c >> pos) & 1])
+            # kron puts its first factor on the most significant bits
+            full += local[r, c] * functools.reduce(np.kron, reversed(factors))
+    return full
+
+
+def oracle_state(circuit):
+    psi = np.zeros(2**circuit.num_qubits, dtype=complex)
+    psi[0] = 1.0
+    for g in circuit.gates:
+        psi = kron_embed(local_matrix(g), g.qubits, circuit.num_qubits) @ psi
+    return psi
+
+
+def random_unitary(dim, rng):
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    q, r = np.linalg.qr(g)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+@st.composite
+def gates(draw, width):
+    kinds = ["X", "RY", "RZ", "H", "SDG", "UNITARY", "CPREP"]
+    if width >= 2:
+        kinds += ["CNOT", "SWAP", "A", "MCX"]
+    if width >= 3:
+        kinds += ["CCX"]
+    kind = draw(st.sampled_from(kinds))
+    arity = {"X": 1, "RY": 1, "RZ": 1, "H": 1, "SDG": 1, "CNOT": 2, "SWAP": 2, "A": 2, "CCX": 3}
+    if kind in arity:
+        m = arity[kind]
+    elif kind == "MCX":
+        m = 1 + draw(st.integers(1, min(3, width - 1)))
+    elif kind == "CPREP":
+        m = 1 + draw(st.integers(0, width - 1))
+    else:
+        m = draw(st.integers(1, min(3, width)))
+    qubits = tuple(draw(st.permutations(range(width)))[:m])
+    angle = st.floats(-math.pi, math.pi, allow_nan=False)
+    n_params = {"RY": 1, "RZ": 1, "A": 2}.get(kind, 0)
+    params = tuple(draw(angle) for _ in range(n_params))
+    matrix = None
+    if kind == "UNITARY":
+        matrix = random_unitary(2**m, np.random.default_rng(draw(st.integers(0, 2**16))))
+    return qc.GateOp(kind, qubits, params, matrix)
+
+
+@st.composite
+def circuits(draw):
+    width = draw(st.integers(1, 6))
+    return qc.Circuit(width, tuple(draw(st.lists(gates(width), max_size=12))))
+
+
+class TestCompiledSimulator:
+    @PROPERTY_SETTINGS
+    @given(circuits())
+    def test_matches_per_gate_kron_oracle(self, circ):
+        got = qc.simulate(circ).amplitudes
+        np.testing.assert_allclose(got, oracle_state(circ), atol=1e-10)
+        # binding the circuit's own angles is the same run
+        np.testing.assert_array_equal(qc.simulate(circ, circ.program.params).amplitudes, got)
+
+    @PROPERTY_SETTINGS
+    @given(st.integers(1, 8), st.integers(0, 2**16))
+    def test_template_binding_equals_a_fresh_build(self, n_sites, seed):
+        rng = np.random.default_rng(seed)
+        pairs = rng.uniform(-np.pi, np.pi, size=2 * (n_sites - 1))
+        emap = encoding.build_map(n_sites, "shifted")
+        nq, layers = encoding.register_width(n_sites), 2
+        angles = rng.uniform(-np.pi, np.pi, size=2 * nq * layers)
+        cases = [
+            (qc.build_ses_circuit(n_sites, np.zeros_like(pairs)), qc.build_ses_circuit(n_sites, pairs), pairs),
+            (
+                qc.build_binary_ses_circuit(n_sites, np.zeros_like(pairs), emap),
+                qc.build_binary_ses_circuit(n_sites, pairs, emap),
+                pairs,
+            ),
+            (
+                qc.build_hardware_efficient_circuit(nq, layers, np.zeros_like(angles)),
+                qc.build_hardware_efficient_circuit(nq, layers, angles),
+                angles,
+            ),
+        ]
+        for template, built, params in cases:
+            np.testing.assert_array_equal(
+                qc.simulate(template, params).amplitudes, qc.simulate(built).amplitudes
+            )
+
+    def test_program_is_built_once_and_fuses_permutations(self):
+        circ = qc.build_binary_ses_circuit(8, np.zeros(14))
+        assert circ.program is circ.program
+        # 48 of the 55 gates are permutations: X, then one gather after each A
+        assert len(circ.gates) == 55
+        assert len(circ.program.steps) == 15
+        assert sum(isinstance(s, np.ndarray) for s in circ.program.steps) == 8
+
+    def test_parameter_count_and_finiteness_refused(self):
+        template = qc.build_ses_circuit(3, np.zeros(4))
+        with pytest.raises(ValueError, match="takes 4 parameters, got 3"):
+            qc.simulate(template, [0.1, 0.2, 0.3])
+        with pytest.raises(ValueError, match="finite"):
+            qc.simulate(template, [0.1, np.nan, 0.3, 0.4])
+
+    @pytest.mark.parametrize("entry", [2.0, np.nan])
+    def test_each_evaluation_checks_unitarity(self, monkeypatch, entry):
+        def broken(beta, gamma):
+            mats = np.tile(np.eye(4, dtype=complex), np.shape(beta) + (1, 1))
+            mats[..., 1, 1] = entry
+            return mats
+
+        monkeypatch.setattr(qc, "a_gate_matrix", broken)
+        with pytest.raises(ValueError, match="A gate matrix is not unitary"):
+            qc.simulate(qc.build_ses_circuit(3, np.zeros(4)), np.full(4, 0.5))
+
+    def test_too_wide_refused_before_allocation(self):
+        with pytest.raises(ValueError, match="too wide"):
+            qc.simulate(qc.Circuit(sv.MAX_SIM_WIDTH + 1, ()))

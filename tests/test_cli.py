@@ -383,6 +383,29 @@ class TestReconstruct:
         assert rc == 1
         assert "normalized" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("ansatz,protocol", [("binary_ses", "binary"), ("one_hot_ses", "original")])
+    def test_non_finite_params_rejected(self, tmp_path, capsys, ansatz, protocol):
+        ham_path = tmp_path / "h4.json"
+        ham.save_hamiltonian(ham.chain_instance(4), ham_path)
+        params_path = tmp_path / "params.json"
+        pairs = [[0.3, 0.1], [float("nan"), 0.2], [0.5, 0.4]]
+        params_path.write_text(json.dumps({"ansatz": ansatz, "n_sites": 4, "pairs": pairs}))
+        out = tmp_path / "rec.json"
+        argv = ["reconstruct", "--hamiltonian", str(ham_path), "--protocol", protocol]
+        rc = cli.main(argv + ["--params", str(params_path), "--out", str(out)])
+        assert rc == 1
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_finite_amplitudes_rejected(self, tmp_path, capsys):
+        ham_path = tmp_path / "h2.json"
+        ham.save_hamiltonian(ham.chain_instance(2), ham_path)
+        amp_path = tmp_path / "amps.json"
+        amp_path.write_text(json.dumps({"amplitudes": [[1, 0], [float("nan"), 0]]}))
+        argv = ["reconstruct", "--hamiltonian", str(ham_path), "--protocol", "original"]
+        assert cli.main(argv + ["--amplitudes", str(amp_path)]) == 1
+        assert "finite" in capsys.readouterr().err
+
     def test_size_mismatch_rejected(self, tmp_path):
         ham_path = tmp_path / "h3.json"
         ham.save_hamiltonian(ham.chain_instance(3), ham_path)

@@ -35,8 +35,14 @@ def test_hermiticity_enforced():
         ham.SiteHamiltonian(2, np.array([[0, 1], [0, 0]]))
     with pytest.raises(ValueError, match="shape"):
         ham.SiteHamiltonian(3, np.zeros((2, 2)))
-    h = ham.SiteHamiltonian.from_matrix([[1.0, 2j], [-2j, 0.5]])
-    ham.validate(h)
+    ham.SiteHamiltonian.from_matrix([[1.0, 2j], [-2j, 0.5]])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+def test_non_finite_entries_refused(bad):
+    for mat in ([[bad, 0.0], [0.0, 1.0]], [[0.0, bad], [np.conj(bad), 1.0]]):
+        with pytest.raises(ValueError, match="finite"):
+            ham.SiteHamiltonian.from_matrix(mat)
 
 
 def test_matrix_is_read_only():
@@ -232,12 +238,12 @@ class TestInstances:
 
     def test_random_hermitian(self):
         h = ham.random_hermitian_instance(6, seed=0)
-        ham.validate(h)
+        ham.SiteHamiltonian(h.n_sites, h.matrix)  # the constructor re-checks Hermiticity
         assert not np.allclose(h.matrix.imag, 0.0)
 
     def test_complex_ring(self):
         h = ham.complex_ring_instance(5, seed=4)
-        ham.validate(h)
+        ham.SiteHamiltonian(h.n_sites, h.matrix)  # the constructor re-checks Hermiticity
         mat = h.matrix
         for k in range(5):
             j = (k + 1) % 5
@@ -246,7 +252,7 @@ class TestInstances:
 
     def test_two_site_ring_keeps_hermiticity(self):
         h = ham.complex_ring_instance(2, seed=1)
-        ham.validate(h)
+        ham.SiteHamiltonian(h.n_sites, h.matrix)  # the constructor re-checks Hermiticity
 
     def test_family_registry(self):
         assert set(ham.FAMILIES) == {"chain", "random_hermitian", "complex_ring"}
@@ -306,6 +312,14 @@ class TestSaveLoad:
         )
         with pytest.raises(ValueError, match="duplicate"):
             ham.load_hamiltonian(path)
+
+    def test_load_rejects_non_finite_entries(self, tmp_path):
+        path = tmp_path / "bad.json"
+        for entry in ([0, 1, float("nan"), 0.0], [0, 0, 1.0, float("nan")]):
+            doc = {"format": "sesvqe-hamiltonian/1", "n_sites": 2, "entries": [entry]}
+            path.write_text(json.dumps(doc))
+            with pytest.raises(ValueError, match="finite|imaginary"):
+                ham.load_hamiltonian(path)
 
     def test_load_rejects_complex_diagonal(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from sesvqe import circuits as qc
 from sesvqe import statevector as sv
 
 RNG = np.random.default_rng(42)
@@ -47,22 +48,35 @@ def random_unitary(dim: int, rng=RNG) -> np.ndarray:
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
+def prepared(state: sv.StateVector, gate: qc.GateOp) -> qc.Circuit:
+    """One-gate circuit run on ``state``: a full-register UNITARY prepares it from |0>."""
+    n = state.num_qubits
+    # QR of [state, e_1, ..., e_{d-1}] is a unitary whose first column is the
+    # state up to a phase, fixed below (needs state[0] != 0)
+    basis = np.column_stack([state.amplitudes, np.eye(2**n, dtype=complex)[:, 1:]])
+    q, r = np.linalg.qr(basis)
+    q[:, 0] *= r[0, 0] / abs(r[0, 0])
+    return qc.Circuit(n, (qc.GateOp("UNITARY", tuple(range(n)), matrix=q), gate))
+
+
+CCX = np.eye(8, dtype=complex)[:, [0, 1, 2, 7, 4, 5, 6, 3]]  # controls = the two low bits
+
+
 class TestApplyGate:
+    """Gate application through ``circuits.simulate`` on one-gate circuits."""
+
     def test_x_flips_qubit_zero(self):
-        state = sv.basis_state(2, 0)
-        out = sv.apply_gate(state, sv.X, [0])
+        out = qc.simulate(qc.Circuit(2, (qc.GateOp("X", (0,)),)))
         np.testing.assert_allclose(out.amplitudes, [0, 1, 0, 0], atol=1e-15)
 
     def test_cnot_control_zero_target_one(self):
         # |01> (qubit 0 set) -> |11>
-        state = sv.basis_state(2, 1)
-        out = sv.apply_gate(state, sv.CNOT, [0, 1])
-        np.testing.assert_allclose(out.amplitudes, [0, 0, 0, 1], atol=1e-15)
+        circ = qc.Circuit(2, (qc.GateOp("X", (0,)), qc.GateOp("CNOT", (0, 1))))
+        np.testing.assert_allclose(qc.simulate(circ).amplitudes, [0, 0, 0, 1], atol=1e-15)
 
     def test_cnot_idle_when_control_clear(self):
-        state = sv.basis_state(2, 2)
-        out = sv.apply_gate(state, sv.CNOT, [0, 1])
-        np.testing.assert_allclose(out.amplitudes, [0, 0, 1, 0], atol=1e-15)
+        circ = qc.Circuit(2, (qc.GateOp("X", (1,)), qc.GateOp("CNOT", (0, 1))))
+        np.testing.assert_allclose(qc.simulate(circ).amplitudes, [0, 0, 1, 0], atol=1e-15)
 
     @pytest.mark.parametrize("num_qubits", [2, 3, 4, 5])
     def test_agrees_with_dense_oracle(self, num_qubits):
@@ -70,38 +84,38 @@ class TestApplyGate:
         state = random_state(num_qubits, rng)
         for _ in range(6):
             m = int(rng.integers(1, min(3, num_qubits) + 1))
-            qubits = list(rng.choice(num_qubits, size=m, replace=False))
+            qubits = tuple(int(q) for q in rng.choice(num_qubits, size=m, replace=False))
             gate = random_unitary(2**m, rng)
-            got = sv.apply_gate(state, gate, qubits).amplitudes
+            got = qc.simulate(prepared(state, qc.GateOp("UNITARY", qubits, matrix=gate))).amplitudes
             want = embed(gate, qubits, num_qubits) @ state.amplitudes
             np.testing.assert_allclose(got, want, atol=1e-12)
             state = sv.StateVector(num_qubits, want / np.linalg.norm(want))
 
     def test_norm_preserved_over_long_sequence(self):
         rng = np.random.default_rng(3)
-        state = random_state(4, rng)
-        for _ in range(60):
-            qubits = list(rng.choice(4, size=2, replace=False))
-            state = sv.apply_gate(state, random_unitary(4, rng), qubits)
+        gates = [
+            qc.GateOp("UNITARY", tuple(int(q) for q in rng.choice(4, size=2, replace=False)),
+                      matrix=random_unitary(4, rng))
+            for _ in range(60)
+        ]
+        state = qc.simulate(qc.Circuit(4, tuple(gates)))
         assert abs(np.sum(np.abs(state.amplitudes) ** 2) - 1.0) < 1e-12
 
     def test_rejects_non_unitary(self):
-        state = sv.basis_state(1, 0)
         with pytest.raises(ValueError, match="unitary"):
-            sv.apply_gate(state, np.array([[1, 1], [0, 1]]), [0])
+            qc.GateOp("UNITARY", (0,), matrix=np.array([[1, 1], [0, 1]]))
 
     def test_rejects_bad_indices(self):
-        state = sv.basis_state(2, 0)
-        with pytest.raises(ValueError):
-            sv.apply_gate(state, sv.X, [2])
-        with pytest.raises(ValueError):
-            sv.apply_gate(state, sv.CNOT, [1, 1])
+        with pytest.raises(ValueError, match="exceeds width"):
+            qc.Circuit(2, (qc.GateOp("X", (2,)),))
+        with pytest.raises(ValueError, match="duplicate"):
+            qc.GateOp("CNOT", (1, 1))
 
     def test_mcx_matches_embedded_permutation(self):
         rng = np.random.default_rng(11)
         state = random_state(4, rng)
-        got = sv.apply_mcx(state, (0, 2), 3).amplitudes
-        ccx = embed(sv.CCX, [0, 2, 3], 4)
+        got = qc.simulate(prepared(state, qc.GateOp("MCX", (0, 2, 3)))).amplitudes
+        ccx = embed(CCX, [0, 2, 3], 4)
         np.testing.assert_allclose(got, ccx @ state.amplitudes, atol=1e-13)
 
 

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from sesvqe import circuits
 from sesvqe import hamiltonian as ham
 from sesvqe import vqe
 
@@ -66,6 +67,46 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="penalty"):
             vqe.VqeConfig(self.h, penalty=pen)
         vqe.VqeConfig(self.h, ansatz="hardware_efficient", protocol="binary", penalty=pen)
+
+
+class TestTemplateCircuit:
+    @pytest.mark.parametrize(
+        "ansatz,protocol,shots,optimizer",
+        [
+            ("one_hot_ses", "original", 100, "spsa"),
+            ("binary_ses", "exact_operator", None, "simplex"),
+            ("binary_ses", "binary", 100, "spsa"),
+            ("hardware_efficient", "exact_operator", None, "simplex"),
+            ("hardware_efficient", "binary", 100, "spsa"),
+        ],
+    )
+    def test_a_solve_compiles_once(self, monkeypatch, ansatz, protocol, shots, optimizer):
+        compiled = []
+        compile_circuit = circuits._compile
+
+        def counting(circuit):
+            compiled.append(circuit.label)
+            return compile_circuit(circuit)
+
+        monkeypatch.setattr(circuits, "_compile", counting)
+        cfg = vqe.VqeConfig(
+            ham.chain_instance(4, disorder=0.5, seed=2),
+            ansatz=ansatz,
+            protocol=protocol,
+            shots=shots,
+            optimizer=optimizer,
+            max_evaluations=40,
+            seed=1,
+        )
+        result = vqe.optimize(cfg)
+        assert result.evaluations_used > 1
+        assert compiled == [ansatz]
+
+    def test_one_hot_exact_mode_never_simulates(self, monkeypatch):
+        monkeypatch.setattr(circuits, "_compile", None)  # any compile would fail
+        plan = vqe.prepare(vqe.VqeConfig(ham.chain_instance(4)))
+        assert plan.circuit is None
+        vqe.optimize(vqe.VqeConfig(ham.chain_instance(4), max_evaluations=30))
 
 
 class TestParameterCount:
