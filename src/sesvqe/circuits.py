@@ -482,18 +482,6 @@ def ses_site_amplitudes(n_sites: int, params) -> np.ndarray:
     return alpha
 
 
-def onehot_site_amplitudes(state: sv.StateVector):
-    """Project a width-N register onto the one-hot sector.
-
-    Returns (amplitudes by site, leaked probability outside the sector).
-    """
-    n = state.num_qubits
-    idx = np.array([1 << j for j in range(n)])
-    alpha = state.amplitudes[idx].copy()
-    leak = 1.0 - float(np.sum(np.abs(alpha) ** 2))
-    return alpha, max(leak, 0.0)
-
-
 def binary_data_amplitudes(state: sv.StateVector, emap: EncodingMap):
     """Read the data-register block of a packed-ansatz output state.
 

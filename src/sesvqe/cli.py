@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import circuits, measurement, resources, statevector, vqe
+from . import circuits, measurement, resources, vqe
 from .encoding import build_map, register_width
 from .hamiltonian import (
     PenaltyConfig,
@@ -264,18 +264,10 @@ def _load_site_vector(args) -> tuple:
         ansatz = _config_get(doc, "ansatz", "one_hot_ses")
         pairs = np.asarray(_config_get(doc, "pairs", required=True), dtype=float)
         n_sites = _config_get(doc, "n_sites", required=True)
-        if ansatz == "one_hot_ses":
-            alpha = circuits.ses_site_amplitudes(n_sites, pairs)
-        elif ansatz == "binary_ses":
-            emap = build_map(n_sites, "shifted")
-            state = circuits.simulate(circuits.build_binary_ses_circuit(n_sites, pairs, emap))
-            alpha, leak = circuits.binary_data_amplitudes(state, emap)
-            if not leak <= 1e-6:
-                raise ConfigError(f"packed ansatz leaked probability {leak:.3e}")
-            alpha = alpha / np.linalg.norm(alpha)
-        else:
+        if ansatz not in ("one_hot_ses", "binary_ses"):
             raise ConfigError(f"params key 'ansatz': unknown value {ansatz!r}")
-        return alpha, f"params:{ansatz}"
+        # both registers hold the same site amplitudes (criterion 3)
+        return circuits.ses_site_amplitudes(n_sites, pairs), f"params:{ansatz}"
     with open(args.amplitudes) as fh:
         doc = json.load(fh)
     raw = _config_get(doc, "amplitudes", required=True)
@@ -296,13 +288,9 @@ def cmd_reconstruct(args, argv) -> int:
             f"state covers {alpha.size} sites, Hamiltonian has {h.n_sites}"
         )
     emap = build_map(h.n_sites, "shifted") if args.protocol == "binary" else None
-    if args.shots is not None and args.protocol == "original":
-        state = statevector.embed_sites(alpha, 1 << np.arange(alpha.size), alpha.size)
-    else:
-        state = alpha
     energy, diagnostics = measurement.estimate_energy(
         h,
-        state,
+        alpha,
         args.protocol,
         shots=args.shots,
         seed=args.seed,

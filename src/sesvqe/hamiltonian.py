@@ -83,15 +83,18 @@ class PenaltyConfig:
 
     @staticmethod
     def default_for(h: "SiteHamiltonian", num_qubits: int) -> "PenaltyConfig":
-        """Ten times the spectral range of ``h`` (floored at 1.0).
+        """A penalty above the whole spectrum of ``h``.
 
-        The floor keeps the config valid for near-degenerate spectra; for a
-        spectrum sitting far above zero this default can land below the ground
-        energy, in which case pass an explicit c_p.
+        Ten times the spectral range (floored at 1.0) when that clears the
+        top eigenvalue E_max; otherwise E_max + max(range, 1.0), so a spectrum
+        sitting far above zero cannot put the penalty below its ground energy.
         """
         eigs = exact_spectrum(h)
         spread = float(eigs[-1] - eigs[0])
-        return PenaltyConfig(max(10.0 * spread, 1.0), num_qubits)
+        c_p = max(10.0 * spread, 1.0)
+        if not c_p > eigs[-1]:
+            c_p = float(eigs[-1]) + max(spread, 1.0)
+        return PenaltyConfig(c_p, num_qubits)
 
 
 def pauli_decompose(h: SiteHamiltonian) -> PauliTermList:
@@ -156,12 +159,9 @@ def ground_energy(h: SiteHamiltonian) -> float:
 def energy_from_profile(h: SiteHamiltonian, profile) -> float:
     """Evaluate the energy functional on a reconstructed amplitude profile.
 
-    E = sum_k h_kk r_k^2
-      + sum_{j<k, both active} 2 r_j r_k [Re(h_jk) cos(t_k - t_j)
-                                          - Im(h_jk) sin(t_k - t_j)]
-
-    Pairs with an inactive endpoint contribute only through the surviving
-    diagonal terms.
+    E = a^H h a + sum_{k inactive} h_kk r_k^2, where a is the profile's site
+    vector with its inactive sites set to zero.  So pairs with an inactive
+    endpoint contribute only through the surviving diagonal terms.
     """
     if profile.n_sites != h.n_sites:
         raise ValueError(
@@ -171,18 +171,10 @@ def energy_from_profile(h: SiteHamiltonian, profile) -> float:
     norm_sq = float(np.sum(r**2))
     if norm_sq > 1.0 + 1e-6:
         raise ValueError(f"profile magnitudes are super-normalized: {norm_sq!r}")
-    energy = float(np.sum(np.diag(h.matrix).real * r**2))
     active = np.asarray(profile.active, dtype=bool)
-    if np.count_nonzero(active) < 2:
-        return energy
-    theta = np.where(active, np.nan_to_num(profile.phases), 0.0)
-    mask = np.outer(active, active)
-    np.fill_diagonal(mask, False)
-    delta = theta[None, :] - theta[:, None]  # delta[j, k] = t_k - t_j
-    cross = (h.matrix.real * np.cos(delta) - h.matrix.imag * np.sin(delta)) * np.outer(r, r)
-    # the summand is symmetric in (j, k); summing over ordered pairs absorbs the 2
-    energy += float(np.sum(cross[mask]))
-    return energy
+    a = np.where(active, profile.site_amplitudes(), 0.0)
+    inactive_energy = float(np.sum(np.diag(h.matrix).real[~active] * r[~active] ** 2))
+    return float((a.conj() @ h.matrix @ a).real) + inactive_energy
 
 
 def _chain_matrix(n_sites, hopping, onsite):

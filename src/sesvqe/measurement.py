@@ -188,12 +188,12 @@ class _Layout:
 
     ``groups[axis]`` holds the pairs of the X/Y settings on flip axis
     ``axis`` (key ``None`` for the one-hot settings); ``positions`` holds
-    each site's codeword (packed only).
+    each site's codeword, the register basis index that carries it.
     """
 
     sites: np.ndarray
     groups: dict
-    positions: np.ndarray | None = None
+    positions: np.ndarray
 
 
 def _read_only(*arrays) -> tuple:
@@ -210,9 +210,10 @@ def _pair_group(j, k, j_is_low) -> _PairGroup:
 @functools.lru_cache(maxsize=64)
 def _chain_layout(n_sites: int) -> _Layout:
     j = np.arange(n_sites - 1)
-    # the alternating pattern puts X on even qubits
-    (sites,) = _read_only(np.arange(n_sites))
-    return _Layout(sites, {None: _pair_group(j, j + 1, j % 2 == 0)})
+    # the alternating pattern puts X on even qubits; site j is the one-hot
+    # codeword with only qubit j set
+    sites, positions = _read_only(np.arange(n_sites), 1 << np.arange(n_sites))
+    return _Layout(sites, {None: _pair_group(j, j + 1, j % 2 == 0)}, positions)
 
 
 def _binary_layout(emap: EncodingMap) -> _Layout:
@@ -251,41 +252,27 @@ def _kind(setting: MeasurementSetting) -> str:
     return "cos" if setting.label.startswith("BX") else "sin"
 
 
-def _check_source(source, setting: MeasurementSetting):
-    if isinstance(source, sv.ShotHistogram):
-        if source.setting_label != setting.label:
-            raise ValueError(
-                f"histogram for setting {source.setting_label!r} used with {setting.label!r}"
-            )
-        width = source.num_qubits
-    elif isinstance(source, sv.StateVector):
-        width = source.num_qubits
-    else:
-        return
-    if width != len(setting.bases):
-        kind = "histogram" if isinstance(source, sv.ShotHistogram) else "state"
-        raise ValueError(f"{kind} width {width} != setting width {len(setting.bases)}")
+def _check_histogram(hist: sv.ShotHistogram, setting: MeasurementSetting):
+    if hist.setting_label != setting.label:
+        raise ValueError(
+            f"histogram for setting {hist.setting_label!r} used with {setting.label!r}"
+        )
+    if hist.num_qubits != len(setting.bases):
+        raise ValueError(f"histogram width {hist.num_qubits} != setting width {len(setting.bases)}")
 
 
-def _estimate_exact(source, setting, layout: _Layout, kind: str):
+def _estimate_exact(alpha, setting, layout: _Layout, kind: str):
     """Estimates read straight from the site amplitudes."""
     n_sites = layout.sites.size
-    from_register = isinstance(source, sv.StateVector)
-    if from_register:
-        positions = layout.positions
-        if positions is None:
-            positions = 1 << np.arange(source.num_qubits)
-        alpha = source.amplitudes[positions]
-    elif isinstance(source, np.ndarray):
-        alpha = np.asarray(source, dtype=complex)
-        if alpha.size != n_sites:
-            raise ValueError(f"site vector length {alpha.size} != {n_sites} sites")
-    else:
-        raise TypeError(f"unsupported source type {type(source).__name__}")
+    if not isinstance(alpha, np.ndarray):
+        raise TypeError(f"unsupported source type {type(alpha).__name__}")
+    alpha = np.asarray(alpha, dtype=complex)
+    if alpha.size != n_sites:
+        raise ValueError(f"site vector length {alpha.size} != {n_sites} sites")
     if kind == "prob":
         probs = np.abs(alpha) ** 2
         extras = None
-        if from_register or setting.protocol == "binary":
+        if setting.protocol == "binary":
             extras = {"unencoded_mass": float(1.0 - probs.sum())}
         return SettingEstimates(setting.label, kind, layout.sites, probs, extras=extras)
     group = layout.groups[setting.axis]
@@ -324,15 +311,12 @@ def _estimate_histogram(hist: sv.ShotHistogram, setting, layout: _Layout, kind: 
 
 
 def estimate_setting(source, setting: MeasurementSetting, emap: EncodingMap | None = None):
-    """Evaluate one measurement setting on an exact state or a shot record.
+    """Evaluate one measurement setting on a site vector or a shot record.
 
-    ``source`` is a site-amplitude vector (numpy array), a StateVector over
-    the register the setting addresses, or a ShotHistogram recorded for this
-    setting.  Binary-protocol settings need the encoding map.  A StateVector
-    is read through its amplitudes on the encoded basis states; the weight
-    it carries elsewhere is reported as ``extras["unencoded_mass"]``.
+    ``source`` is a site-amplitude vector (numpy array) or a ShotHistogram
+    recorded for this setting.  Binary-protocol settings need the encoding
+    map.
     """
-    _check_source(source, setting)
     if setting.protocol == "original":
         n_sites = len(setting.bases)
     elif setting.protocol == "binary":
@@ -347,6 +331,7 @@ def estimate_setting(source, setting: MeasurementSetting, emap: EncodingMap | No
         raise ValueError(f"unknown protocol {setting.protocol!r}")
     layout = _layout(setting.protocol, n_sites, emap)
     if isinstance(source, sv.ShotHistogram):
+        _check_histogram(source, setting)
         return _estimate_histogram(source, setting, layout, _kind(setting))
     return _estimate_exact(source, setting, layout, _kind(setting))
 
@@ -549,7 +534,7 @@ def _unmeasured_terms(h: SiteHamiltonian, profile: AmplitudeProfile, pgraph: Pha
 
 def estimate_energy(
     h: SiteHamiltonian,
-    source,
+    alpha,
     protocol: str,
     shots: int | None = None,
     seed=0,
@@ -558,27 +543,22 @@ def estimate_energy(
 ):
     """Full protocol run: settings -> estimates -> profile -> energy.
 
-    ``source`` is a site-amplitude vector or a StateVector over the protocol's
-    register.  In shot mode each setting is sampled with its own generator
-    derived from ``seed`` (an int or tuple of ints), so results do not depend
-    on evaluation order.  Returns ``(energy, diagnostics)``.
+    ``alpha`` is the state's site-amplitude vector.  In shot mode it is
+    embedded in the protocol's register at the layout's codewords, and each
+    setting is sampled with its own generator derived from ``seed`` (an int
+    or tuple of ints), so results do not depend on evaluation order.  Returns
+    ``(energy, diagnostics)``.
     """
     settings = _settings_for(protocol, h.n_sites, emap)
-    state = source
     if shots is not None:
-        if isinstance(source, np.ndarray):
-            if protocol == "original":
-                raise ValueError(
-                    "shot mode on the one-hot register needs a StateVector source"
-                )
-            state = sv.embed_sites(source, _layout(protocol, h.n_sites, emap).positions,
-                                   emap.num_qubits)
+        positions = _layout(protocol, h.n_sites, emap).positions
+        state = sv.embed_sites(alpha, positions, len(settings[0].bases))
         seed_root = list(seed) if isinstance(seed, (tuple, list)) else [seed]
 
     results = []
     for idx, setting in enumerate(settings):
         if shots is None:
-            results.append(estimate_setting(state, setting, emap))
+            results.append(estimate_setting(alpha, setting, emap))
             continue
         rng = np.random.default_rng(np.random.SeedSequence(seed_root + [idx]))
         hist = sv.sample_bitstrings(state, setting.bases, shots, rng, setting.label)

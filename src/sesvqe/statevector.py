@@ -143,30 +143,6 @@ class ShotHistogram:
         return self.counts.size.bit_length() - 1
 
 
-def basis_state(num_qubits: int, index: int) -> StateVector:
-    if not 0 <= index < 2**num_qubits:
-        raise ValueError(f"basis index {index} out of range for {num_qubits} qubits")
-    amps = np.zeros(2**num_qubits, dtype=complex)
-    amps[index] = 1.0
-    return StateVector(num_qubits, amps)
-
-
-def from_amplitudes(amplitudes: np.ndarray) -> StateVector:
-    amps = np.asarray(amplitudes, dtype=complex)
-    n = int(round(np.log2(amps.size)))
-    if 2**n != amps.size:
-        raise ValueError(f"amplitude count {amps.size} is not a power of two")
-    return StateVector(n, amps)
-
-
-def _check_qubits(qubits, num_qubits: int) -> None:
-    if len(set(qubits)) != len(qubits):
-        raise ValueError(f"duplicate qubit in {qubits}")
-    for q in qubits:
-        if not 0 <= q < num_qubits:
-            raise ValueError(f"qubit {q} out of range for {num_qubits}-qubit state")
-
-
 def _apply_matrix(
     amps: np.ndarray, matrix: np.ndarray, qubits, num_qubits: int
 ) -> np.ndarray:
@@ -217,13 +193,6 @@ def expectation_pauli(state: StateVector, pauli: PauliString) -> float:
             " this indicates an internal error"
         )
     return float(value.real)
-
-
-def overlap(a: StateVector, b: StateVector) -> complex:
-    """Inner product <a|b>."""
-    if a.num_qubits != b.num_qubits:
-        raise ValueError(f"width mismatch: {a.num_qubits} vs {b.num_qubits}")
-    return complex(np.vdot(a.amplitudes, b.amplitudes))
 
 
 def rotate_to_measurement_basis(state: StateVector, bases: str) -> StateVector:
@@ -282,29 +251,3 @@ def embed_sites(alpha, positions, num_qubits: int) -> StateVector:
     register = np.zeros(2**num_qubits, dtype=complex)
     register[positions] = alpha
     return StateVector(num_qubits, register)
-
-
-def extract_subregister(state: StateVector, keep_qubits, fixed: dict):
-    """Project ``fixed`` qubits onto given bits and keep the remaining register.
-
-    Returns ``(sub_amplitudes, weight)`` where ``weight`` is the probability
-    mass on the projected block and ``sub_amplitudes`` is the unnormalized
-    amplitude vector over ``keep_qubits`` (listed qubit order = little-endian
-    order of the sub-register).
-    """
-    _check_qubits(list(keep_qubits) + list(fixed), state.num_qubits)
-    if set(keep_qubits) | set(fixed) != set(range(state.num_qubits)):
-        raise ValueError("keep_qubits and fixed must partition the register")
-    idx = np.arange(state.dim)
-    mask = np.ones(state.dim, dtype=bool)
-    for q, bit in fixed.items():
-        mask &= ((idx >> q) & 1) == bit
-    block = idx[mask]
-    # order block indices by the little-endian value of the kept qubits
-    sub_value = np.zeros(block.size, dtype=np.int64)
-    for pos, q in enumerate(keep_qubits):
-        sub_value |= ((block >> q) & 1) << pos
-    sub = np.zeros(2 ** len(keep_qubits), dtype=complex)
-    sub[sub_value] = state.amplitudes[block]
-    weight = float(np.sum(np.abs(sub) ** 2))
-    return sub, weight

@@ -4,6 +4,9 @@ The driver couples three ansatz builders (one-hot chain, packed binary
 register, hardware-efficient layers with a penalty-extended target) to three
 cost evaluation routes (exact operator average, exact protocol estimates,
 finite-shot protocol estimates) behind one derivative-free optimization loop.
+Every route reads the ansatz state as one vector of site amplitudes
+(``site_vector``): the closed-form cascade for both SES ansatze, the simulated
+register for the hardware-efficient one.
 
 Determinism contract: every random draw descends from the run seed through
 numpy SeedSequence spawn keys, namely [seed, 0, restart] for simplex starting
@@ -103,9 +106,10 @@ class VqeConfig:
 class RunPlan:
     """Config resolved into concrete registers and targets, built once.
 
-    ``circuit`` is the ansatz template that ``circuits.simulate`` binds each
-    evaluation's parameters to; it is None when the cost never simulates
-    (one-hot exact mode uses the closed-form cascade).
+    ``circuit`` is the ansatz template that ``circuits.simulate`` binds
+    parameters to: every hardware-efficient evaluation, and the packed
+    ansatz's leak check in ``final_report``.  It is None for the one-hot
+    ansatz, which never simulates.
     """
 
     config: VqeConfig
@@ -146,12 +150,10 @@ def prepare(config: VqeConfig) -> RunPlan:
     if config.ansatz == "one_hot_ses":
         emap = None
         target = h
-        if config.shots is not None:
-            if n > MAX_SIM_WIDTH:
-                raise ValueError(
-                    f"one-hot register of {n} qubits is too wide to sample; limit is {MAX_SIM_WIDTH}"
-                )
-            circuit = circuits.build_ses_circuit(n, zeros)
+        if config.shots is not None and n > MAX_SIM_WIDTH:
+            raise ValueError(
+                f"one-hot register of {n} qubits is too wide to sample; limit is {MAX_SIM_WIDTH}"
+            )
     elif config.ansatz == "binary_ses":
         emap = build_map(n, "shifted")
         target = h
@@ -169,11 +171,23 @@ def prepare(config: VqeConfig) -> RunPlan:
         target = extend_with_penalty(h, penalty)
         emap = build_map(target.n_sites, "plain")
         circuit = circuits.build_hardware_efficient_circuit(nq, config.layers, zeros)
-    return RunPlan(config, zeros.size, target, emap, ground_energy(target), circuit)
+    return RunPlan(config, zeros.size, target, emap, ground_energy(h), circuit)
 
 
 def _shot_seed(config: VqeConfig, eval_index: int):
     return (config.seed, 1, eval_index)
+
+
+def site_vector(plan: RunPlan, params) -> np.ndarray:
+    """The ansatz state as amplitudes over ``plan.target``'s sites.
+
+    Both SES ansatze hold the closed-form cascade (criterion 3 proves the
+    packed circuit prepares it); under the plain map the hardware-efficient
+    register is its own site basis.
+    """
+    if plan.config.ansatz == "hardware_efficient":
+        return circuits.simulate(plan.circuit, params).amplitudes
+    return circuits.ses_site_amplitudes(plan.target.n_sites, params)
 
 
 def evaluate_cost(plan, params, eval_index: int = 0) -> float:
@@ -181,57 +195,15 @@ def evaluate_cost(plan, params, eval_index: int = 0) -> float:
     if isinstance(plan, VqeConfig):
         plan = prepare(plan)
     config = plan.config
-    h = config.hamiltonian
-    n = h.n_sites
-
-    if config.ansatz == "one_hot_ses":
-        if config.shots is None:
-            alpha = circuits.ses_site_amplitudes(n, params)
-            if config.protocol == "exact_operator":
-                return float((alpha.conj() @ h.matrix @ alpha).real)
-            energy, _ = measurement.estimate_energy(h, alpha, "original", epsilon=config.epsilon)
-            return energy
-        state = circuits.simulate(plan.circuit, params)
-        energy, _ = measurement.estimate_energy(
-            h,
-            state,
-            "original",
-            shots=config.shots,
-            seed=_shot_seed(config, eval_index),
-            epsilon=config.epsilon,
-        )
-        return energy
-
-    if config.ansatz == "binary_ses":
-        state = circuits.simulate(plan.circuit, params)
-        alpha, leak = circuits.binary_data_amplitudes(state, plan.emap)
-        if not leak <= 1e-6:
-            raise RuntimeError(f"packed ansatz leaked probability {leak:.3e} outside the data block")
-        alpha = alpha / np.linalg.norm(alpha)
-        if config.protocol == "exact_operator":
-            return float((alpha.conj() @ h.matrix @ alpha).real)
-        energy, _ = measurement.estimate_energy(
-            h,
-            alpha,
-            "binary",
-            shots=config.shots,
-            seed=_shot_seed(config, eval_index) if config.shots else 0,
-            emap=plan.emap,
-            epsilon=config.epsilon,
-        )
-        return energy
-
-    # hardware_efficient on the penalty-extended target
-    state = circuits.simulate(plan.circuit, params)
+    alpha = site_vector(plan, params)
     if config.protocol == "exact_operator":
-        psi = state.amplitudes
-        return float((psi.conj() @ plan.target.matrix @ psi).real)
+        return float((alpha.conj() @ plan.target.matrix @ alpha).real)
     energy, _ = measurement.estimate_energy(
         plan.target,
-        state,
-        "binary",
-        shots=config.shots,
-        seed=_shot_seed(config, eval_index) if config.shots else 0,
+        alpha,
+        config.protocol,
+        config.shots,
+        seed=_shot_seed(config, eval_index),
         emap=plan.emap,
         epsilon=config.epsilon,
     )
@@ -278,9 +250,13 @@ class _Tracker:
         return energy
 
 
-def _initial_point(config: VqeConfig, dim: int, restart: int) -> np.ndarray:
+def _initial_point(config: VqeConfig, dim: int, restart: int) -> tuple:
+    """A restart's start point in the angle box, and the generator that drew it.
+
+    The simplex goes on to draw its kicks from the same generator.
+    """
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0, restart]))
-    return np.pi - rng.uniform(0.0, 2.0 * np.pi, size=dim)
+    return np.pi - rng.uniform(0.0, 2.0 * np.pi, size=dim), rng
 
 
 def _run_simplex(tracker: _Tracker, x0: np.ndarray, rng: np.random.Generator, opts: dict):
@@ -408,10 +384,7 @@ def optimize(config: VqeConfig) -> VqeResult:
     restarts_started = 0
     try:
         while True:
-            rng = np.random.default_rng(
-                np.random.SeedSequence([config.seed, 0, restarts_started])
-            )
-            x0 = np.pi - rng.uniform(0.0, 2.0 * np.pi, size=plan.dim)
+            x0, rng = _initial_point(config, plan.dim, restarts_started)
             restarts_started += 1
             if config.optimizer == "simplex":
                 _run_simplex(tracker, x0, rng, config.optimizer_options)
@@ -450,18 +423,17 @@ def final_report(plan: RunPlan, params) -> dict:
     config = plan.config
     h = config.hamiltonian
     report = {"ansatz": config.ansatz, "protocol": config.protocol}
+    alpha = site_vector(plan, params)
     if config.ansatz == "one_hot_ses":
-        alpha = circuits.ses_site_amplitudes(h.n_sites, params)
         report["leak"] = 0.0
     elif config.ansatz == "binary_ses":
         state = circuits.simulate(plan.circuit, params)
-        alpha, leak = circuits.binary_data_amplitudes(state, plan.emap)
+        _, leak = circuits.binary_data_amplitudes(state, plan.emap)
+        if not leak <= 1e-6:
+            raise RuntimeError(f"packed ansatz leaked probability {leak:.3e} outside the data block")
         report["leak"] = leak
-        alpha = alpha / np.linalg.norm(alpha)
     else:
-        state = circuits.simulate(plan.circuit, params)
-        psi = state.amplitudes
-        physical = psi[: h.n_sites]
+        physical = alpha[: h.n_sites]
         weight = float(np.sum(np.abs(physical) ** 2))
         report["physical_weight"] = weight
         if weight > 1e-12:
@@ -469,7 +441,6 @@ def final_report(plan: RunPlan, params) -> dict:
             report["physical_energy"] = float(
                 (restricted.conj() @ h.matrix @ restricted).real
             )
-        alpha = psi
     profile = measurement.AmplitudeProfile.from_amplitudes(alpha)
     report["active_sites"] = int(np.count_nonzero(profile.active))
     report["site_magnitudes"] = [float(r) for r in profile.magnitudes]

@@ -92,14 +92,12 @@ class TestOneHotAnsatz:
     def test_single_site(self):
         circ = qc.build_ses_circuit(1, [])
         state = qc.simulate(circ)
-        alpha, leak = qc.onehot_site_amplitudes(state)
-        np.testing.assert_allclose(alpha, [1.0], atol=1e-15)
-        assert leak < 1e-15
+        np.testing.assert_allclose(state.amplitudes, [0.0, 1.0], atol=1e-15)
 
     def test_two_sites(self):
         beta, gamma = 0.6, -1.2
         state = qc.simulate(qc.build_ses_circuit(2, [beta, gamma]))
-        alpha, _ = qc.onehot_site_amplitudes(state)
+        alpha = state.amplitudes[[1, 2]]
         assert alpha[0] == pytest.approx(math.cos(beta), abs=1e-14)
         assert alpha[1] == pytest.approx(np.exp(-1j * gamma) * math.sin(beta), abs=1e-14)
 
@@ -108,10 +106,9 @@ class TestOneHotAnsatz:
         rng = np.random.default_rng(100 + n_sites)
         params = rng.uniform(-np.pi, np.pi, size=2 * (n_sites - 1))
         state = qc.simulate(qc.build_ses_circuit(n_sites, params))
-        alpha, leak = qc.onehot_site_amplitudes(state)
+        alpha = state.amplitudes[1 << np.arange(n_sites)]
         want = qc.ses_site_amplitudes(n_sites, params)
         np.testing.assert_allclose(alpha, want, atol=1e-12)
-        assert leak < 1e-12
         assert abs(np.sum(np.abs(alpha) ** 2) - 1.0) < 1e-12
 
     def test_cnot_budget(self):
@@ -179,9 +176,8 @@ class TestBinaryAnsatz:
         params = np.random.default_rng(5).uniform(-np.pi, np.pi, size=14)
         emap = encoding.build_map(8)
         state = qc.simulate(qc.build_binary_ses_circuit(8, params, emap))
-        sub, weight = sv.extract_subregister(
-            state, [0, 1, 2], {3: 0, 4: 0, 5: 0}
-        )
+        # ancilla qubits 3..5 clear: the weight on basis indices below 2^3
+        weight = np.sum(np.abs(state.amplitudes[:8]) ** 2)
         assert weight == pytest.approx(1.0, abs=1e-10)
 
     def test_errors(self):

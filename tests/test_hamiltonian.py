@@ -128,6 +128,15 @@ class TestPenaltyExtension:
         tiny = ham.SiteHamiltonian.from_matrix([[0.01, 0], [0, 0.02]])
         assert ham.PenaltyConfig.default_for(tiny, 1).c_p == pytest.approx(1.0)
 
+    def test_default_penalty_clears_a_lifted_spectrum(self, lifted_chain):
+        # ten times the range (10.39) sits below this spectrum, near 100
+        h = lifted_chain
+        eigs = ham.exact_spectrum(h)
+        pen = ham.PenaltyConfig.default_for(h, 2)
+        assert pen.c_p == pytest.approx(eigs[-1] + (eigs[-1] - eigs[0]))
+        extended = ham.extend_with_penalty(h, pen)
+        assert ham.ground_energy(extended) == pytest.approx(eigs[0], abs=1e-12)
+
 
 class TestSpectrum:
     def test_symmetric_hopping_pair(self):

@@ -36,6 +36,12 @@ def packed_state(alpha, emap) -> sv.StateVector:
     return sv.StateVector(emap.num_qubits, reg)
 
 
+def exact_histogram(state, setting, shots=10**12) -> sv.ShotHistogram:
+    """Outcome counts proportional to the exact distribution, to one part in ``shots``."""
+    counts = np.rint(sv.measurement_distribution(state, setting.bases) * shots).astype(np.int64)
+    return sv.ShotHistogram(setting.label, counts, int(counts.sum()))
+
+
 def random_site_vector(n, seed):
     rng = np.random.default_rng(seed)
     alpha = rng.normal(size=n) + 1j * rng.normal(size=n)
@@ -113,22 +119,22 @@ class TestOriginalEstimates:
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_state_vector_route_agrees(self, n):
-        # the register route must reproduce the site-vector numbers, including
-        # the sign conversion on pairs measured in (Y, X) order
+        # the one-hot register that shot mode samples, read through its exact
+        # outcome distribution, must reproduce the site-vector numbers,
+        # including the sign conversion on pairs measured in (Y, X) order
         alpha = random_site_vector(n, 80 + n)
         state = onehot_state(alpha)
         for setting in meas.settings_original(n):
             direct = meas.estimate_setting(alpha, setting)
-            via_state = meas.estimate_setting(state, setting)
+            via_state = meas.estimate_setting(exact_histogram(state, setting), setting)
             assert same_entries(direct, via_state)
-            np.testing.assert_allclose(via_state.values, direct.values, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(via_state.values, direct.values, rtol=0, atol=1e-9)
 
     def test_quarter_phase_pair(self):
         # (|01> + i|10>)/sqrt(2): relative phase pi/2 puts everything in sine
         alpha = np.array([1.0, 1j]) / np.sqrt(2.0)
-        state = onehot_state(alpha)
         mxy = meas.settings_original(2)[2]
-        est = meas.estimate_setting(state, mxy)
+        est = meas.estimate_setting(alpha, mxy)
         assert (est.kind, est.sites.tolist(), est.partners.tolist()) == ("sin", [0], [1])
         assert est.values[0] == pytest.approx(1.0, abs=1e-12)
 
@@ -150,9 +156,9 @@ class TestOriginalEstimates:
             meas.estimate_setting(hist, mxx)
 
     def test_width_mismatch(self):
-        state = onehot_state(random_site_vector(3, 2))
+        hist = sv.sample_bitstrings(onehot_state(random_site_vector(3, 2)), "ZZZ", 100, 0, "MZ")
         with pytest.raises(ValueError, match="width"):
-            meas.estimate_setting(state, meas.settings_original(2)[0])
+            meas.estimate_setting(hist, meas.settings_original(2)[0])
 
 
 def pair_values(est) -> dict:
@@ -440,17 +446,22 @@ class TestEstimateEnergy:
         assert (1, 2) in diag["inactive_terms"]
         assert diag["n_components"] == 2
 
-    def test_shot_mode_original_needs_register_source(self):
-        h = ham.chain_instance(2)
-        with pytest.raises(ValueError, match="StateVector"):
-            meas.estimate_energy(h, random_site_vector(2, 0), "original", shots=100)
+    def test_shot_mode_original_takes_site_vector(self):
+        h = ham.chain_instance(4, disorder=0.5, seed=3)
+        alpha = random_site_vector(4, 23)
+        want = np.vdot(alpha, h.matrix @ alpha).real
+        e1, diag = meas.estimate_energy(h, alpha, "original", shots=200_000, seed=(4, 1))
+        e2, _ = meas.estimate_energy(h, alpha, "original", shots=200_000, seed=(4, 1))
+        assert e1 == e2
+        assert diag["shots_per_setting"] == 200_000
+        assert e1 == pytest.approx(want, abs=0.02)
 
     def test_shot_mode_determinism_and_seed_sensitivity(self):
         h = ham.chain_instance(3, disorder=0.5, seed=2)
-        state = onehot_state(random_site_vector(3, 21))
-        e1, _ = meas.estimate_energy(h, state, "original", shots=2000, seed=9)
-        e2, _ = meas.estimate_energy(h, state, "original", shots=2000, seed=9)
-        e3, _ = meas.estimate_energy(h, state, "original", shots=2000, seed=10)
+        alpha = random_site_vector(3, 21)
+        e1, _ = meas.estimate_energy(h, alpha, "original", shots=2000, seed=9)
+        e2, _ = meas.estimate_energy(h, alpha, "original", shots=2000, seed=9)
+        e3, _ = meas.estimate_energy(h, alpha, "original", shots=2000, seed=10)
         assert e1 == e2
         assert e1 != e3
 
@@ -533,7 +544,7 @@ NO_NETWORKX_SCRIPT = """
 import sys
 sys.modules["networkx"] = None  # any import of networkx now fails
 import numpy as np
-from sesvqe import encoding, hamiltonian, measurement, statevector
+from sesvqe import encoding, hamiltonian, measurement
 
 rng = np.random.default_rng(5)
 for n in (5, 8):
@@ -549,8 +560,7 @@ for n in (5, 8):
     graph = diag["phase_graph"]
     if n == 8:  # the 3-cube: 12 measured pairs, a 7-edge tree, five cycles
         assert (len(graph["edges"]), len(graph["tree_edges"])) == (12, 7), graph
-    onehot = statevector.embed_sites(alpha, 1 << np.arange(n), n)
-    energy, _ = measurement.estimate_energy(h, onehot, "original", shots=2000, seed=1)
+    energy, _ = measurement.estimate_energy(h, alpha, "original", shots=2000, seed=1)
     assert np.isfinite(energy)
     energy, _ = measurement.estimate_energy(h, alpha, "binary", shots=2000, seed=1, emap=emap)
     assert np.isfinite(energy)

@@ -42,6 +42,12 @@ def random_state(num_qubits: int, rng=RNG) -> sv.StateVector:
     return sv.StateVector(num_qubits, raw / np.linalg.norm(raw))
 
 
+def zero_state(num_qubits: int) -> sv.StateVector:
+    amps = np.zeros(2**num_qubits, dtype=complex)
+    amps[0] = 1.0
+    return sv.StateVector(num_qubits, amps)
+
+
 def random_unitary(dim: int, rng=RNG) -> np.ndarray:
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     q, r = np.linalg.qr(g)
@@ -121,7 +127,7 @@ class TestApplyGate:
 
 class TestExpectation:
     def test_z_on_ground(self):
-        state = sv.basis_state(1, 0)
+        state = zero_state(1)
         assert sv.expectation_pauli(state, sv.PauliString("Z")) == pytest.approx(1.0)
 
     def test_xx_on_symmetric_pair(self):
@@ -159,7 +165,7 @@ class TestExpectation:
         np.testing.assert_allclose(pauli.dense(), want, atol=1e-15)
 
     def test_width_mismatch(self):
-        state = sv.basis_state(2, 0)
+        state = zero_state(2)
         with pytest.raises(ValueError, match="width"):
             sv.expectation_pauli(state, sv.PauliString("Z"))
 
@@ -170,7 +176,7 @@ class TestExpectation:
 
 class TestBasisRotationAndSampling:
     def test_ground_state_z_counts(self):
-        hist = sv.sample_bitstrings(sv.basis_state(1, 0), "Z", 500, seed=1)
+        hist = sv.sample_bitstrings(zero_state(1), "Z", 500, seed=1)
         assert hist.counts.tolist() == [500, 0]
 
     def test_plus_state_x_counts(self):
@@ -218,11 +224,11 @@ class TestBasisRotationAndSampling:
 
     def test_rotation_rejects_bad_basis(self):
         with pytest.raises(ValueError):
-            sv.rotate_to_measurement_basis(sv.basis_state(1, 0), "Q")
+            sv.rotate_to_measurement_basis(zero_state(1), "Q")
 
     def test_shots_must_be_positive(self):
         with pytest.raises(ValueError):
-            sv.sample_bitstrings(sv.basis_state(1, 0), "Z", 0, seed=0)
+            sv.sample_bitstrings(zero_state(1), "Z", 0, seed=0)
 
 
 class TestEmbedSites:
@@ -238,17 +244,6 @@ class TestEmbedSites:
 
 
 class TestOverlapAndHelpers:
-    def test_self_overlap(self):
-        state = random_state(3)
-        assert sv.overlap(state, state) == pytest.approx(1.0, abs=1e-12)
-
-    def test_orthogonal_basis_states(self):
-        assert sv.overlap(sv.basis_state(2, 1), sv.basis_state(2, 2)) == 0
-
-    def test_width_mismatch(self):
-        with pytest.raises(ValueError, match="width"):
-            sv.overlap(sv.basis_state(1, 0), sv.basis_state(2, 0))
-
     def test_histogram_validation(self):
         with pytest.raises(ValueError, match="sum"):
             sv.ShotHistogram("MZ", np.array([3, 0]), 4)
@@ -263,23 +258,3 @@ class TestOverlapAndHelpers:
             sv.StateVector(1, np.array([1.0, 1.0]))
         with pytest.raises(ValueError):
             sv.StateVector(1, np.array([1.0, 0.0, 0.0]))
-        with pytest.raises(ValueError):
-            sv.basis_state(2, 4)
-
-    def test_from_amplitudes_infers_width(self):
-        state = sv.from_amplitudes(np.array([0, 0, 1, 0], dtype=complex))
-        assert state.num_qubits == 2
-        with pytest.raises(ValueError, match="power of two"):
-            sv.from_amplitudes(np.array([1.0, 0.0, 0.0]))
-
-    def test_extract_subregister(self):
-        # qubit 1 fixed to 0 keeps amplitudes at indices with that bit clear
-        amps = np.zeros(8, dtype=complex)
-        amps[0b001] = 0.6
-        amps[0b100] = 0.8
-        state = sv.StateVector(3, amps)
-        sub, weight = sv.extract_subregister(state, [0, 2], {1: 0})
-        assert weight == pytest.approx(1.0)
-        np.testing.assert_allclose(sub, [0, 0.6, 0.8, 0], atol=1e-15)
-        with pytest.raises(ValueError, match="partition"):
-            sv.extract_subregister(state, [0], {1: 0})

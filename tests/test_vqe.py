@@ -4,9 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from sesvqe import circuits
+from sesvqe import circuits, encoding
 from sesvqe import hamiltonian as ham
+from sesvqe import statevector as sv
 from sesvqe import vqe
 
 
@@ -73,7 +76,6 @@ class TestTemplateCircuit:
     @pytest.mark.parametrize(
         "ansatz,protocol,shots,optimizer",
         [
-            ("one_hot_ses", "original", 100, "spsa"),
             ("binary_ses", "exact_operator", None, "simplex"),
             ("binary_ses", "binary", 100, "spsa"),
             ("hardware_efficient", "exact_operator", None, "simplex"),
@@ -107,6 +109,19 @@ class TestTemplateCircuit:
         plan = vqe.prepare(vqe.VqeConfig(ham.chain_instance(4)))
         assert plan.circuit is None
         vqe.optimize(vqe.VqeConfig(ham.chain_instance(4), max_evaluations=30))
+
+    def test_one_hot_shot_mode_never_simulates(self, monkeypatch):
+        monkeypatch.setattr(circuits, "_compile", None)
+        cfg = vqe.VqeConfig(
+            ham.chain_instance(4, disorder=0.5, seed=2),
+            protocol="original",
+            shots=100,
+            optimizer="spsa",
+            max_evaluations=40,
+            seed=1,
+        )
+        assert vqe.prepare(cfg).circuit is None
+        assert vqe.optimize(cfg).evaluations_used == 40
 
 
 class TestParameterCount:
@@ -167,6 +182,56 @@ class TestPrepare:
         )
         with pytest.raises(ValueError, match="wide"):
             vqe.prepare(cfg)
+
+
+def packed_register_energy(h, params):
+    """Oracle: the quadratic form of the simulated packed circuit's data block."""
+    emap = encoding.build_map(h.n_sites, "shifted")
+    state = circuits.simulate(circuits.build_binary_ses_circuit(h.n_sites, params, emap))
+    alpha, _ = circuits.binary_data_amplitudes(state, emap)
+    alpha = alpha / np.linalg.norm(alpha)
+    return float((alpha.conj() @ h.matrix @ alpha).real)
+
+
+@st.composite
+def ansatz_points(draw):
+    """A site count N = 2..12, a random Hermitian h on it and 2(N - 1) angles."""
+    n = draw(st.integers(2, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    params = rng.uniform(-np.pi, np.pi, size=2 * (n - 1))
+    return ham.random_hermitian_instance(n, seed=int(rng.integers(2**31))), params
+
+
+PROPERTY_SETTINGS = settings(
+    max_examples=40,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+class TestSiteVector:
+    @PROPERTY_SETTINGS
+    @given(ansatz_points())
+    def test_binary_ses_cost_equals_packed_circuit(self, point):
+        h, params = point
+        want = packed_register_energy(h, params)
+        for protocol in ("exact_operator", "binary"):
+            plan = vqe.prepare(vqe.VqeConfig(h, ansatz="binary_ses", protocol=protocol))
+            assert abs(vqe.evaluate_cost(plan, params) - want) <= 1e-12
+
+    @PROPERTY_SETTINGS
+    @given(ansatz_points())
+    def test_one_hot_register_embeds_the_cascade(self, point):
+        # shot mode samples the embedded cascade in place of the simulated
+        # one-hot register, so the two must agree
+        h, params = point
+        n = h.n_sites
+        register = circuits.simulate(circuits.build_ses_circuit(n, params)).amplitudes
+        alpha = circuits.ses_site_amplitudes(n, params)
+        embedded = sv.embed_sites(alpha, 1 << np.arange(n), n).amplitudes
+        assert np.max(np.abs(register - embedded)) <= 1e-14
 
 
 class TestEvaluateCost:
@@ -319,17 +384,34 @@ class TestOptimize:
         assert d["physical_energy"] >= ham.ground_energy(h) - 1e-9
         assert d["physical_energy"] == pytest.approx(ham.ground_energy(h), abs=1e-3)
 
+    def test_default_penalty_on_a_lifted_spectrum(self, lifted_chain):
+        # the old default c_p = 10 * range = 10.39 sat below the ground energy
+        # 99.98, and the solve reported "converged" on a non-physical state
+        h = lifted_chain
+        cfg = vqe.VqeConfig(h, ansatz="hardware_efficient", seed=0)
+        res = vqe.optimize(cfg)
+        assert res.exact_ground == pytest.approx(ham.ground_energy(h), abs=1e-12)
+        assert res.diagnostics["physical_weight"] > 0.99
+        assert res.relative_error < 1e-3
+
+    def test_relative_error_is_against_the_input_hamiltonian(self, lifted_chain):
+        h = lifted_chain
+        low = ham.PenaltyConfig(10.0, 2)
+        res = vqe.optimize(vqe.VqeConfig(h, ansatz="hardware_efficient", seed=0, penalty=low))
+        assert res.exact_ground == pytest.approx(ham.ground_energy(h), abs=1e-12)
+        assert res.relative_error > 0.5
+
     def test_initial_points_cover_the_angle_box(self):
         cfg = vqe.VqeConfig(ham.chain_instance(3), seed=0)
         draws = np.concatenate(
-            [vqe._initial_point(cfg, 4, r) for r in range(200)]
+            [vqe._initial_point(cfg, 4, r)[0] for r in range(200)]
         )
         assert np.all(draws > -np.pi)
         assert np.all(draws <= np.pi)
         assert draws.min() < -3.0
         assert draws.max() > 3.0
         np.testing.assert_array_equal(
-            vqe._initial_point(cfg, 4, 5), vqe._initial_point(cfg, 4, 5)
+            vqe._initial_point(cfg, 4, 5)[0], vqe._initial_point(cfg, 4, 5)[0]
         )
 
 
