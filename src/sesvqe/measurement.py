@@ -172,7 +172,8 @@ class _PairGroup:
     correlator 2 conj(a_low) a_high in register order: ``low`` is the site on
     the X qubit (one-hot) or whose codeword has bit 0 at the flip axis
     (packed).  ``sign`` is +1 where ``low`` is ``j``, so ``sign * Im(raw)``
-    is the site-ordered sine.
+    is the site-ordered sine.  ``index[i]`` is the place of pair ``i`` in the
+    layout's pair list.
     """
 
     j: np.ndarray
@@ -180,20 +181,27 @@ class _PairGroup:
     low: np.ndarray
     high: np.ndarray
     sign: np.ndarray
+    index: np.ndarray
 
 
 @dataclass(frozen=True)
 class _Layout:
-    """What the estimators need of one (protocol, N), built once.
+    """What a protocol measures on one (protocol, N), built once.
 
+    ``settings`` are the protocol's settings in sampling order.
     ``groups[axis]`` holds the pairs of the X/Y settings on flip axis
-    ``axis`` (key ``None`` for the one-hot settings); ``positions`` holds
-    each site's codeword, the register basis index that carries it.
+    ``axis`` (key ``None`` for the one-hot settings); ``pair_j``/``pair_k``
+    list every measured pair once, in site order (ascending ``j * N + k``).
+    ``positions`` holds each site's codeword, the register basis index that
+    carries it.
     """
 
+    settings: tuple
     sites: np.ndarray
     groups: dict
     positions: np.ndarray
+    pair_j: np.ndarray
+    pair_k: np.ndarray
 
 
 def _read_only(*arrays) -> tuple:
@@ -202,36 +210,45 @@ def _read_only(*arrays) -> tuple:
     return arrays
 
 
-def _pair_group(j, k, j_is_low) -> _PairGroup:
+def _pair_group(j, k, j_is_low, index) -> _PairGroup:
     low, high = np.where(j_is_low, j, k), np.where(j_is_low, k, j)
-    return _PairGroup(*_read_only(j, k, low, high, np.where(j_is_low, 1.0, -1.0)))
+    return _PairGroup(*_read_only(j, k, low, high, np.where(j_is_low, 1.0, -1.0), index))
 
 
 @functools.lru_cache(maxsize=64)
 def _chain_layout(n_sites: int) -> _Layout:
+    settings = tuple(settings_original(n_sites))
     j = np.arange(n_sites - 1)
     # the alternating pattern puts X on even qubits; site j is the one-hot
     # codeword with only qubit j set
+    group = _pair_group(j, j + 1, j % 2 == 0, j)
     sites, positions = _read_only(np.arange(n_sites), 1 << np.arange(n_sites))
-    return _Layout(sites, {None: _pair_group(j, j + 1, j % 2 == 0)}, positions)
+    return _Layout(settings, sites, {None: group}, positions, group.j, group.k)
 
 
 def _binary_layout(emap: EncodingMap) -> _Layout:
     j, k, axis = np.array(hypercube_edges(emap), dtype=np.int64).reshape(-1, 3).T
+    order = np.argsort(j * emap.n_sites + k, kind="stable")
+    index = np.empty_like(order)
+    index[order] = np.arange(order.size)
     positions = np.array(emap.codewords, dtype=np.int64)
     j_is_low = (positions[j] >> axis) & 1 == 0
     groups = {}
     for a in range(emap.num_qubits):
         on_axis = axis == a
-        groups[a] = _pair_group(j[on_axis], k[on_axis], j_is_low[on_axis])
-    sites, positions = _read_only(np.arange(emap.n_sites), positions)
-    return _Layout(sites, groups, positions)
+        groups[a] = _pair_group(j[on_axis], k[on_axis], j_is_low[on_axis], index[on_axis])
+    sites, positions, pair_j, pair_k = _read_only(np.arange(emap.n_sites), positions, j[order], k[order])
+    return _Layout(tuple(settings_binary(emap.num_qubits)), sites, groups, positions, pair_j, pair_k)
 
 
 def _layout(protocol: str, n_sites: int, emap: EncodingMap | None) -> _Layout:
     """The protocol's layout; the packed one is built once per encoding map."""
     if protocol == "original":
         return _chain_layout(n_sites)
+    if protocol != "binary":
+        raise ValueError(f"unknown protocol {protocol!r}")
+    if emap is None:
+        raise ValueError("binary protocol requires an encoding map")
     layout = getattr(emap, "_layout_cache", None)
     if layout is None:
         layout = _binary_layout(emap)
@@ -261,14 +278,21 @@ def _check_histogram(hist: sv.ShotHistogram, setting: MeasurementSetting):
         raise ValueError(f"histogram width {hist.num_qubits} != setting width {len(setting.bases)}")
 
 
-def _estimate_exact(alpha, setting, layout: _Layout, kind: str):
-    """Estimates read straight from the site amplitudes."""
-    n_sites = layout.sites.size
+def _site_vector(alpha, n_sites: int) -> np.ndarray:
+    """``alpha`` as complex site amplitudes; refused unless a finite array of ``n_sites``."""
     if not isinstance(alpha, np.ndarray):
         raise TypeError(f"unsupported source type {type(alpha).__name__}")
     alpha = np.asarray(alpha, dtype=complex)
     if alpha.size != n_sites:
         raise ValueError(f"site vector length {alpha.size} != {n_sites} sites")
+    if not np.isfinite(alpha).all():
+        raise ValueError("site vector has non-finite entries")
+    return alpha
+
+
+def _estimate_exact(alpha, setting, layout: _Layout, kind: str):
+    """Estimates read straight from the site amplitudes."""
+    alpha = _site_vector(alpha, layout.sites.size)
     if kind == "prob":
         probs = np.abs(alpha) ** 2
         extras = None
@@ -317,19 +341,10 @@ def estimate_setting(source, setting: MeasurementSetting, emap: EncodingMap | No
     recorded for this setting.  Binary-protocol settings need the encoding
     map.
     """
-    if setting.protocol == "original":
-        n_sites = len(setting.bases)
-    elif setting.protocol == "binary":
-        if emap is None:
-            raise ValueError("binary-protocol estimation requires an encoding map")
-        if len(setting.bases) != emap.num_qubits:
-            raise ValueError(
-                f"setting width {len(setting.bases)} != register width {emap.num_qubits}"
-            )
-        n_sites = emap.n_sites
-    else:
-        raise ValueError(f"unknown protocol {setting.protocol!r}")
-    layout = _layout(setting.protocol, n_sites, emap)
+    width = len(setting.bases)
+    layout = _layout(setting.protocol, width, emap)
+    if width != len(layout.settings[0].bases):
+        raise ValueError(f"setting width {width} != register width {len(layout.settings[0].bases)}")
     if isinstance(source, sv.ShotHistogram):
         _check_histogram(source, setting)
         return _estimate_histogram(source, setting, layout, _kind(setting))
@@ -341,72 +356,6 @@ def pick_epsilon(shots: int | None) -> float:
     if shots is None:
         return EXACT_EPSILON
     return max(1e-6, 3.0 / np.sqrt(shots))
-
-
-def _estimate_name(kind: str, j, k) -> str:
-    return f"{kind}:{j}" if kind == "prob" else f"{kind}:{j}:{k}"
-
-
-def _keyed(parts: list, kind: str, n_sites: int) -> tuple:
-    """One kind's estimates as ``(key, j, k, value)`` in ascending key order.
-
-    The key is the site of a probability and ``j * n_sites + k`` of a pair;
-    a repeated key is refused.
-    """
-    if len(parts) == 1:
-        j, k, value = parts[0]
-    elif parts:
-        j, k, value = (np.concatenate(column) for column in zip(*parts))
-    else:
-        j = k = np.empty(0, dtype=np.int64)
-        value = np.empty(0)
-    key = j if kind == "prob" else j * n_sites + k
-    if key.size > 1 and not (key[1:] > key[:-1]).all():
-        order = np.argsort(key, kind="stable")
-        key, j, k, value = key[order], j[order], k[order], value[order]
-        repeated = np.flatnonzero(key[1:] == key[:-1])
-        if repeated.size:
-            name = _estimate_name(kind, j[repeated[0]], k[repeated[0]])
-            raise ValueError(f"duplicate estimate key {name!r} across settings")
-    return key, j, k, value
-
-
-def merge_estimates(estimate_list, n_sites: int) -> tuple:
-    """Collect per-setting estimates into site- and pair-indexed arrays.
-
-    Returns ``(probs, pair_j, pair_k, cos, sin, shots)``: site probabilities,
-    the measured pairs in site order with their cosine and sine estimates,
-    and the smallest per-setting shot count (None in exact mode).  Refuses a
-    site out of range, an estimate given twice and a pair that has only one
-    of its cosine and sine.
-    """
-    parts = {"prob": [], "cos": [], "sin": []}
-    for se in estimate_list:
-        j = np.asarray(se.sites, dtype=np.int64)
-        k = j if se.partners is None else np.asarray(se.partners, dtype=np.int64)
-        parts[se.kind].append((j, k, np.asarray(se.values, dtype=float)))
-    ends = np.concatenate([np.empty(0, dtype=np.int64)] + [
-        end for column in parts.values() for j, k, _ in column for end in (j, k)
-    ])
-    if ends.size and (ends.min() < 0 or ends.max() >= n_sites):
-        for kind, column in parts.items():
-            for j, k, _ in column:
-                bad = np.flatnonzero((np.minimum(j, k) < 0) | (np.maximum(j, k) >= n_sites))
-                if bad.size:
-                    name = _estimate_name(kind, j[bad[0]], k[bad[0]])
-                    raise ValueError(f"estimate {name!r} out of range for {n_sites} sites")
-    prob_key, _, _, prob_value = _keyed(parts["prob"], "prob", n_sites)
-    cos_key, pair_j, pair_k, cos_value = _keyed(parts["cos"], "cos", n_sites)
-    sin_key, _, _, sin_value = _keyed(parts["sin"], "sin", n_sites)
-    if cos_key.size != sin_key.size or not (cos_key == sin_key).all():
-        lone = np.setxor1d(cos_key, sin_key)[0]
-        raise ValueError(
-            f"pair ({lone // n_sites},{lone % n_sites}) is missing a cosine or sine estimate"
-        )
-    probs = np.zeros(n_sites)
-    probs[prob_key] = prob_value
-    shots = [se.shots_used for se in estimate_list if se.shots_used is not None]
-    return probs, pair_j, pair_k, cos_value, sin_value, (min(shots) if shots else None)
 
 
 def _spanning_forest(active: list, js: list, ks: list, deltas: list, weights: list) -> tuple:
@@ -461,7 +410,7 @@ def _spanning_forest(active: list, js: list, ks: list, deltas: list, weights: li
 
 def reconstruct_profile(probs, pair_j, pair_k, cos, sin, epsilon: float | None = None,
                         shots: int | None = None):
-    """Turn merged estimates into (AmplitudeProfile, PhaseGraph).
+    """Turn site probabilities and pair estimates into (AmplitudeProfile, PhaseGraph).
 
     Magnitudes come from the site probabilities (negative estimates clamp to
     zero before the square root); relative phases from atan2 of each pair's
@@ -470,7 +419,7 @@ def reconstruct_profile(probs, pair_j, pair_k, cos, sin, epsilon: float | None =
     ``pick_epsilon(shots)``.
     """
     probs = np.asarray(probs, dtype=float)
-    j, k = np.asarray(pair_j), np.asarray(pair_k)
+    j, k = np.asarray(pair_j, dtype=np.int64), np.asarray(pair_k, dtype=np.int64)
     c, s = np.asarray(cos, dtype=float), np.asarray(sin, dtype=float)
     n_sites = probs.size
     if epsilon is None:
@@ -496,21 +445,6 @@ def reconstruct_profile(probs, pair_j, pair_k, cos, sin, epsilon: float | None =
     pgraph = PhaseGraph(n_sites, j, k, delta, np.array(weights), np.array(in_tree, dtype=bool),
                         np.array(component), n_components)
     return profile, pgraph
-
-
-@functools.lru_cache(maxsize=64)
-def _settings(protocol: str, width: int) -> tuple:
-    return tuple(settings_original(width) if protocol == "original" else settings_binary(width))
-
-
-def _settings_for(protocol: str, n_sites: int, emap: EncodingMap | None) -> tuple:
-    if protocol == "original":
-        return _settings(protocol, n_sites)
-    if protocol == "binary":
-        if emap is None:
-            raise ValueError("binary protocol requires an encoding map")
-        return _settings(protocol, emap.num_qubits)
-    raise ValueError(f"unknown protocol {protocol!r}")
 
 
 def _pairs_of(mask: np.ndarray) -> list:
@@ -549,43 +483,43 @@ def estimate_energy(
     or tuple of ints), so results do not depend on evaluation order.  Returns
     ``(energy, diagnostics)``.
     """
-    settings = _settings_for(protocol, h.n_sites, emap)
+    layout = _layout(protocol, h.n_sites, emap)
+    if layout.sites.size != h.n_sites:
+        raise ValueError(f"encoding map covers {layout.sites.size} sites, Hamiltonian has {h.n_sites}")
+    alpha = _site_vector(alpha, h.n_sites)
     if shots is not None:
-        positions = _layout(protocol, h.n_sites, emap).positions
-        state = sv.embed_sites(alpha, positions, len(settings[0].bases))
+        state = sv.embed_sites(alpha, layout.positions, len(layout.settings[0].bases))
         seed_root = list(seed) if isinstance(seed, (tuple, list)) else [seed]
 
-    results = []
-    for idx, setting in enumerate(settings):
+    probs = np.zeros(h.n_sites)
+    cos, sin = np.empty(layout.pair_j.size), np.empty(layout.pair_j.size)
+    for idx, setting in enumerate(layout.settings):
         if shots is None:
-            results.append(estimate_setting(alpha, setting, emap))
-            continue
-        rng = np.random.default_rng(np.random.SeedSequence(seed_root + [idx]))
-        hist = sv.sample_bitstrings(state, setting.bases, shots, rng, setting.label)
-        results.append(estimate_setting(hist, setting, emap))
+            est = estimate_setting(alpha, setting, emap)
+        else:
+            rng = np.random.default_rng(np.random.SeedSequence(seed_root + [idx]))
+            hist = sv.sample_bitstrings(state, setting.bases, shots, rng, setting.label)
+            est = estimate_setting(hist, setting, emap)
+        if est.kind == "prob":
+            probs[layout.sites] = est.values
+            z_extras = est.extras or {}
+        else:
+            (cos if est.kind == "cos" else sin)[layout.groups[setting.axis].index] = est.values
 
-    probs, pair_j, pair_k, cos, sin, min_shots = merge_estimates(results, h.n_sites)
-    profile, pgraph = reconstruct_profile(probs, pair_j, pair_k, cos, sin, epsilon, min_shots)
+    profile, pgraph = reconstruct_profile(probs, layout.pair_j, layout.pair_k, cos, sin, epsilon, shots)
     energy = energy_from_profile(h, profile)
     inactive_terms, unresolved = _unmeasured_terms(h, profile, pgraph)
-
-    unencoded = 0.0
-    unknown_codewords = 0
-    for se in results:
-        if se.extras:
-            unencoded = max(unencoded, se.extras.get("unencoded_mass", 0.0))
-            unknown_codewords += se.extras.get("unknown_codeword_count", 0)
     diagnostics = {
         "protocol": protocol,
-        "settings": [s.label for s in settings],
+        "settings": [s.label for s in layout.settings],
         "shots_per_setting": shots,
         "epsilon": profile.threshold,
         "inactive_sites": np.flatnonzero(~profile.active).tolist(),
         "n_components": pgraph.n_components,
         "cross_component_terms": unresolved,
         "inactive_terms": inactive_terms,
-        "unencoded_mass": unencoded,
-        "unknown_codeword_count": unknown_codewords,
+        "unencoded_mass": max(0.0, z_extras.get("unencoded_mass", 0.0)),
+        "unknown_codeword_count": z_extras.get("unknown_codeword_count", 0),
         "warnings": ["unresolved-phase"] if unresolved else [],
         "profile": profile_summary(profile),
         "phase_graph": phase_graph_summary(pgraph),

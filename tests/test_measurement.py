@@ -194,18 +194,18 @@ class TestBinaryEstimates:
         # full 8-site register: all 12 edges recover the bilinear oracle
         emap = encoding.build_map(8)
         alpha = random_site_vector(8, 90 + seed)
-        probs, pair_j, pair_k, cos, sin, shots = meas.merge_estimates(
-            [meas.estimate_setting(alpha, s, emap) for s in meas.settings_binary(3)], 8
-        )
-        edges = sorted((j, k) for j, k, _ in encoding.hypercube_edges(emap))
-        assert list(zip(pair_j.tolist(), pair_k.tolist())) == edges
-        for i, (j, k) in enumerate(edges):
+        by_label = {s.label: meas.estimate_setting(alpha, s, emap) for s in meas.settings_binary(3)}
+        for j, k, axis in encoding.hypercube_edges(emap):
             c, s = oracle(alpha, j, k)
-            assert cos[i] == pytest.approx(c, abs=1e-12)
-            assert sin[i] == pytest.approx(s, abs=1e-12)
+            assert pair_values(by_label[f"BX{axis}"])[j, k] == pytest.approx(c, abs=1e-12)
+            assert pair_values(by_label[f"BY{axis}"])[j, k] == pytest.approx(s, abs=1e-12)
+        # each axis resolves exactly its own edges
+        assert sum(len(pair_values(est)) for est in by_label.values() if est.kind == "cos") == 12
+        probs = by_label["BZ"]
+        assert probs.sites.tolist() == list(range(8))
         for j in range(8):
-            assert probs[j] == pytest.approx(oracle(alpha, j), abs=1e-12)
-        assert shots is None
+            assert probs.values[j] == pytest.approx(oracle(alpha, j), abs=1e-12)
+        assert all(est.shots_used is None for est in by_label.values())
 
     def test_partial_register_reports_unencoded_mass(self):
         emap = encoding.build_map(5)
@@ -293,29 +293,18 @@ def test_pick_epsilon():
     assert meas.pick_epsilon(10**14) == pytest.approx(1e-6)
 
 
-def prob_estimates(label, values, shots=None):
-    values = np.asarray(values, dtype=float)
-    return meas.SettingEstimates(label, "prob", np.arange(values.size), values, shots_used=shots)
-
-
-def test_merge_estimates_rejects_duplicates():
-    a = prob_estimates("MZ", [0.5])
-    b = prob_estimates("BZ", [0.6])
-    with pytest.raises(ValueError, match="duplicate"):
-        meas.merge_estimates([a, b], 1)
-
-
 class TestReconstructProfile:
     def run_exact(self, alpha, protocol="original", emap=None, epsilon=None):
+        """Reconstruct from oracle values over the protocol's pairs, in site order."""
         alpha = np.asarray(alpha, dtype=complex)
         if protocol == "original":
-            settings = meas.settings_original(alpha.size)
+            pairs = [(j, j + 1) for j in range(alpha.size - 1)]
         else:
-            settings = meas.settings_binary(emap.num_qubits)
-        probs, pair_j, pair_k, cos, sin, shots = meas.merge_estimates(
-            [meas.estimate_setting(alpha, s, emap) for s in settings], alpha.size
-        )
-        return meas.reconstruct_profile(probs, pair_j, pair_k, cos, sin, epsilon, shots)
+            pairs = sorted((j, k) for j, k, _ in encoding.hypercube_edges(emap))
+        probs = [oracle(alpha, j) for j in range(alpha.size)]
+        cos, sin = (list(column) for column in zip(*[oracle(alpha, j, k) for j, k in pairs]))
+        pair_j, pair_k = zip(*pairs)
+        return meas.reconstruct_profile(probs, list(pair_j), list(pair_k), cos, sin, epsilon)
 
     def test_single_occupied_site(self):
         alpha = np.zeros(5, dtype=complex)
@@ -361,16 +350,6 @@ class TestReconstructProfile:
         profile, _ = meas.reconstruct_profile([-0.001, 1.0], [0], [1], [0.0], [0.0], shots=100)
         assert profile.magnitudes[0] == 0.0
 
-    def test_missing_sine_estimate_fails(self):
-        cos = meas.SettingEstimates("MXX", "cos", np.array([0]), np.array([1.0]), np.array([1]))
-        with pytest.raises(ValueError, match="missing"):
-            meas.merge_estimates([prob_estimates("MZ", [0.5, 0.5]), cos], 2)
-
-    def test_out_of_range_site_fails(self):
-        est = meas.SettingEstimates("MZ", "prob", np.array([3]), np.array([0.5]))
-        with pytest.raises(ValueError, match="range"):
-            meas.merge_estimates([est], 2)
-
     def test_cycle_consistency(self):
         # redundant edges not used by the spanning tree still close: the
         # reconstructed phases reproduce every measured delta
@@ -399,10 +378,7 @@ class TestReconstructProfile:
         assert list(tight.active) == [True, False, False]
 
     def test_shot_mode_epsilon_comes_from_shots(self):
-        probs, pair_j, pair_k, cos, sin, shots = meas.merge_estimates(
-            [prob_estimates("MZ", [1.0], shots=10_000)], 1
-        )
-        profile, _ = meas.reconstruct_profile(probs, pair_j, pair_k, cos, sin, shots=shots)
+        profile, _ = meas.reconstruct_profile([1.0], [], [], [], [], shots=10_000)
         assert profile.threshold == pytest.approx(0.03)
 
 

@@ -191,3 +191,26 @@ def test_packed_histogram_estimates_equal_bitstring_sums(data, choose):
             want[j, k] = raw
         got = dict(zip(zip(est.sites.tolist(), est.partners.tolist()), est.values.tolist()))
         assert got == want
+
+
+@PROPERTY_SETTINGS
+@given(
+    n=st.integers(1, 40),
+    seed=st.integers(0, 2**32 - 1),
+    protocol=st.sampled_from(["original", "binary"]),
+    mode=st.sampled_from(["shifted", "plain"]),
+)
+def test_phase_graph_lists_each_measured_pair_once_in_site_order(n, seed, protocol, mode):
+    rng = np.random.default_rng(seed)
+    alpha = rng.normal(size=n) + 1j * rng.normal(size=n)
+    alpha /= np.linalg.norm(alpha)
+    h = sparse_hermitian(n, 0.5, rng)
+    emap = encoding.build_map(n, mode) if protocol == "binary" else None
+
+    _, diag = meas.estimate_energy(h, alpha, protocol, emap=emap)
+
+    assert all(diag["profile"]["active"])
+    listed = [(j, k) for j, k, _, _ in diag["phase_graph"]["edges"]]
+    assert listed == sorted(measured_pairs(protocol, n, emap))
+    assert len(set(listed)) == len(listed)
+    assert all(j < k for j, k in listed)
