@@ -1,9 +1,10 @@
 """Command-line front end: gen, solve, reconstruct, resources.
 
 Exit codes: 0 success, 1 usage or input error, 2 solve finished without
-convergence.  Every command that writes a primary output also writes a run
-manifest next to it (``<output>.manifest.json``) recording the argv, the
-package version and the produced files, so a run can be re-issued verbatim.
+convergence or on a non-physical best state.  Every command that writes a
+primary output also writes a run manifest next to it
+(``<output>.manifest.json``) recording the argv, the package version and the
+produced files, so a run can be re-issued verbatim.
 
 Default output locations honor the SESVQE_OUTPUT_DIR environment variable;
 explicit ``--out`` paths are used as given.
@@ -245,6 +246,8 @@ def cmd_solve(args, argv) -> int:
         _write_trace_csv(trace_path, result.trace)
         outputs.append(trace_path)
     manifest = _write_manifest(out, argv, outputs)
+    for warning in result.diagnostics["warnings"]:
+        print(f"warning: {warning}", file=sys.stderr)
     print(
         f"{result.status}: best {result.best_energy:.12g}"
         f" exact {result.exact_ground:.12g}"
@@ -256,6 +259,10 @@ def cmd_solve(args, argv) -> int:
     return 0 if result.status == "converged" else 2
 
 
+def _is_real(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _load_site_vector(args) -> tuple:
     """Site amplitudes plus a label describing where they came from."""
     if args.params:
@@ -264,6 +271,8 @@ def _load_site_vector(args) -> tuple:
         ansatz = _config_get(doc, "ansatz", "one_hot_ses")
         pairs = np.asarray(_config_get(doc, "pairs", required=True), dtype=float)
         n_sites = _config_get(doc, "n_sites", required=True)
+        if isinstance(n_sites, bool) or not isinstance(n_sites, int) or n_sites < 1:
+            raise ConfigError(f"params key 'n_sites': expected a positive integer, got {n_sites!r}")
         if ansatz not in ("one_hot_ses", "binary_ses"):
             raise ConfigError(f"params key 'ansatz': unknown value {ansatz!r}")
         # both registers hold the same site amplitudes (criterion 3)
@@ -271,6 +280,11 @@ def _load_site_vector(args) -> tuple:
     with open(args.amplitudes) as fh:
         doc = json.load(fh)
     raw = _config_get(doc, "amplitudes", required=True)
+    if not isinstance(raw, list) or not all(
+        isinstance(entry, list) and len(entry) == 2 and all(_is_real(x) for x in entry)
+        for entry in raw
+    ):
+        raise ConfigError("amplitudes must be a list of [re, im] pairs of real numbers")
     alpha = np.array([complex(re, im) for re, im in raw])
     if not np.all(np.isfinite(alpha)):
         raise ConfigError("amplitudes must be finite")

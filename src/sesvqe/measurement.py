@@ -23,6 +23,7 @@ component.
 from __future__ import annotations
 
 import functools
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -343,12 +344,21 @@ def estimate_setting(source, setting: MeasurementSetting, emap: EncodingMap | No
     """
     width = len(setting.bases)
     layout = _layout(setting.protocol, width, emap)
-    if width != len(layout.settings[0].bases):
-        raise ValueError(f"setting width {width} != register width {len(layout.settings[0].bases)}")
+    register = len(layout.settings[0].bases)
+    if width != register:
+        raise ValueError(f"setting width {width} != register width {register}")
     if isinstance(source, sv.ShotHistogram):
         _check_histogram(source, setting)
         return _estimate_histogram(source, setting, layout, _kind(setting))
     return _estimate_exact(source, setting, layout, _kind(setting))
+
+
+def check_epsilon(epsilon) -> None:
+    """Refuse an activity threshold that is not a finite number >= 0; None means the default."""
+    if epsilon is None:
+        return
+    if isinstance(epsilon, bool) or not isinstance(epsilon, numbers.Real) or not 0 <= epsilon < np.inf:
+        raise ValueError(f"epsilon must be a finite number >= 0, got {epsilon!r}")
 
 
 def pick_epsilon(shots: int | None) -> float:
@@ -415,13 +425,14 @@ def reconstruct_profile(probs, pair_j, pair_k, cos, sin, epsilon: float | None =
     Magnitudes come from the site probabilities (negative estimates clamp to
     zero before the square root); relative phases from atan2 of each pair's
     sine/cosine estimates, spread from each component's lowest active site
-    over a maximum-weight spanning forest.  ``epsilon`` defaults to
-    ``pick_epsilon(shots)``.
+    over a maximum-weight spanning forest.  ``epsilon`` must be a finite
+    number >= 0 and defaults to ``pick_epsilon(shots)``.
     """
     probs = np.asarray(probs, dtype=float)
     j, k = np.asarray(pair_j, dtype=np.int64), np.asarray(pair_k, dtype=np.int64)
     c, s = np.asarray(cos, dtype=float), np.asarray(sin, dtype=float)
     n_sites = probs.size
+    check_epsilon(epsilon)
     if epsilon is None:
         epsilon = pick_epsilon(shots)
     magnitudes = np.sqrt(np.clip(probs, 0.0, None))

@@ -36,7 +36,6 @@ from .statevector import MAX_SIM_WIDTH
 
 ANSATZE = ("one_hot_ses", "binary_ses", "hardware_efficient")
 PROTOCOLS = ("original", "binary", "exact_operator")
-OPTIMIZERS = ("simplex", "spsa")
 
 # protocol families each ansatz's register supports
 _COMPATIBLE = {
@@ -48,15 +47,28 @@ _COMPATIBLE = {
 PLATEAU_TOL = 1e-9
 PLATEAU_WINDOW_PER_DIM = 50
 
-# block-sweep simplex defaults, tuned on disordered chains up to 16 sites
-_BLOCK = 8
-_VISIT_CAP = 100
-_SPREAD = 0.8
-_SHRINK = 0.63
+# a best state with less weight on the physical sites is reported non_physical;
+# converged default-penalty runs reach 0.9998-0.999999 on chains of 3-6 sites
+MIN_PHYSICAL_WEIGHT = 0.99
+
+# every option each optimizer takes, with its default; the block-sweep simplex
+# defaults are tuned on disordered chains up to 16 sites, and SPSA's
+# "stability" of None means max(1, 0.1 * iterations)
+OPTIMIZER_OPTIONS = {
+    "simplex": {
+        "block": 8,
+        "visit_cap": 100,
+        "spread": 0.8,
+        "shrink": 0.63,
+        "max_sweeps": 16,
+        "kicks": (0.8, 0.5, 0.3),
+        "crawl_fraction": 0.005,
+    },
+    "spsa": {"a": 0.2, "c": 0.1, "alpha": 0.602, "gamma": 0.101, "stability": None},
+}
+OPTIMIZERS = tuple(OPTIMIZER_OPTIONS)
+
 _MIN_SPREAD = 5e-4
-_MAX_SWEEPS = 16
-_KICKS = (0.8, 0.5, 0.3)
-_CRAWL_FRACTION = 0.005
 _SWEEP_STALL = 1e-10
 
 
@@ -94,12 +106,19 @@ class VqeConfig:
                 raise ValueError("the simplex optimizer requires exact mode; use spsa")
         if self.optimizer not in OPTIMIZERS:
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
+        known = OPTIMIZER_OPTIONS[self.optimizer]
+        unknown = sorted(set(self.optimizer_options) - set(known))
+        if unknown:
+            raise ValueError(
+                f"unknown {self.optimizer} option(s) {unknown}; known: {sorted(known)}"
+            )
         if self.max_evaluations < 1:
             raise ValueError("max_evaluations must be >= 1")
         if self.penalty is not None and self.ansatz != "hardware_efficient":
             raise ValueError("penalty extension only applies to hardware_efficient")
         if self.layers < 1:
             raise ValueError("layers must be >= 1")
+        measurement.check_epsilon(self.epsilon)
 
 
 @dataclass(frozen=True)
@@ -259,6 +278,10 @@ def _initial_point(config: VqeConfig, dim: int, restart: int) -> tuple:
     return np.pi - rng.uniform(0.0, 2.0 * np.pi, size=dim), rng
 
 
+def _options(config: VqeConfig) -> dict:
+    return {**OPTIMIZER_OPTIONS[config.optimizer], **config.optimizer_options}
+
+
 def _run_simplex(tracker: _Tracker, x0: np.ndarray, rng: np.random.Generator, opts: dict):
     """Block-coordinate Nelder-Mead sweeps with a shrinking spread schedule.
 
@@ -273,13 +296,13 @@ def _run_simplex(tracker: _Tracker, x0: np.ndarray, rng: np.random.Generator, op
     the caller then starts the next restart.
     """
     dim = x0.size
-    block = int(opts.get("block", _BLOCK))
-    cap = int(opts.get("visit_cap", _VISIT_CAP))
-    spread0 = float(opts.get("spread", _SPREAD))
-    shrink = float(opts.get("shrink", _SHRINK))
-    max_sweeps = int(opts.get("max_sweeps", _MAX_SWEEPS))
-    kicks = tuple(opts.get("kicks", _KICKS))
-    crawl_fraction = float(opts.get("crawl_fraction", _CRAWL_FRACTION))
+    block = int(opts["block"])
+    cap = int(opts["visit_cap"])
+    spread0 = float(opts["spread"])
+    shrink = float(opts["shrink"])
+    max_sweeps = int(opts["max_sweeps"])
+    kicks = tuple(opts["kicks"])
+    crawl_fraction = float(opts["crawl_fraction"])
     blocks = [list(range(lo, min(lo + block, dim))) for lo in range(0, dim, block)]
 
     incumbent = np.array(x0, dtype=float, copy=True)
@@ -352,13 +375,14 @@ def _run_simplex(tracker: _Tracker, x0: np.ndarray, rng: np.random.Generator, op
 
 
 def _run_spsa(tracker: _Tracker, x0: np.ndarray, config: VqeConfig, restart: int):
-    opts = config.optimizer_options
-    a = float(opts.get("a", 0.2))
-    c = float(opts.get("c", 0.1))
-    alpha = float(opts.get("alpha", 0.602))
-    gamma = float(opts.get("gamma", 0.101))
+    opts = _options(config)
+    a = float(opts["a"])
+    c = float(opts["c"])
+    alpha = float(opts["alpha"])
+    gamma = float(opts["gamma"])
     iterations = max(1, (tracker.budget - tracker.evals) // 2)
-    stability = float(opts.get("stability", max(1.0, 0.1 * iterations)))
+    stability = opts["stability"]
+    stability = max(1.0, 0.1 * iterations) if stability is None else float(stability)
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, 2, restart]))
     theta = np.array(x0, dtype=float, copy=True)
     for k in range(iterations):
@@ -375,7 +399,10 @@ def optimize(config: VqeConfig) -> VqeResult:
     """Minimize the configured cost; restarts until plateau or budget.
 
     Status is ``converged`` when the plateau rule fires and ``non_converged``
-    when the evaluation budget runs out first.
+    when the evaluation budget runs out first.  Whatever stopped the run, it
+    is ``non_physical`` when less than MIN_PHYSICAL_WEIGHT of the best state
+    lies on the physical sites; ``diagnostics["warnings"]`` then holds
+    ``"non-physical-state"``.
     """
     plan = prepare(config)
     tracker = _Tracker(plan, config.max_evaluations, PLATEAU_WINDOW_PER_DIM * plan.dim)
@@ -387,7 +414,7 @@ def optimize(config: VqeConfig) -> VqeResult:
             x0, rng = _initial_point(config, plan.dim, restarts_started)
             restarts_started += 1
             if config.optimizer == "simplex":
-                _run_simplex(tracker, x0, rng, config.optimizer_options)
+                _run_simplex(tracker, x0, rng, _options(config))
             else:
                 _run_spsa(tracker, x0, config, restarts_started - 1)
             if tracker.evals >= tracker.budget:
@@ -404,6 +431,10 @@ def optimize(config: VqeConfig) -> VqeResult:
     rel = abs(tracker.best - plan.exact_ground) / max(abs(plan.exact_ground), 1e-12)
     diagnostics = final_report(plan, best_params)
     diagnostics["plateau_window"] = tracker.window
+    diagnostics["warnings"] = []
+    if diagnostics.get("physical_weight", 1.0) < MIN_PHYSICAL_WEIGHT:
+        status = "non_physical"
+        diagnostics["warnings"].append("non-physical-state")
     return VqeResult(
         best_params=best_params,
         best_energy=tracker.best,

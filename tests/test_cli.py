@@ -4,6 +4,7 @@ import csv
 import json
 import shutil
 import subprocess
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -251,7 +252,77 @@ class TestSolve:
         assert rc == 0
 
 
+    @pytest.mark.parametrize(
+        "optimizer",
+        [{"name": "simplex", "visit_capp": 3}, {"name": "simplex", "a": 0.3}],
+    )
+    def test_unknown_optimizer_option_rejected(self, tmp_path, capsys, optimizer):
+        cfg = self.make_config(tmp_path, name="opts.json", optimizer=optimizer)
+        rc = cli.main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o.json")])
+        assert rc == 1
+        assert "config error: unknown simplex option" in capsys.readouterr().err
+        assert not (tmp_path / "o.json").exists()
+
+    @pytest.mark.parametrize("epsilon", ["x", -1.0, float("nan"), float("inf")])
+    def test_bad_epsilon_rejected(self, tmp_path, capsys, epsilon):
+        cfg = self.make_config(tmp_path, name="eps.json", protocol="original", epsilon=epsilon)
+        rc = cli.main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o.json")])
+        assert rc == 1
+        assert "config error: epsilon must be a finite number" in capsys.readouterr().err
+
+    def test_non_physical_best_state_exits_2_with_a_warning(self, tmp_path, capsys, lifted_chain):
+        ham.save_hamiltonian(lifted_chain, tmp_path / "lifted.json")
+        cfg = tmp_path / "low-penalty.json"
+        cfg.write_text(json.dumps({
+            "hamiltonian": "lifted.json", "ansatz": "hardware_efficient", "penalty": {"c_p": 10}, "seed": 0,
+        }))
+        out = tmp_path / "report.json"
+        rc = cli.main(["solve", "--config", str(cfg), "--out", str(out)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "warning: non-physical-state" in captured.err
+        assert captured.out.startswith("non_physical:")
+        report = read_json(out)
+        assert report["status"] == "non_physical"
+        assert report["diagnostics"]["warnings"] == ["non-physical-state"]
+        assert report["diagnostics"]["physical_weight"] < 0.99
+
+
+EXAMPLES = Path(__file__).resolve().parent.parent / "docs" / "examples"
+
+
 class TestReconstruct:
+    @pytest.mark.parametrize("epsilon", ["nan", "inf"])
+    def test_non_finite_epsilon_rejected(self, tmp_path, capsys, epsilon):
+        out = tmp_path / "rec.json"
+        rc = cli.main([
+            "reconstruct", "--hamiltonian", str(EXAMPLES / "hamiltonian.json"),
+            "--protocol", "original", "--params", str(EXAMPLES / "params.json"),
+            f"--epsilon={epsilon}", "--out", str(out),
+        ])
+        assert rc == 1
+        assert "epsilon must be a finite number >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "route,doc",
+        [
+            ("params", {"ansatz": "one_hot_ses", "n_sites": "4", "pairs": [0.1] * 6}),
+            ("params", {"ansatz": "one_hot_ses", "n_sites": 0, "pairs": []}),
+            ("amplitudes", {"amplitudes": [1, 0, 0, 0]}),
+            ("amplitudes", {"amplitudes": [["1", "0"], ["0", "0"], ["0", "0"], ["0", "0"]]}),
+            ("amplitudes", {"amplitudes": [[1, 0, 0], [0, 0], [0, 0], [0, 0]]}),
+        ],
+    )
+    def test_malformed_state_file_is_a_config_error(self, tmp_path, capsys, route, doc):
+        ham_path = tmp_path / "h4.json"
+        ham.save_hamiltonian(ham.chain_instance(4), ham_path)
+        state_path = tmp_path / "state.json"
+        state_path.write_text(json.dumps(doc))
+        argv = ["reconstruct", "--hamiltonian", str(ham_path), "--protocol", "original"]
+        assert cli.main(argv + [f"--{route}", str(state_path)]) == 1
+        assert "config error" in capsys.readouterr().err
+
     def test_amplitude_route_single_site(self, tmp_path, capsys):
         ham_path = tmp_path / "h3.json"
         h = ham.random_hermitian_instance(3, seed=2)

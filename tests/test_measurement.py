@@ -381,6 +381,15 @@ class TestReconstructProfile:
         profile, _ = meas.reconstruct_profile([1.0], [], [], [], [], shots=10_000)
         assert profile.threshold == pytest.approx(0.03)
 
+    @pytest.mark.parametrize("epsilon", [float("nan"), float("inf"), -1e-3, "0.1", True])
+    def test_epsilon_must_be_a_finite_number_at_least_zero(self, epsilon):
+        with pytest.raises(ValueError, match="epsilon must be a finite number >= 0"):
+            meas.reconstruct_profile([1.0], [], [], [], [], epsilon=epsilon)
+
+    def test_zero_epsilon_is_accepted(self):
+        profile, _ = meas.reconstruct_profile([0.0, 1.0], [0], [1], [0.0], [0.0], epsilon=0)
+        assert profile.active.tolist() == [False, True]
+
 
 class TestEstimateEnergy:
     def test_single_site(self):
@@ -483,6 +492,37 @@ class TestEstimateEnergy:
         assert diag["protocol"] == "binary"
         assert len(diag["settings"]) == 5
         assert diag["profile"]["n_sites"] == 4
+
+    @pytest.mark.parametrize("shots", [None, 100])
+    @pytest.mark.parametrize(
+        "case,error,match",
+        [
+            ("list", TypeError, "unsupported source type list"),
+            ("short", ValueError, "site vector length 3 != 4 sites"),
+            ("nan", ValueError, "non-finite"),
+            ("inf", ValueError, "non-finite"),
+            ("map", ValueError, "encoding map covers 5 sites, Hamiltonian has 4"),
+        ],
+    )
+    def test_site_vector_refused_before_any_setting_runs(self, monkeypatch, shots, case, error, match):
+        def not_reached(*args, **kwargs):
+            raise AssertionError("a setting ran or a register was embedded before the check")
+
+        monkeypatch.setattr(meas, "estimate_setting", not_reached)
+        monkeypatch.setattr(meas.sv, "embed_sites", not_reached)
+        h = ham.chain_instance(4)
+        alpha = random_site_vector(4, 6)
+        protocol, emap = "original", None
+        if case == "list":
+            alpha = alpha.tolist()
+        elif case == "short":
+            alpha = alpha[:3]
+        elif case in ("nan", "inf"):
+            alpha[2] = float(case)
+        else:
+            protocol, emap = "binary", encoding.build_map(5)
+        with pytest.raises(error, match=match):
+            meas.estimate_energy(h, alpha, protocol, shots=shots, emap=emap)
 
     def test_unknown_protocol(self):
         h = ham.chain_instance(2)

@@ -65,6 +65,27 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="layers"):
             vqe.VqeConfig(self.h, ansatz="hardware_efficient", protocol="binary", layers=0)
 
+    @pytest.mark.parametrize("epsilon", [float("nan"), float("inf"), -0.5, "x"])
+    def test_epsilon_must_be_a_finite_number_at_least_zero(self, epsilon):
+        with pytest.raises(ValueError, match="epsilon"):
+            vqe.VqeConfig(self.h, protocol="original", epsilon=epsilon)
+
+    @pytest.mark.parametrize(
+        "optimizer,options",
+        [("simplex", {"visit_capp": 3}), ("simplex", {"a": 0.3}), ("spsa", {"block": 4})],
+    )
+    def test_unknown_optimizer_options_refused(self, optimizer, options):
+        with pytest.raises(ValueError, match=f"unknown {optimizer} option"):
+            vqe.VqeConfig(self.h, optimizer=optimizer, optimizer_options=options)
+
+    @pytest.mark.parametrize("optimizer", vqe.OPTIMIZERS)
+    def test_option_table_holds_the_defaults(self, optimizer):
+        def trace(options):
+            cfg = vqe.VqeConfig(self.h, optimizer=optimizer, max_evaluations=150, optimizer_options=options)
+            return vqe.optimize(cfg).trace
+
+        assert trace(dict(vqe.OPTIMIZER_OPTIONS[optimizer])) == trace({})
+
     def test_penalty_requires_hardware_efficient(self):
         pen = ham.PenaltyConfig(50.0, 2)
         with pytest.raises(ValueError, match="penalty"):
@@ -393,6 +414,8 @@ class TestOptimize:
         assert res.exact_ground == pytest.approx(ham.ground_energy(h), abs=1e-12)
         assert res.diagnostics["physical_weight"] > 0.99
         assert res.relative_error < 1e-3
+        assert res.status == "converged"
+        assert res.diagnostics["warnings"] == []
 
     def test_relative_error_is_against_the_input_hamiltonian(self, lifted_chain):
         h = lifted_chain
@@ -400,6 +423,10 @@ class TestOptimize:
         res = vqe.optimize(vqe.VqeConfig(h, ansatz="hardware_efficient", seed=0, penalty=low))
         assert res.exact_ground == pytest.approx(ham.ground_energy(h), abs=1e-12)
         assert res.relative_error > 0.5
+        # the penalty sits below the spectrum, so the best state is non-physical
+        assert res.diagnostics["physical_weight"] < vqe.MIN_PHYSICAL_WEIGHT
+        assert res.status == "non_physical"
+        assert res.diagnostics["warnings"] == ["non-physical-state"]
 
     def test_initial_points_cover_the_angle_box(self):
         cfg = vqe.VqeConfig(ham.chain_instance(3), seed=0)
