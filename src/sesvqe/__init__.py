@@ -29,7 +29,6 @@ from .encoding import (
     register_width,
 )
 from .hamiltonian import (
-    PauliTermList,
     PenaltyConfig,
     SiteHamiltonian,
     chain_instance,
@@ -39,7 +38,6 @@ from .hamiltonian import (
     extend_with_penalty,
     ground_energy,
     load_hamiltonian,
-    pauli_decompose,
     random_hermitian_instance,
     save_hamiltonian,
 )
@@ -55,7 +53,7 @@ from .measurement import (
     settings_original,
 )
 from .resources import asymptotic_rows, constants_free_ratios, volume_ratios, volumetric_cost
-from .statevector import PauliString, ShotHistogram, StateVector
+from .statevector import ShotHistogram, StateVector
 from .vqe import RunPlan, VqeConfig, VqeResult, evaluate_cost, optimize, prepare
 
 __version__ = "0.1.0"
@@ -66,8 +64,6 @@ __all__ = [
     "EncodingMap",
     "GateOp",
     "MeasurementSetting",
-    "PauliString",
-    "PauliTermList",
     "PenaltyConfig",
     "PhaseGraph",
     "RunPlan",
@@ -102,7 +98,6 @@ __all__ = [
     "import_circuit",
     "load_hamiltonian",
     "optimize",
-    "pauli_decompose",
     "prepare",
     "random_hermitian_instance",
     "reconstruct_profile",

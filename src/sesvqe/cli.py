@@ -269,14 +269,16 @@ def _load_site_vector(args) -> tuple:
         with open(args.params) as fh:
             doc = json.load(fh)
         ansatz = _config_get(doc, "ansatz", "one_hot_ses")
-        pairs = np.asarray(_config_get(doc, "pairs", required=True), dtype=float)
+        pairs = np.asarray(_config_get(doc, "pairs", required=True), dtype=object)
+        if not all(_is_real(x) for x in pairs.flat):
+            raise ConfigError("params key 'pairs': expected real numbers")
         n_sites = _config_get(doc, "n_sites", required=True)
         if isinstance(n_sites, bool) or not isinstance(n_sites, int) or n_sites < 1:
             raise ConfigError(f"params key 'n_sites': expected a positive integer, got {n_sites!r}")
         if ansatz not in ("one_hot_ses", "binary_ses"):
             raise ConfigError(f"params key 'ansatz': unknown value {ansatz!r}")
         # both registers hold the same site amplitudes (criterion 3)
-        return circuits.ses_site_amplitudes(n_sites, pairs), f"params:{ansatz}"
+        return circuits.ses_site_amplitudes(n_sites, pairs.astype(float)), f"params:{ansatz}"
     with open(args.amplitudes) as fh:
         doc = json.load(fh)
     raw = _config_get(doc, "amplitudes", required=True)

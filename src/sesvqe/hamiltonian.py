@@ -1,9 +1,10 @@
-"""Site-space Hamiltonians: validation, spectra, qubit operators, file I/O.
+"""Site-space Hamiltonians: validation, spectra, penalty extension, the
+profile energy functional, instance families and file I/O.
 
-A SiteHamiltonian is an N x N Hermitian matrix over lattice sites.  Two qubit
-realizations are supported: the one-hot register of N qubits (through the
-Pauli decomposition below) and packed binary registers (see encoding and
-measurement modules).
+A SiteHamiltonian is an N x N Hermitian matrix over lattice sites.  It is
+never expanded into a qubit operator: every cost route evaluates it on a site
+vector, either directly or through a reconstructed amplitude profile (see the
+measurement module for the one-hot and packed binary registers).
 """
 
 from __future__ import annotations
@@ -12,8 +13,6 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from .statevector import PauliString
 
 _HERM_TOL = 1e-12
 _SPECTRUM_BUDGET = 4096
@@ -52,23 +51,6 @@ class SiteHamiltonian:
 
 
 @dataclass(frozen=True)
-class PauliTermList:
-    """Weighted Pauli strings plus an identity offset over a fixed width."""
-
-    num_qubits: int
-    terms: tuple
-    constant_offset: float
-
-    def dense(self) -> np.ndarray:
-        """Full 2^N x 2^N operator; test-scale widths only."""
-        dim = 2**self.num_qubits
-        mat = self.constant_offset * np.eye(dim, dtype=complex)
-        for term in self.terms:
-            mat += term.dense()
-        return mat
-
-
-@dataclass(frozen=True)
 class PenaltyConfig:
     """Energy ``c_p`` assigned to every non-physical codeword of an n-qubit register."""
 
@@ -95,33 +77,6 @@ class PenaltyConfig:
         if not c_p > eigs[-1]:
             c_p = float(eigs[-1]) + max(spread, 1.0)
         return PenaltyConfig(c_p, num_qubits)
-
-
-def pauli_decompose(h: SiteHamiltonian) -> PauliTermList:
-    """One-hot register operator equal to ``h`` on the single-excitation sector.
-
-    Diagonal h_kk becomes h_kk (1 - Z_k)/2; a hopping h_jk (j < k) becomes
-    Re(h_jk)/2 (X_j X_k + Y_j Y_k) + Im(h_jk)/2 (Y_j X_k - X_j Y_k).
-    """
-    n = h.n_sites
-    terms = []
-    offset = 0.0
-    for k in range(n):
-        val = h.matrix[k, k].real
-        if val != 0.0:
-            offset += val / 2.0
-            terms.append(PauliString.single(n, k, "Z", -val / 2.0))
-    for j in range(n):
-        for k in range(j + 1, n):
-            re = h.matrix[j, k].real
-            im = h.matrix[j, k].imag
-            if re != 0.0:
-                terms.append(PauliString.pair(n, j, "X", k, "X", re / 2.0))
-                terms.append(PauliString.pair(n, j, "Y", k, "Y", re / 2.0))
-            if im != 0.0:
-                terms.append(PauliString.pair(n, j, "Y", k, "X", im / 2.0))
-                terms.append(PauliString.pair(n, j, "X", k, "Y", -im / 2.0))
-    return PauliTermList(n, tuple(terms), offset)
 
 
 def extend_with_penalty(h: SiteHamiltonian, penalty: PenaltyConfig) -> SiteHamiltonian:
@@ -227,12 +182,6 @@ def complex_ring_instance(
         mat[j, k] += np.conj(val)
     return SiteHamiltonian(n_sites, mat)
 
-
-FAMILIES = {
-    "chain": chain_instance,
-    "random_hermitian": random_hermitian_instance,
-    "complex_ring": complex_ring_instance,
-}
 
 FORMAT_TAG = "sesvqe-hamiltonian/1"
 

@@ -93,17 +93,6 @@ class AmplitudeProfile:
         if norm_sq > 1.0 + 1e-6:
             raise ValueError(f"profile is super-normalized: sum r^2 = {norm_sq!r}")
 
-    def phase(self, site: int) -> float:
-        if not self.active[site]:
-            raise ValueError(
-                f"phase of site {site} is undefined: magnitude {self.magnitudes[site]!r}"
-                f" is below threshold {self.threshold!r}"
-            )
-        return float(self.phases[site])
-
-    def phase_difference(self, j: int, k: int) -> float:
-        return self.phase(k) - self.phase(j)
-
     def site_amplitudes(self) -> np.ndarray:
         """Complex site vector with zero phase on inactive sites."""
         theta = np.where(self.active, np.nan_to_num(self.phases), 0.0)
@@ -498,6 +487,7 @@ def estimate_energy(
     if layout.sites.size != h.n_sites:
         raise ValueError(f"encoding map covers {layout.sites.size} sites, Hamiltonian has {h.n_sites}")
     alpha = _site_vector(alpha, h.n_sites)
+    check_epsilon(epsilon)
     if shots is not None:
         state = sv.embed_sites(alpha, layout.positions, len(layout.settings[0].bases))
         seed_root = list(seed) if isinstance(seed, (tuple, list)) else [seed]

@@ -1,5 +1,5 @@
 """Dense register states with a little-endian qubit convention: state
-vectors, Pauli expectations, basis rotations and shot sampling.
+vectors, site embedding, basis rotations and shot sampling.
 
 Basis state ``|i>`` assigns qubit ``k`` the bit ``(i >> k) & 1``, so qubit 0 is
 the least significant bit of the amplitude index.  All exported operations
@@ -14,21 +14,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 _NORM_TOL = 1e-10
-_HERM_IM_TOL = 1e-12
 MAX_SIM_WIDTH = 22  # widest dense register a run may allocate
 
-I2 = np.eye(2, dtype=complex)
-X = np.array([[0, 1], [1, 0]], dtype=complex)
-Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-Z = np.array([[1, 0], [0, -1]], dtype=complex)
 H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
 SDG = np.array([[1, 0], [0, -1j]], dtype=complex)
 
 # Basis-change operator for measuring Y: apply S-dagger, then Hadamard.  Maps
 # the +1 eigenstate (|0> + i|1>)/sqrt(2) to |0>.
 Y_BASIS_CHANGE = H @ SDG
-
-_PAULI_1Q = {"I": I2, "X": X, "Y": Y, "Z": Z}
 
 
 def ry(theta: float) -> np.ndarray:
@@ -64,54 +57,6 @@ class StateVector:
         if not abs(norm - 1.0) <= _NORM_TOL:
             raise ValueError(f"state is not normalized: sum |amp|^2 = {norm!r}")
         object.__setattr__(self, "amplitudes", amps)
-
-    @property
-    def dim(self) -> int:
-        return 2**self.num_qubits
-
-
-@dataclass(frozen=True)
-class PauliString:
-    """Tensor product of single-qubit Paulis with a real coefficient.
-
-    ``ops[k]`` is the letter (I, X, Y or Z) acting on qubit ``k``.
-    """
-
-    ops: str
-    coefficient: float = 1.0
-
-    def __post_init__(self):
-        bad = set(self.ops) - set("IXYZ")
-        if bad:
-            raise ValueError(f"unknown Pauli letters {sorted(bad)} in {self.ops!r}")
-
-    @property
-    def num_qubits(self) -> int:
-        return len(self.ops)
-
-    @staticmethod
-    def single(num_qubits: int, qubit: int, letter: str, coeff: float = 1.0) -> "PauliString":
-        ops = ["I"] * num_qubits
-        ops[qubit] = letter
-        return PauliString("".join(ops), coeff)
-
-    @staticmethod
-    def pair(
-        num_qubits: int, qa: int, la: str, qb: int, lb: str, coeff: float = 1.0
-    ) -> "PauliString":
-        ops = ["I"] * num_qubits
-        ops[qa] = la
-        ops[qb] = lb
-        return PauliString("".join(ops), coeff)
-
-    def dense(self) -> np.ndarray:
-        """Kronecker expansion (most significant qubit first); test-scale only."""
-        if self.num_qubits > 12:
-            raise ValueError("dense Pauli expansion is limited to 12 qubits")
-        mat = np.array([[self.coefficient]], dtype=complex)
-        for q in reversed(range(self.num_qubits)):
-            mat = np.kron(mat, _PAULI_1Q[self.ops[q]])
-        return mat
 
 
 @dataclass(frozen=True)
@@ -160,39 +105,6 @@ def _apply_matrix(
     moved = tensor.transpose(perm).reshape(2**m, -1)
     out = (matrix @ moved).reshape([2] * num_qubits)
     return out.transpose(np.argsort(perm)).reshape(-1)
-
-
-def pauli_apply(state: StateVector, pauli: PauliString) -> np.ndarray:
-    """Return the amplitude array of ``P |state>`` (not necessarily normalized)."""
-    if pauli.num_qubits != state.num_qubits:
-        raise ValueError(
-            f"Pauli width {pauli.num_qubits} != state width {state.num_qubits}"
-        )
-    flip = 0
-    for q, s in enumerate(pauli.ops):
-        if s in "XY":
-            flip |= 1 << q
-    idx = np.arange(state.dim)
-    src = idx ^ flip
-    phase = np.full(state.dim, pauli.coefficient, dtype=complex)
-    for q, s in enumerate(pauli.ops):
-        bit = (src >> q) & 1
-        if s == "Y":
-            phase = phase * np.where(bit == 1, -1j, 1j)
-        elif s == "Z":
-            phase = phase * np.where(bit == 1, -1.0, 1.0)
-    return phase * state.amplitudes[src]
-
-
-def expectation_pauli(state: StateVector, pauli: PauliString) -> float:
-    """Exact <state| P |state> for a Hermitian Pauli string (real coefficient)."""
-    value = np.vdot(state.amplitudes, pauli_apply(state, pauli))
-    if not abs(value.imag) <= _HERM_IM_TOL:
-        raise ValueError(
-            f"expectation of Hermitian Pauli came out complex ({value!r});"
-            " this indicates an internal error"
-        )
-    return float(value.real)
 
 
 def rotate_to_measurement_basis(state: StateVector, bases: str) -> StateVector:

@@ -209,10 +209,8 @@ def site_vector(plan: RunPlan, params) -> np.ndarray:
     return circuits.ses_site_amplitudes(plan.target.n_sites, params)
 
 
-def evaluate_cost(plan, params, eval_index: int = 0) -> float:
+def evaluate_cost(plan: RunPlan, params, eval_index: int = 0) -> float:
     """One cost evaluation; deterministic given (plan, params, eval_index)."""
-    if isinstance(plan, VqeConfig):
-        plan = prepare(plan)
     config = plan.config
     alpha = site_vector(plan, params)
     if config.protocol == "exact_operator":

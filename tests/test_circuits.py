@@ -1,14 +1,14 @@
 """Circuit builders: the pair-rotation gate, both ansatz forms, text I/O, and
 the compiled simulator against a per-gate dense kron oracle."""
 
-import functools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import PAULI, kron_qubits
 from sesvqe import circuits as qc
 from sesvqe import encoding
 from sesvqe import statevector as sv
@@ -380,18 +380,6 @@ class TestTextFormat:
 # ---------------------------------------------------------------------------
 # compiled simulator against a per-gate dense oracle
 
-PROPERTY_SETTINGS = settings(
-    max_examples=60,
-    deadline=None,
-    derandomize=True,
-    database=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
-
-PAULI_Y = np.array([[0, -1j], [1j, 0]])
-PAULI_Z = np.diag([1.0, -1.0])
-
-
 def expm_hermitian(generator, t):
     """exp(-i t G) for a Hermitian G, through its eigendecomposition."""
     w, v = np.linalg.eigh(generator)
@@ -418,9 +406,9 @@ def local_matrix(gate):
         targets = (1 << m) - 2
         return local_permutation(m, lambda i: i ^ targets if i & 1 else i)
     if kind == "RY":
-        return expm_hermitian(PAULI_Y, gate.params[0] / 2)
+        return expm_hermitian(PAULI["Y"], gate.params[0] / 2)
     if kind == "RZ":
-        return expm_hermitian(PAULI_Z, gate.params[0] / 2)
+        return expm_hermitian(PAULI["Z"], gate.params[0] / 2)
     if kind == "H":
         return np.array([[1, 1], [1, -1]]) / math.sqrt(2)
     if kind == "SDG":
@@ -441,8 +429,7 @@ def kron_embed(local, qubits, width):
             factors = [np.eye(2)] * width
             for pos, q in enumerate(qubits):
                 factors[q] = np.outer(np.eye(2)[(r >> pos) & 1], np.eye(2)[(c >> pos) & 1])
-            # kron puts its first factor on the most significant bits
-            full += local[r, c] * functools.reduce(np.kron, reversed(factors))
+            full += local[r, c] * kron_qubits(factors)
     return full
 
 
@@ -494,7 +481,7 @@ def circuits(draw):
 
 
 class TestCompiledSimulator:
-    @PROPERTY_SETTINGS
+    @settings(max_examples=60)
     @given(circuits())
     def test_matches_per_gate_kron_oracle(self, circ):
         got = qc.simulate(circ).amplitudes
@@ -502,7 +489,7 @@ class TestCompiledSimulator:
         # binding the circuit's own angles is the same run
         np.testing.assert_array_equal(qc.simulate(circ, circ.program.params).amplitudes, got)
 
-    @PROPERTY_SETTINGS
+    @settings(max_examples=60)
     @given(st.integers(1, 8), st.integers(0, 2**16))
     def test_template_binding_equals_a_fresh_build(self, n_sites, seed):
         rng = np.random.default_rng(seed)

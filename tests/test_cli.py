@@ -312,6 +312,7 @@ class TestReconstruct:
             ("amplitudes", {"amplitudes": [1, 0, 0, 0]}),
             ("amplitudes", {"amplitudes": [["1", "0"], ["0", "0"], ["0", "0"], ["0", "0"]]}),
             ("amplitudes", {"amplitudes": [[1, 0, 0], [0, 0], [0, 0], [0, 0]]}),
+            ("params", {"ansatz": "one_hot_ses", "n_sites": 4, "pairs": ["0.1"] * 6}),
         ],
     )
     def test_malformed_state_file_is_a_config_error(self, tmp_path, capsys, route, doc):

@@ -1,6 +1,8 @@
 """Codeword maps, Gray orderings, and hypercube adjacency."""
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from sesvqe import encoding
 
@@ -182,3 +184,24 @@ class TestHypercubeEdges:
             if hamming(words[j], words[k]) == 1
         )
         assert len(edges) == expected
+
+
+@given(n_sites=st.integers(1, 80), mode=st.sampled_from(["shifted", "plain"]))
+@example(n_sites=2, mode="shifted")
+@example(n_sites=16, mode="shifted")
+@example(n_sites=64, mode="plain")
+def test_map_invariants(n_sites, mode):
+    emap = encoding.build_map(n_sites, mode)
+    n = emap.num_qubits
+    words = [emap.codeword(s) for s in range(n_sites)]
+    assert len(set(words)) == n_sites
+    assert all(0 <= w < 2**n for w in words)
+    assert [emap.site_of(w) for w in words] == list(range(n_sites))
+    edges = encoding.hypercube_edges(emap)
+    for j, k, flip in edges:
+        assert words[j] ^ words[k] == 1 << flip
+    # the edges are every encoded pair at Hamming distance one, each listed once
+    want = {(j, k) for j in range(n_sites) for k in range(j + 1, n_sites) if hamming(words[j], words[k]) == 1}
+    assert sorted((j, k) for j, k, _ in edges) == sorted(want)
+    if n_sites == 2**n:
+        assert len(edges) == n * 2 ** (n - 1)

@@ -1,33 +1,39 @@
-"""Site Hamiltonians: decomposition, penalty extension, energy functional, I/O."""
+"""Site Hamiltonians: the one-hot register operator oracle, penalty extension,
+energy functional, I/O."""
 
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from conftest import PAULI, kron_qubits
+from sesvqe import cli
 from sesvqe import hamiltonian as ham
-from sesvqe.measurement import AmplitudeProfile
-from sesvqe.statevector import PauliString
-
-I2 = np.eye(2, dtype=complex)
-PAULI = {
-    "I": I2,
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
+from sesvqe.measurement import AmplitudeProfile, estimate_energy
 
 
-def dense_from_terms(term_list: ham.PauliTermList) -> np.ndarray:
-    """Oracle: rebuild the register operator with a plain kron loop."""
-    dim = 2**term_list.num_qubits
-    mat = term_list.constant_offset * np.eye(dim, dtype=complex)
-    for term in term_list.terms:
-        factor = np.array([[1.0]], dtype=complex)
-        for q in reversed(range(term_list.num_qubits)):
-            factor = np.kron(factor, PAULI[term.ops[q]])
-        mat += term.coefficient * factor
-    return mat
+def one_hot_operator(h: ham.SiteHamiltonian) -> np.ndarray:
+    """Oracle: the one-hot register operator of ``h`` as a dense kron sum, qubit k = site k.
+
+    sum_k h_kk (1 - Z_k)/2 + sum_{j<k} Re(h_jk)/2 (X_j X_k + Y_j Y_k)
+    + Im(h_jk)/2 (Y_j X_k - X_j Y_k).
+    """
+    n = h.n_sites
+
+    def string(*letters):
+        on = dict(letters)
+        return kron_qubits([PAULI[on.get(q, "I")] for q in range(n)])
+
+    total = np.zeros((2**n, 2**n), dtype=complex)
+    for k in range(n):
+        total += h.matrix[k, k].real * (string() - string((k, "Z"))) / 2
+        for j in range(k):
+            re, im = h.matrix[j, k].real, h.matrix[j, k].imag
+            total += re / 2 * (string((j, "X"), (k, "X")) + string((j, "Y"), (k, "Y")))
+            total += im / 2 * (string((j, "Y"), (k, "X")) - string((j, "X"), (k, "Y")))
+    return total
 
 
 def test_hermiticity_enforced():
@@ -52,45 +58,50 @@ def test_matrix_is_read_only():
 
 
 class TestPauliDecompose:
+    """The oracle against hand-expanded Pauli sums, then against sesvqe."""
+
     def test_two_site_hopping(self):
         t = 0.7
         h = ham.SiteHamiltonian.from_matrix([[0, t], [t, 0]])
-        out = ham.pauli_decompose(h)
-        assert out.constant_offset == 0.0
-        got = {term.ops: term.coefficient for term in out.terms}
-        assert got == {"XX": pytest.approx(t / 2), "YY": pytest.approx(t / 2)}
+        want = t / 2 * (kron_qubits([PAULI["X"]] * 2) + kron_qubits([PAULI["Y"]] * 2))
+        np.testing.assert_allclose(one_hot_operator(h), want, atol=1e-15)
 
     def test_single_site(self):
         eps = -1.3
-        out = ham.pauli_decompose(ham.SiteHamiltonian.from_matrix([[eps]]))
-        assert out.constant_offset == pytest.approx(eps / 2)
-        assert len(out.terms) == 1
-        assert out.terms[0].ops == "Z"
-        assert out.terms[0].coefficient == pytest.approx(-eps / 2)
+        h = ham.SiteHamiltonian.from_matrix([[eps]])
+        np.testing.assert_allclose(one_hot_operator(h), eps / 2 * (PAULI["I"] - PAULI["Z"]), atol=1e-15)
 
     def test_imaginary_hopping_terms(self):
         h = ham.SiteHamiltonian.from_matrix([[0, 1j], [-1j, 0]])
-        got = {term.ops: term.coefficient for term in ham.pauli_decompose(h).terms}
-        assert got == {"XY": pytest.approx(-0.5), "YX": pytest.approx(0.5)}
+        want = 0.5 * kron_qubits([PAULI["Y"], PAULI["X"]]) - 0.5 * kron_qubits([PAULI["X"], PAULI["Y"]])
+        np.testing.assert_allclose(one_hot_operator(h), want, atol=1e-15)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_register_operator_restricts_to_h(self, seed):
         # project the dense register operator onto the three single-bit states
         h = ham.random_hermitian_instance(3, seed=seed)
-        dense = dense_from_terms(ham.pauli_decompose(h))
         idx = [1 << k for k in range(3)]
-        block = dense[np.ix_(idx, idx)]
+        block = one_hot_operator(h)[np.ix_(idx, idx)]
         np.testing.assert_allclose(block, h.matrix, atol=1e-12)
-
-    def test_dense_matches_oracle(self):
-        h = ham.random_hermitian_instance(4, seed=9)
-        out = ham.pauli_decompose(h)
-        np.testing.assert_allclose(out.dense(), dense_from_terms(out), atol=1e-12)
 
     def test_vacuum_state_has_zero_energy(self):
         h = ham.random_hermitian_instance(3, seed=5)
-        dense = dense_from_terms(ham.pauli_decompose(h))
-        assert abs(dense[0, 0]) < 1e-12
+        assert abs(one_hot_operator(h)[0, 0]) < 1e-12
+
+    @given(n=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+    def test_single_excitation_mapping(self, n, seed):
+        rng = np.random.default_rng(seed)
+        h = ham.random_hermitian_instance(n, seed=int(rng.integers(2**31)))
+        alpha = rng.normal(size=n) + 1j * rng.normal(size=n)
+        alpha /= np.linalg.norm(alpha)
+        operator = one_hot_operator(h)
+        one_hot = 1 << np.arange(n)
+        np.testing.assert_allclose(operator[np.ix_(one_hot, one_hot)], h.matrix, atol=1e-12)
+        register = np.zeros(2**n, dtype=complex)
+        register[one_hot] = alpha
+        energy = np.vdot(register, operator @ register).real
+        assert abs(energy - np.vdot(alpha, h.matrix @ alpha).real) <= 1e-12
+        assert abs(estimate_energy(h, alpha, "original")[0] - energy) <= 1e-12
 
 
 class TestPenaltyExtension:
@@ -263,8 +274,17 @@ class TestInstances:
         h = ham.complex_ring_instance(2, seed=1)
         ham.SiteHamiltonian(h.n_sites, h.matrix)  # the constructor re-checks Hermiticity
 
-    def test_family_registry(self):
-        assert set(ham.FAMILIES) == {"chain", "random_hermitian", "complex_ring"}
+    def test_family_registry(self, tmp_path):
+        # `sesvqe gen` holds the family list; each name builds its instance
+        builders = {
+            "chain": ham.chain_instance,
+            "random_hermitian": ham.random_hermitian_instance,
+            "complex_ring": ham.complex_ring_instance,
+        }
+        for family, build in builders.items():
+            out = tmp_path / f"{family}.json"
+            assert cli.main(["gen", "--family", family, "--n-sites", "5", "--seed", "3", "--out", str(out)]) == 0
+            np.testing.assert_allclose(ham.load_hamiltonian(out).matrix, build(5, seed=3).matrix, atol=1e-15)
 
 
 class TestSaveLoad:
@@ -358,9 +378,3 @@ class TestSaveLoad:
         with pytest.raises(ValueError, match="out of range"):
             ham.load_hamiltonian(path)
 
-
-def test_pauli_term_list_dense_width_guard():
-    term = PauliString.single(13, 0, "Z", 1.0)
-    big = ham.PauliTermList(13, (term,), 0.0)
-    with pytest.raises(ValueError):
-        big.dense()

@@ -311,7 +311,7 @@ class TestReconstructProfile:
         alpha[2] = 1.0
         profile, pgraph = self.run_exact(alpha)
         assert list(profile.active) == [False, False, True, False, False]
-        assert profile.phase(2) == 0.0
+        assert profile.phases[2] == 0.0
         assert pgraph.n_components == 1
         assert not pgraph.in_tree.any()
         h = ham.random_hermitian_instance(5, seed=1)
@@ -359,7 +359,7 @@ class TestReconstructProfile:
         assert pgraph.edge_j.size == 12
         assert np.count_nonzero(pgraph.in_tree) == 7
         for j, k, delta in zip(pgraph.edge_j, pgraph.edge_k, pgraph.delta):
-            got = profile.phase(k) - profile.phase(j)
+            got = profile.phases[k] - profile.phases[j]
             assert abs(np.angle(np.exp(1j * (got - delta)))) < 1e-8
 
     def test_global_phase_invariance(self):
@@ -502,27 +502,31 @@ class TestEstimateEnergy:
             ("nan", ValueError, "non-finite"),
             ("inf", ValueError, "non-finite"),
             ("map", ValueError, "encoding map covers 5 sites, Hamiltonian has 4"),
+            ("epsilon", ValueError, "epsilon must be a finite number >= 0"),
         ],
     )
     def test_site_vector_refused_before_any_setting_runs(self, monkeypatch, shots, case, error, match):
         def not_reached(*args, **kwargs):
-            raise AssertionError("a setting ran or a register was embedded before the check")
+            raise AssertionError("a setting ran or a register was embedded or sampled before the check")
 
         monkeypatch.setattr(meas, "estimate_setting", not_reached)
         monkeypatch.setattr(meas.sv, "embed_sites", not_reached)
+        monkeypatch.setattr(meas.sv, "sample_bitstrings", not_reached)
         h = ham.chain_instance(4)
         alpha = random_site_vector(4, 6)
-        protocol, emap = "original", None
+        protocol, emap, epsilon = "original", None, None
         if case == "list":
             alpha = alpha.tolist()
         elif case == "short":
             alpha = alpha[:3]
         elif case in ("nan", "inf"):
             alpha[2] = float(case)
+        elif case == "epsilon":
+            epsilon = float("nan")
         else:
             protocol, emap = "binary", encoding.build_map(5)
         with pytest.raises(error, match=match):
-            meas.estimate_energy(h, alpha, protocol, shots=shots, emap=emap)
+            meas.estimate_energy(h, alpha, protocol, shots=shots, emap=emap, epsilon=epsilon)
 
     def test_unknown_protocol(self):
         h = ham.chain_instance(2)
@@ -531,11 +535,6 @@ class TestEstimateEnergy:
 
 
 class TestAmplitudeProfile:
-    def test_phase_of_inactive_site_raises(self):
-        profile = meas.AmplitudeProfile.from_amplitudes(np.array([1.0, 0.0]))
-        with pytest.raises(ValueError, match="undefined"):
-            profile.phase(1)
-
     def test_from_amplitudes_round_trip(self):
         alpha = random_site_vector(4, 99)
         profile = meas.AmplitudeProfile.from_amplitudes(alpha)
@@ -544,7 +543,7 @@ class TestAmplitudeProfile:
     def test_phase_difference(self):
         alpha = np.array([1.0, np.exp(0.7j)]) / np.sqrt(2.0)
         profile = meas.AmplitudeProfile.from_amplitudes(alpha)
-        assert profile.phase_difference(0, 1) == pytest.approx(0.7, abs=1e-12)
+        assert profile.phases[1] - profile.phases[0] == pytest.approx(0.7, abs=1e-12)
 
     def test_summaries_are_json_ready(self):
         import json

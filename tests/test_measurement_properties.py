@@ -11,22 +11,13 @@ per-bitstring sum it stands for, bit for bit.
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from sesvqe import encoding
 from sesvqe import hamiltonian as ham
 from sesvqe import measurement as meas
 from sesvqe import statevector as sv
-
-PROPERTY_SETTINGS = settings(
-    max_examples=40,
-    deadline=None,
-    derandomize=True,
-    database=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
-
 
 def sparse_hermitian(n, density, rng):
     m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
@@ -74,7 +65,6 @@ def unmeasured_terms(h, active, label):
     return inactive, cross
 
 
-@PROPERTY_SETTINGS
 @given(
     n=st.integers(2, 64),
     seed=st.integers(0, 2**32 - 1),
@@ -137,7 +127,6 @@ def histograms(draw):
     return width, np.array(counts, dtype=np.int64)
 
 
-@PROPERTY_SETTINGS
 @given(histograms())
 def test_one_hot_histogram_estimates_equal_bitstring_sums(data):
     width, counts = data
@@ -160,7 +149,6 @@ def test_one_hot_histogram_estimates_equal_bitstring_sums(data):
         assert est.values.tolist() == want
 
 
-@PROPERTY_SETTINGS
 @given(histograms(), st.data())
 def test_packed_histogram_estimates_equal_bitstring_sums(data, choose):
     width, counts = data
@@ -193,7 +181,6 @@ def test_packed_histogram_estimates_equal_bitstring_sums(data, choose):
         assert got == want
 
 
-@PROPERTY_SETTINGS
 @given(
     n=st.integers(1, 40),
     seed=st.integers(0, 2**32 - 1),

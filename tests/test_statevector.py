@@ -3,18 +3,11 @@
 import numpy as np
 import pytest
 
+from conftest import PAULI, kron_qubits
 from sesvqe import circuits as qc
 from sesvqe import statevector as sv
 
 RNG = np.random.default_rng(42)
-
-I2 = np.eye(2, dtype=complex)
-PAULI = {
-    "I": I2,
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
 
 
 def embed(matrix: np.ndarray, qubits, num_qubits: int) -> np.ndarray:
@@ -125,22 +118,34 @@ class TestApplyGate:
         np.testing.assert_allclose(got, ccx @ state.amplitudes, atol=1e-13)
 
 
+def measured_expectation(state: sv.StateVector, ops: str) -> float:
+    """<P> for the Pauli string ``ops`` (letter q on qubit q) read off one product
+    measurement: the outcome distribution in its bases (Z where ``ops`` has I),
+    weighted by the parity of the non-identity qubits."""
+    p = sv.measurement_distribution(state, ops.replace("I", "Z"))
+    mask = sum(1 << q for q, letter in enumerate(ops) if letter != "I")
+    parity = np.array([(-1) ** bin(i & mask).count("1") for i in range(p.size)])
+    return float(parity @ p)
+
+
+def pauli_operator(ops: str) -> np.ndarray:
+    return kron_qubits([PAULI[letter] for letter in ops])
+
+
 class TestExpectation:
+    """Pauli expectations through the measurement rotations, against kron oracles."""
+
     def test_z_on_ground(self):
-        state = zero_state(1)
-        assert sv.expectation_pauli(state, sv.PauliString("Z")) == pytest.approx(1.0)
+        assert measured_expectation(zero_state(1), "Z") == pytest.approx(1.0)
 
     def test_xx_on_symmetric_pair(self):
         state = sv.StateVector(2, np.array([0, 1, 1, 0]) / np.sqrt(2))
-        val = sv.expectation_pauli(state, sv.PauliString("XX"))
-        assert val == pytest.approx(1.0, abs=1e-12)
+        assert measured_expectation(state, "XX") == pytest.approx(1.0, abs=1e-12)
 
     def test_xy_on_quarter_phase_pair(self):
         # (|01> + i|10>)/sqrt(2) against the brute-force 4x4 matrix
         amps = np.array([0, 1, 1j, 0]) / np.sqrt(2)
-        state = sv.StateVector(2, amps)
-        pauli = sv.PauliString("XY")
-        got = sv.expectation_pauli(state, pauli)
+        got = measured_expectation(sv.StateVector(2, amps), "XY")
         dense = np.kron(PAULI["Y"], PAULI["X"])  # qubit 1 is the high bit
         want = np.vdot(amps, dense @ amps).real
         assert got == pytest.approx(want, abs=1e-12)
@@ -152,26 +157,12 @@ class TestExpectation:
         state = random_state(num_qubits, rng)
         for _ in range(8):
             ops = "".join(rng.choice(list("IXYZ"), size=num_qubits))
-            pauli = sv.PauliString(ops, 1.0)
-            dense = np.array([[1.0]], dtype=complex)
-            for q in reversed(range(num_qubits)):
-                dense = np.kron(dense, PAULI[ops[q]])
-            want = np.vdot(state.amplitudes, dense @ state.amplitudes).real
-            assert sv.expectation_pauli(state, pauli) == pytest.approx(want, abs=1e-12)
-
-    def test_pauli_dense_matches_kron(self):
-        pauli = sv.PauliString("XZY", -0.75)
-        want = -0.75 * np.kron(PAULI["Y"], np.kron(PAULI["Z"], PAULI["X"]))
-        np.testing.assert_allclose(pauli.dense(), want, atol=1e-15)
+            want = np.vdot(state.amplitudes, pauli_operator(ops) @ state.amplitudes).real
+            assert measured_expectation(state, ops) == pytest.approx(want, abs=1e-12)
 
     def test_width_mismatch(self):
-        state = zero_state(2)
         with pytest.raises(ValueError, match="width"):
-            sv.expectation_pauli(state, sv.PauliString("Z"))
-
-    def test_pauli_string_rejects_unknown_letter(self):
-        with pytest.raises(ValueError, match="unknown Pauli"):
-            sv.PauliString("XQ")
+            sv.measurement_distribution(zero_state(2), "Z")
 
 
 class TestBasisRotationAndSampling:
@@ -219,7 +210,7 @@ class TestBasisRotationAndSampling:
                     if (idx >> q) & 1:
                         parity = -parity
                 got += parity * p[idx]
-            want = sv.expectation_pauli(state, sv.PauliString(bases))
+            want = np.vdot(state.amplitudes, pauli_operator(bases) @ state.amplitudes).real
             assert got == pytest.approx(want, abs=1e-12)
 
     def test_rotation_rejects_bad_basis(self):

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from sesvqe import circuits, encoding
@@ -223,17 +223,7 @@ def ansatz_points(draw):
     return ham.random_hermitian_instance(n, seed=int(rng.integers(2**31))), params
 
 
-PROPERTY_SETTINGS = settings(
-    max_examples=40,
-    deadline=None,
-    derandomize=True,
-    database=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
-
-
 class TestSiteVector:
-    @PROPERTY_SETTINGS
     @given(ansatz_points())
     def test_binary_ses_cost_equals_packed_circuit(self, point):
         h, params = point
@@ -242,7 +232,6 @@ class TestSiteVector:
             plan = vqe.prepare(vqe.VqeConfig(h, ansatz="binary_ses", protocol=protocol))
             assert abs(vqe.evaluate_cost(plan, params) - want) <= 1e-12
 
-    @PROPERTY_SETTINGS
     @given(ansatz_points())
     def test_one_hot_register_embeds_the_cascade(self, point):
         # shot mode samples the embedded cascade in place of the simulated
@@ -258,12 +247,12 @@ class TestSiteVector:
 class TestEvaluateCost:
     def test_single_site(self):
         h = ham.SiteHamiltonian.from_matrix([[0.7]])
-        assert vqe.evaluate_cost(vqe.VqeConfig(h), []) == pytest.approx(0.7)
+        assert vqe.evaluate_cost(vqe.prepare(vqe.VqeConfig(h)), []) == pytest.approx(0.7)
 
     def test_two_site_closed_form(self):
         # beta = pi/4, gamma = pi gives the odd pair state and energy -t
         h = ham.SiteHamiltonian.from_matrix([[0, 1], [1, 0]])
-        got = vqe.evaluate_cost(vqe.VqeConfig(h), [math.pi / 4, math.pi])
+        got = vqe.evaluate_cost(vqe.prepare(vqe.VqeConfig(h)), [math.pi / 4, math.pi])
         assert got == pytest.approx(-1.0, abs=1e-12)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -273,7 +262,7 @@ class TestEvaluateCost:
         params = rng.uniform(-np.pi, np.pi, size=14)
         alpha = local_cascade(params)
         want = np.vdot(alpha, h.matrix @ alpha).real
-        got = vqe.evaluate_cost(vqe.VqeConfig(h), params)
+        got = vqe.evaluate_cost(vqe.prepare(vqe.VqeConfig(h)), params)
         assert got == pytest.approx(want, abs=1e-10)
 
     def test_all_exact_routes_agree(self):
@@ -286,7 +275,7 @@ class TestEvaluateCost:
             vqe.VqeConfig(h, ansatz="binary_ses", protocol="exact_operator"),
             vqe.VqeConfig(h, ansatz="binary_ses", protocol="binary"),
         ]
-        values = [vqe.evaluate_cost(cfg, params) for cfg in routes]
+        values = [vqe.evaluate_cost(vqe.prepare(cfg), params) for cfg in routes]
         for v in values[1:]:
             assert v == pytest.approx(values[0], abs=1e-10)
 
