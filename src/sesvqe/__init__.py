@@ -53,7 +53,7 @@ from .measurement import (
     settings_original,
 )
 from .resources import asymptotic_rows, constants_free_ratios, volume_ratios, volumetric_cost
-from .statevector import ShotHistogram, StateVector
+from .statevector import ShotHistogram, SiteState, StateVector
 from .vqe import RunPlan, VqeConfig, VqeResult, evaluate_cost, optimize, prepare
 
 __version__ = "0.1.0"
@@ -69,6 +69,7 @@ __all__ = [
     "RunPlan",
     "SettingEstimates",
     "ShotHistogram",
+    "SiteState",
     "SiteHamiltonian",
     "StateVector",
     "VqeConfig",

@@ -182,14 +182,15 @@ class _Layout:
     ``groups[axis]`` holds the pairs of the X/Y settings on flip axis
     ``axis`` (key ``None`` for the one-hot settings); ``pair_j``/``pair_k``
     list every measured pair once, in site order (ascending ``j * N + k``).
-    ``positions`` holds each site's codeword, the register basis index that
-    carries it.
+    ``positions`` holds each packed site's codeword, the register basis index
+    that carries it; it is None for the one-hot register, where site j is
+    qubit j.
     """
 
     settings: tuple
     sites: np.ndarray
     groups: dict
-    positions: np.ndarray
+    positions: np.ndarray | None
     pair_j: np.ndarray
     pair_k: np.ndarray
 
@@ -209,11 +210,10 @@ def _pair_group(j, k, j_is_low, index) -> _PairGroup:
 def _chain_layout(n_sites: int) -> _Layout:
     settings = tuple(settings_original(n_sites))
     j = np.arange(n_sites - 1)
-    # the alternating pattern puts X on even qubits; site j is the one-hot
-    # codeword with only qubit j set
+    # the alternating pattern puts X on even qubits
     group = _pair_group(j, j + 1, j % 2 == 0, j)
-    sites, positions = _read_only(np.arange(n_sites), 1 << np.arange(n_sites))
-    return _Layout(settings, sites, {None: group}, positions, group.j, group.k)
+    (sites,) = _read_only(np.arange(n_sites))
+    return _Layout(settings, sites, {None: group}, None, group.j, group.k)
 
 
 def _binary_layout(emap: EncodingMap) -> _Layout:
@@ -295,11 +295,24 @@ def _estimate_exact(alpha, setting, layout: _Layout, kind: str):
     return SettingEstimates(setting.label, kind, group.j, values, group.k)
 
 
+def _bit_sums(hist: sv.ShotHistogram, adjacent: bool = False) -> np.ndarray:
+    """Shots with qubit k's bit set (``adjacent``: with qubits k and k + 1 differing).
+
+    ``counts @ rows`` summed in int64 (a uint8 sum would wrap); einsum casts
+    the rows in buffered blocks, not as one widened copy of the record.
+    """
+    rows = hist.rows
+    if adjacent:
+        rows = rows[:, :-1] ^ rows[:, 1:]
+    return np.einsum("k,kq->q", np.asarray(hist.counts, dtype=np.int64), rows)
+
+
 def _estimate_histogram(hist: sv.ShotHistogram, setting, layout: _Layout, kind: str):
     """Estimates from integer outcome counts; each mean is an exact integer over the shots."""
     shots = hist.total_shots
-    counts = hist.counts
     if setting.protocol == "binary":
+        # shots per outcome index; float64 holds these integers exactly
+        counts = np.bincount(hist.outcome_index(), weights=hist.counts, minlength=1 << hist.num_qubits)
         if kind == "prob":
             found = counts[layout.positions]
             unknown = shots - int(found.sum())
@@ -310,16 +323,12 @@ def _estimate_histogram(hist: sv.ShotHistogram, setting, layout: _Layout, kind: 
         positions = layout.positions
         raw = (counts[positions[group.low]] - counts[positions[group.high]]) / shots
     else:
-        # means of +-1 bit products over the observed outcomes
-        outcomes = np.flatnonzero(counts)
-        seen = counts[outcomes]
-        bits = (outcomes[:, None] >> np.arange(hist.num_qubits)) & 1
+        # means of +-1 bit products over the recorded outcomes
         if kind == "prob":
-            z = (shots - 2 * (seen @ bits)) / shots
-            return SettingEstimates(setting.label, kind, layout.sites, (1.0 - z) / 2.0,
+            return SettingEstimates(setting.label, kind, layout.sites, _bit_sums(hist) / shots,
                                     shots_used=shots)
         group = layout.groups[None]
-        raw = (shots - 2 * (seen @ (bits[:, :-1] ^ bits[:, 1:]))) / shots
+        raw = (shots - 2 * _bit_sums(hist, adjacent=True)) / shots
     values = raw if kind == "cos" else group.sign * raw
     return SettingEstimates(setting.label, kind, group.j, values, group.k, shots_used=shots)
 
@@ -348,6 +357,14 @@ def check_epsilon(epsilon) -> None:
         return
     if isinstance(epsilon, bool) or not isinstance(epsilon, numbers.Real) or not 0 <= epsilon < np.inf:
         raise ValueError(f"epsilon must be a finite number >= 0, got {epsilon!r}")
+
+
+def check_shots(shots) -> None:
+    """Refuse a shot count that is not an int >= 1; None means exact mode."""
+    if shots is None:
+        return
+    if isinstance(shots, bool) or not isinstance(shots, numbers.Integral) or shots < 1:
+        raise ValueError(f"shots must be an integer >= 1, got {shots!r}")
 
 
 def pick_epsilon(shots: int | None) -> float:
@@ -477,19 +494,19 @@ def estimate_energy(
 ):
     """Full protocol run: settings -> estimates -> profile -> energy.
 
-    ``alpha`` is the state's site-amplitude vector.  In shot mode it is
-    embedded in the protocol's register at the layout's codewords, and each
-    setting is sampled with its own generator derived from ``seed`` (an int
-    or tuple of ints), so results do not depend on evaluation order.  Returns
-    ``(energy, diagnostics)``.
+    ``alpha`` is the state's site-amplitude vector.  In shot mode each
+    setting is sampled from it, on the protocol's register, with its own
+    generator derived from ``seed`` (an int or tuple of ints), so results do
+    not depend on evaluation order.  Returns ``(energy, diagnostics)``.
     """
     layout = _layout(protocol, h.n_sites, emap)
     if layout.sites.size != h.n_sites:
         raise ValueError(f"encoding map covers {layout.sites.size} sites, Hamiltonian has {h.n_sites}")
     alpha = _site_vector(alpha, h.n_sites)
     check_epsilon(epsilon)
+    check_shots(shots)
     if shots is not None:
-        state = sv.embed_sites(alpha, layout.positions, len(layout.settings[0].bases))
+        state = sv.SiteState(len(layout.settings[0].bases), layout.positions, alpha)
         seed_root = list(seed) if isinstance(seed, (tuple, list)) else [seed]
 
     probs = np.zeros(h.n_sites)

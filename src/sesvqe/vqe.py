@@ -97,9 +97,8 @@ class VqeConfig:
             raise ValueError(
                 f"protocol {self.protocol!r} does not run on the {self.ansatz!r} register"
             )
+        measurement.check_shots(self.shots)
         if self.shots is not None:
-            if self.shots < 1:
-                raise ValueError("shots must be >= 1")
             if self.protocol == "exact_operator":
                 raise ValueError("shot mode needs a measurement protocol")
             if self.optimizer == "simplex":
@@ -169,10 +168,6 @@ def prepare(config: VqeConfig) -> RunPlan:
     if config.ansatz == "one_hot_ses":
         emap = None
         target = h
-        if config.shots is not None and n > MAX_SIM_WIDTH:
-            raise ValueError(
-                f"one-hot register of {n} qubits is too wide to sample; limit is {MAX_SIM_WIDTH}"
-            )
     elif config.ansatz == "binary_ses":
         emap = build_map(n, "shifted")
         target = h

@@ -1,5 +1,6 @@
 """Shared test plumbing: acceptance-criterion result lines, the hypothesis
-profile, dense kron oracles and shared instances."""
+profile, dense kron oracles, the dense measurement oracle and shared
+instances."""
 
 import functools
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from sesvqe import hamiltonian as ham
+from sesvqe import statevector as sv
 
 # every property test is reproducible and not timed; a test that needs more
 # examples raises max_examples with its own @settings
@@ -33,6 +35,40 @@ def kron_qubits(factors) -> np.ndarray:
     """Register operator with ``factors[q]`` on qubit q (qubit 0 = least significant bit)."""
     # np.kron puts its first factor on the most significant bits
     return functools.reduce(np.kron, reversed(factors))
+
+
+# per-qubit rotations that turn a measurement in X or Y into one in Z; Y's
+# maps the +1 eigenstate (|0> + i|1>)/sqrt(2) to |0>
+_H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
+BASIS_CHANGE = {"Z": PAULI["I"], "X": _H, "Y": _H @ np.diag([1, -1j])}
+
+
+def measurement_distribution(register: np.ndarray, bases: str) -> np.ndarray:
+    """Oracle: outcome probabilities of measuring every qubit of a dense
+    register in ``bases`` (letter q on qubit q), by rotating each qubit to
+    its Z basis and squaring the amplitudes."""
+    n = len(bases)
+    if register.shape != (2**n,):
+        raise ValueError(f"register of {register.size} amplitudes does not match width {n}")
+    for q, letter in enumerate(bases):
+        register = sv._apply_matrix(register, BASIS_CHANGE[letter], [q], n)
+    p = np.abs(register) ** 2
+    return p / p.sum()
+
+
+def dense_register(state: sv.SiteState) -> np.ndarray:
+    """The 2^num_qubits register a site state describes (one-hot: site j at 2^j)."""
+    positions = state.positions
+    if positions is None:
+        positions = 1 << np.arange(state.num_qubits)
+    register = np.zeros(2**state.num_qubits, dtype=complex)
+    register[positions] = state.amplitudes
+    return register
+
+
+def outcome_counts(hist: sv.ShotHistogram) -> np.ndarray:
+    """Shots per outcome index (qubit k = bit k), 2^width entries."""
+    return np.bincount(hist.outcome_index(), weights=hist.counts, minlength=2**hist.num_qubits).astype(np.int64)
 
 
 _lines = []

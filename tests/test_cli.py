@@ -413,13 +413,15 @@ class TestReconstruct:
         assert diag["shots_per_setting"] == 100
         assert len(diag["settings"]) == 5
 
-    def test_shot_mode_original_refuses_a_register_too_wide(self, tmp_path, capsys):
-        # 23 sites need a 2^23 one-hot register: refused before it is allocated
+    def test_shot_mode_original_runs_past_22_sites(self, tmp_path):
+        # 23 sites: one past the widest register a run may allocate, which
+        # one-hot shot mode does not need
         n = 23
         ham_path = tmp_path / "h23.json"
         ham.save_hamiltonian(ham.chain_instance(n), ham_path)
         amp_path = tmp_path / "amps.json"
         amp_path.write_text(json.dumps({"amplitudes": [[n**-0.5, 0.0]] * n}))
+        out = tmp_path / "rec.json"
         rc = cli.main(
             [
                 "reconstruct",
@@ -431,10 +433,22 @@ class TestReconstruct:
                 str(amp_path),
                 "--shots",
                 "100",
+                "--out",
+                str(out),
             ]
         )
-        assert rc == 1
-        assert "23-qubit register is too wide" in capsys.readouterr().err
+        assert rc == 0
+        diag = read_json(out)["diagnostics"]
+        assert (diag["shots_per_setting"], diag["settings"]) == (100, ["MZ", "MXX", "MXY"])
+        cfg = tmp_path / "solve.json"
+        cfg.write_text(json.dumps({
+            "hamiltonian": ham_path.name, "ansatz": "one_hot_ses", "protocol": "original",
+            "optimizer": {"name": "spsa"}, "shots": 100, "max_evaluations": 4,
+        }))
+        report = tmp_path / "report.json"
+        # 2 is a finished solve that did not converge: four evaluations are its budget
+        assert cli.main(["solve", "--config", str(cfg), "--out", str(report)]) == 2
+        assert read_json(report)["evaluations_used"] == 4
 
     def test_unnormalized_amplitudes_rejected(self, tmp_path, capsys):
         ham_path = tmp_path / "h2.json"

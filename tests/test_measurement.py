@@ -15,31 +15,25 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import dense_register, measurement_distribution
 from sesvqe import encoding, measurement as meas
 from sesvqe import hamiltonian as ham
 from sesvqe import statevector as sv
 
 
-def onehot_state(alpha) -> sv.StateVector:
+def onehot_state(alpha) -> sv.SiteState:
     alpha = np.asarray(alpha, dtype=complex)
-    reg = np.zeros(2 ** alpha.size, dtype=complex)
-    for j, a in enumerate(alpha):
-        reg[1 << j] = a
-    return sv.StateVector(alpha.size, reg)
+    return sv.SiteState(alpha.size, None, alpha)
 
 
-def packed_state(alpha, emap) -> sv.StateVector:
-    alpha = np.asarray(alpha, dtype=complex)
-    reg = np.zeros(2**emap.num_qubits, dtype=complex)
-    for site, a in enumerate(alpha):
-        reg[emap.codeword(site)] = a
-    return sv.StateVector(emap.num_qubits, reg)
+def packed_state(alpha, emap) -> sv.SiteState:
+    return sv.SiteState(emap.num_qubits, np.array(emap.codewords), alpha)
 
 
 def exact_histogram(state, setting, shots=10**12) -> sv.ShotHistogram:
-    """Outcome counts proportional to the exact distribution, to one part in ``shots``."""
-    counts = np.rint(sv.measurement_distribution(state, setting.bases) * shots).astype(np.int64)
-    return sv.ShotHistogram(setting.label, counts, int(counts.sum()))
+    """Outcome counts proportional to the exact distribution (dense oracle), to one part in ``shots``."""
+    p = measurement_distribution(dense_register(state), setting.bases)
+    return sv.ShotHistogram.from_counts(setting.label, np.rint(p * shots).astype(np.int64))
 
 
 def random_site_vector(n, seed):
@@ -228,9 +222,7 @@ class TestBinaryEstimates:
     def test_histogram_unknown_codewords_counted(self):
         # put weight on the unassigned codeword 110 of a 5-site register
         emap = encoding.build_map(5)
-        reg = np.zeros(8, dtype=complex)
-        reg[6] = 1.0
-        state = sv.StateVector(3, reg)
+        state = sv.SiteState(3, np.array([6]), np.array([1.0]))
         hist = sv.sample_bitstrings(state, "ZZZ", 1000, 0, "BZ")
         out = meas.estimate_setting(hist, meas.settings_binary(3)[0], emap)
         assert out.extras["unknown_codeword_count"] == 1000
@@ -503,14 +495,15 @@ class TestEstimateEnergy:
             ("inf", ValueError, "non-finite"),
             ("map", ValueError, "encoding map covers 5 sites, Hamiltonian has 4"),
             ("epsilon", ValueError, "epsilon must be a finite number >= 0"),
+            ("shots", ValueError, "shots must be an integer >= 1"),
         ],
     )
     def test_site_vector_refused_before_any_setting_runs(self, monkeypatch, shots, case, error, match):
         def not_reached(*args, **kwargs):
-            raise AssertionError("a setting ran or a register was embedded or sampled before the check")
+            raise AssertionError("a setting ran or a state was built or sampled before the check")
 
         monkeypatch.setattr(meas, "estimate_setting", not_reached)
-        monkeypatch.setattr(meas.sv, "embed_sites", not_reached)
+        monkeypatch.setattr(meas.sv, "SiteState", not_reached)
         monkeypatch.setattr(meas.sv, "sample_bitstrings", not_reached)
         h = ham.chain_instance(4)
         alpha = random_site_vector(4, 6)
@@ -523,10 +516,29 @@ class TestEstimateEnergy:
             alpha[2] = float(case)
         elif case == "epsilon":
             epsilon = float("nan")
+        elif case == "shots":
+            shots = 2.5 if shots is None else True
         else:
             protocol, emap = "binary", encoding.build_map(5)
         with pytest.raises(error, match=match):
             meas.estimate_energy(h, alpha, protocol, shots=shots, emap=emap, epsilon=epsilon)
+
+    def test_shot_mode_one_hot_at_1024_sites(self):
+        h = ham.chain_instance(1024, 1.0, disorder=1.0, seed=6)
+        energy, diag = meas.estimate_energy(h, random_site_vector(1024, 6), "original", shots=1000, seed=3)
+        assert np.isfinite(energy)
+        assert diag["shots_per_setting"] == 1000
+
+    def test_one_hot_record_above_the_limit_refused_before_any_draw(self, monkeypatch):
+        def not_reached(*args, **kwargs):
+            raise AssertionError("a setting was drawn or estimated before the record check")
+
+        monkeypatch.setattr(meas, "estimate_setting", not_reached)
+        monkeypatch.setattr(sv, "_one_hot_record", not_reached)
+        n = 1024
+        shots = sv.MAX_RECORD_ENTRIES // n + 1
+        with pytest.raises(ValueError, match=f"a record of {shots} shots on {n} qubits is too large"):
+            meas.estimate_energy(ham.chain_instance(n), random_site_vector(n, 1), "original", shots=shots)
 
     def test_unknown_protocol(self):
         h = ham.chain_instance(2)

@@ -132,13 +132,10 @@ def test_one_hot_histogram_estimates_equal_bitstring_sums(data):
     width, counts = data
     shots = int(counts.sum())
     for setting in meas.settings_original(width):
-        est = meas.estimate_setting(sv.ShotHistogram(setting.label, counts, shots), setting)
+        est = meas.estimate_setting(sv.ShotHistogram.from_counts(setting.label, counts), setting)
         assert est.shots_used == shots
         if setting.label == "MZ":
-            want = [
-                (1.0 - brute_mean(counts, lambda i, j=j: 1.0 - 2.0 * bit(i, j))) / 2.0
-                for j in range(width)
-            ]
+            want = [brute_mean(counts, lambda i, j=j: bit(i, j)) for j in range(width)]
         else:
             want = []
             for j in range(width - 1):
@@ -158,7 +155,7 @@ def test_packed_histogram_estimates_equal_bitstring_sums(data, choose):
         choose.draw(st.integers(low, 2**width)), choose.draw(st.sampled_from(["shifted", "plain"]))
     )
     for setting in meas.settings_binary(width):
-        est = meas.estimate_setting(sv.ShotHistogram(setting.label, counts, shots), setting, emap)
+        est = meas.estimate_setting(sv.ShotHistogram.from_counts(setting.label, counts), setting, emap)
         if setting.label == "BZ":
             found = [int(counts[emap.codeword(s)]) for s in range(emap.n_sites)]
             assert est.values.tolist() == [c / shots for c in found]

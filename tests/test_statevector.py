@@ -3,8 +3,12 @@
 import numpy as np
 import pytest
 
-from conftest import PAULI, kron_qubits
+from scipy import stats
+
+from conftest import PAULI, dense_register, kron_qubits, measurement_distribution, outcome_counts
 from sesvqe import circuits as qc
+from sesvqe import encoding
+from sesvqe import measurement as meas
 from sesvqe import statevector as sv
 
 RNG = np.random.default_rng(42)
@@ -120,9 +124,9 @@ class TestApplyGate:
 
 def measured_expectation(state: sv.StateVector, ops: str) -> float:
     """<P> for the Pauli string ``ops`` (letter q on qubit q) read off one product
-    measurement: the outcome distribution in its bases (Z where ``ops`` has I),
-    weighted by the parity of the non-identity qubits."""
-    p = sv.measurement_distribution(state, ops.replace("I", "Z"))
+    measurement: the dense oracle's outcome distribution in its bases (Z where
+    ``ops`` has I), weighted by the parity of the non-identity qubits."""
+    p = measurement_distribution(state.amplitudes, ops.replace("I", "Z"))
     mask = sum(1 << q for q, letter in enumerate(ops) if letter != "I")
     parity = np.array([(-1) ** bin(i & mask).count("1") for i in range(p.size)])
     return float(parity @ p)
@@ -132,8 +136,29 @@ def pauli_operator(ops: str) -> np.ndarray:
     return kron_qubits([PAULI[letter] for letter in ops])
 
 
+def random_sites(n: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    alpha = rng.normal(size=n) + 1j * rng.normal(size=n)
+    return alpha / np.linalg.norm(alpha)
+
+
+def packed(alpha, mode: str = "shifted") -> sv.SiteState:
+    emap = encoding.build_map(alpha.size, mode)
+    return sv.SiteState(emap.num_qubits, np.array(emap.codewords), alpha)
+
+
+def one_qubit(*amps) -> sv.SiteState:
+    """A 1-qubit packed state with amplitude ``amps[i]`` on basis index i."""
+    return sv.SiteState(1, np.arange(len(amps)), np.array(amps, dtype=complex))
+
+
+def even_pair() -> sv.SiteState:
+    """(|01> + |10>)/sqrt(2) on the one-hot register of two sites."""
+    return sv.SiteState(2, None, np.ones(2) / np.sqrt(2))
+
+
 class TestExpectation:
-    """Pauli expectations through the measurement rotations, against kron oracles."""
+    """Pauli expectations through the dense measurement oracle, against kron oracles."""
 
     def test_z_on_ground(self):
         assert measured_expectation(zero_state(1), "Z") == pytest.approx(1.0)
@@ -162,47 +187,52 @@ class TestExpectation:
 
     def test_width_mismatch(self):
         with pytest.raises(ValueError, match="width"):
-            sv.measurement_distribution(zero_state(2), "Z")
+            sv.sample_bitstrings(sv.SiteState(2, None, np.array([0.6, 0.8])), "Z", 10, seed=0)
 
 
 class TestBasisRotationAndSampling:
+    """The site-state samplers on states with a known outcome."""
+
     def test_ground_state_z_counts(self):
-        hist = sv.sample_bitstrings(zero_state(1), "Z", 500, seed=1)
-        assert hist.counts.tolist() == [500, 0]
+        hist = sv.sample_bitstrings(one_qubit(1.0), "Z", 500, seed=1)
+        assert (hist.rows.tolist(), hist.counts.tolist()) == ([[0]], [500])
 
     def test_plus_state_x_counts(self):
-        plus = sv.StateVector(1, np.array([1, 1]) / np.sqrt(2))
-        hist = sv.sample_bitstrings(plus, "X", 500, seed=2)
-        assert hist.counts.tolist() == [500, 0]
+        hist = sv.sample_bitstrings(one_qubit(2**-0.5, 2**-0.5), "X", 500, seed=2)
+        assert (hist.rows.tolist(), hist.counts.tolist()) == ([[0]], [500])
 
     def test_y_eigenstate_counts(self):
         # (|0> + i|1>)/sqrt(2) is the +1 eigenstate of Y
-        state = sv.StateVector(1, np.array([1, 1j]) / np.sqrt(2))
-        hist = sv.sample_bitstrings(state, "Y", 300, seed=3)
-        assert hist.counts.tolist() == [300, 0]
+        hist = sv.sample_bitstrings(one_qubit(2**-0.5, 1j * 2**-0.5), "Y", 300, seed=3)
+        assert (hist.rows.tolist(), hist.counts.tolist()) == ([[0]], [300])
+        # on the one-hot register, (|01> + i|10>)/sqrt(2) measured in XY always
+        # reads equal bits: its amplitudes cancel on the outcomes 01 and 10
+        state = sv.SiteState(2, None, np.array([1, 1j]) / np.sqrt(2))
+        hist = sv.sample_bitstrings(state, "XY", 300, seed=3)
+        assert {tuple(r) for r in hist.rows.tolist()} <= {(0, 0), (1, 1)}
 
     def test_binomial_frequency_within_five_sigma(self):
-        plus = sv.StateVector(1, np.array([1, 1]) / np.sqrt(2))
         shots = 10_000
-        hist = sv.sample_bitstrings(plus, "Z", shots, seed=4)
-        freq = hist.counts[1] / shots
-        sigma = 0.5 / np.sqrt(shots)
-        assert abs(freq - 0.5) < 5 * sigma
+        for state, bases in ((one_qubit(2**-0.5, 2**-0.5), "Z"), (even_pair(), "ZZ")):
+            hist = sv.sample_bitstrings(state, bases, shots, seed=4)
+            freq = (hist.counts @ hist.rows)[-1] / shots
+            assert abs(freq - 0.5) < 5 * 0.5 / np.sqrt(shots)
 
     def test_sampling_determinism(self):
-        state = random_state(3, np.random.default_rng(9))
-        a = sv.sample_bitstrings(state, "XYZ", 2000, seed=17)
-        b = sv.sample_bitstrings(state, "XYZ", 2000, seed=17)
-        assert np.array_equal(a.counts, b.counts)
-        c = sv.sample_bitstrings(state, "XYZ", 2000, seed=18)
-        assert not np.array_equal(c.counts, a.counts)
+        one_hot = sv.SiteState(3, None, random_sites(3, 9))
+        for state, bases in ((one_hot, "XYX"), (one_hot, "ZZZ"), (packed(random_sites(6, 9)), "ZYZ")):
+            a = sv.sample_bitstrings(state, bases, 2000, seed=17)
+            b = sv.sample_bitstrings(state, bases, 2000, seed=17)
+            assert np.array_equal(a.rows, b.rows) and np.array_equal(a.counts, b.counts)
+            c = sv.sample_bitstrings(state, bases, 2000, seed=18)
+            assert not np.array_equal(outcome_counts(c), outcome_counts(a))
 
     def test_distribution_reproduces_pauli_expectations(self):
         # <P> for a product basis equals sum over outcomes of (+-1 parity) * prob
         rng = np.random.default_rng(31)
         state = random_state(3, rng)
         for bases in ("ZZZ", "XXX", "XYX", "YZX"):
-            p = sv.measurement_distribution(state, bases)
+            p = measurement_distribution(state.amplitudes, bases)
             got = 0.0
             for idx in range(8):
                 parity = 1.0
@@ -214,38 +244,136 @@ class TestBasisRotationAndSampling:
             assert got == pytest.approx(want, abs=1e-12)
 
     def test_rotation_rejects_bad_basis(self):
-        with pytest.raises(ValueError):
-            sv.rotate_to_measurement_basis(zero_state(1), "Q")
+        # an unknown letter; a Z among X/Y on the one-hot register; two X/Y
+        # qubits on the packed register
+        for state, bases in ((one_qubit(1.0), "Q"), (even_pair(), "XQ"), (even_pair(), "XZ"),
+                             (packed(random_sites(4, 1)), "XY")):
+            with pytest.raises(ValueError, match="bases|basis"):
+                sv.sample_bitstrings(state, bases, 10, seed=0)
 
     def test_shots_must_be_positive(self):
-        with pytest.raises(ValueError):
-            sv.sample_bitstrings(zero_state(1), "Z", 0, seed=0)
+        for state in (one_qubit(1.0), even_pair()):
+            with pytest.raises(ValueError, match="shots must be positive"):
+                sv.sample_bitstrings(state, "Z" * state.num_qubits, 0, seed=0)
 
 
-class TestEmbedSites:
-    def test_places_site_amplitudes(self):
-        state = sv.embed_sites(np.array([0.6, 0.8j]), [1, 2], 2)
-        np.testing.assert_allclose(state.amplitudes, [0, 0.6, 0.8j, 0], atol=0)
+def chi_square_pvalue(state: sv.SiteState, bases: str, shots: int, seed: int) -> float:
+    """Pearson chi-square of a sampled record against the dense oracle; outcomes
+    expected fewer than 5 times are pooled into one bin."""
+    expected = shots * measurement_distribution(dense_register(state), bases)
+    observed = outcome_counts(sv.sample_bitstrings(state, bases, shots, seed))
+    assert observed[expected == 0].sum() == 0
+    small = expected < 5
+    obs, exp = observed[~small], expected[~small]
+    if expected[small].sum() > 0:
+        obs, exp = np.append(obs, observed[small].sum()), np.append(exp, expected[small].sum())
+    return stats.chisquare(obs, exp).pvalue
 
-    def test_refuses_register_above_the_limit(self):
+
+class TestSamplersAgainstDenseOracle:
+    """Each register-free sampler against the dense rotate-and-square oracle at N <= 10."""
+
+    @pytest.mark.parametrize("n", [5, 8])
+    @pytest.mark.parametrize("setting", ["MZ", "MXX", "MXY"])
+    def test_one_hot_settings(self, n, setting):
+        bases = {s.label: s.bases for s in meas.settings_original(n)}[setting]
+        state = sv.SiteState(n, None, random_sites(n, 40 + n))
+        assert chi_square_pvalue(state, bases, 20_000, seed=100 + n) > 1e-3
+
+    def test_one_hot_mixed_pattern(self):
+        state = sv.SiteState(8, None, random_sites(8, 41))
+        assert chi_square_pvalue(state, "XXYYXYYX", 20_000, seed=7) > 1e-3
+
+    @pytest.mark.parametrize("n,mode", [(5, "shifted"), (6, "plain"), (8, "shifted")])
+    def test_packed_settings(self, n, mode):
+        state = packed(random_sites(n, 50 + n), mode=mode)
+        for idx, setting in enumerate(meas.settings_binary(state.num_qubits)):
+            assert chi_square_pvalue(state, setting.bases, 20_000, seed=200 + 10 * n + idx) > 1e-3, setting.label
+
+    def test_packed_stream_is_pinned(self):
+        # counts drawn at a commit that rotated the embedded register; the
+        # register-free packed sampler must reproduce them exactly
+        state = packed(random_sites(5, 2026))
+        by_label = {"BY1": ("ZYZ", [12, 200, 15, 445, 139, 27, 135, 27]),
+                    "BX0": ("XZZ", [58, 48, 175, 364, 312, 43, 0, 0])}
+        for label, (bases, want) in by_label.items():
+            hist = sv.sample_bitstrings(state, bases, 1000, 7, label)
+            assert outcome_counts(hist).tolist() == want
+
+
+class TestOneHotRecord:
+    def test_bits_follow_the_marginal_formula(self):
+        # a per-shot loop over the documented conditional, fed the same
+        # shot-major uniforms, is the reference for the vectorised kernel
+        n, shots, bases = 6, 200, "XYYXYX"
+        alpha = random_sites(n, 12)
+        c = np.where(np.array(list(bases)) == "Y", -1j, 1.0) * alpha
+        uniforms = np.random.default_rng(5).random((shots, n))
+        want = np.zeros((shots, n), dtype=np.uint8)
+        for shot in range(shots):
+            prefix = 0j
+            for k in range(n):
+                rest = float(np.sum(np.abs(alpha[k:]) ** 2))
+                p_one = 0.5 - (np.conj(prefix) * c[k]).real / (abs(prefix) ** 2 + rest)
+                want[shot, k] = uniforms[shot, k] < p_one
+                prefix += -c[k] if want[shot, k] else c[k]
+        hist = sv.sample_bitstrings(sv.SiteState(n, None, alpha), bases, shots, seed=5)
+        assert np.array_equal(hist.rows, want)
+
+    def test_draw_block_does_not_change_the_bits(self, monkeypatch):
+        state = sv.SiteState(7, None, random_sites(7, 3))
+        whole = sv.sample_bitstrings(state, "XYXYXYX", 500, seed=11)
+        monkeypatch.setattr(sv, "_DRAW_BLOCK", 7 * 64 + 3)  # blocks of 64 shots, the last one short
+        blocked = sv.sample_bitstrings(state, "XYXYXYX", 500, seed=11)
+        assert np.array_equal(whole.rows, blocked.rows)
+
+    def test_refuses_a_record_above_the_limit_before_any_draw(self):
+        n = 1024
+        shots = sv.MAX_RECORD_ENTRIES // n + 1
+
+        class NoDraws(np.random.Generator):
+            def __getattribute__(self, name):
+                if name in ("random", "multinomial"):
+                    raise AssertionError(f"rng.{name} drawn before the record check")
+                return super().__getattribute__(name)
+
+        state = sv.SiteState(n, None, np.ones(n) / np.sqrt(n))
+        for bases in ("Z" * n, "X" * n):
+            with pytest.raises(ValueError, match="too large"):
+                sv.sample_bitstrings(state, bases, shots, NoDraws(np.random.PCG64(0)))
+
+    def test_packed_register_above_the_limit_refused(self):
         n = sv.MAX_SIM_WIDTH + 1
-        assert n == 23  # a missed guard would allocate 128 MB, not more
+        state = sv.SiteState(n, np.array([0, 1]), np.ones(2) / np.sqrt(2))
         with pytest.raises(ValueError, match="too wide"):
-            sv.embed_sites(np.ones(n) / np.sqrt(n), 1 << np.arange(n), n)
+            sv.sample_bitstrings(state, "Z" * n, 10, seed=0)
 
 
 class TestOverlapAndHelpers:
     def test_histogram_validation(self):
         with pytest.raises(ValueError, match="sum"):
-            sv.ShotHistogram("MZ", np.array([3, 0]), 4)
+            sv.ShotHistogram("MZ", np.array([[0], [1]]), np.array([3, 0]), 4)
         with pytest.raises(ValueError, match="2\\^width"):
-            sv.ShotHistogram("MZ", np.array([4, 0, 0]), 4)
+            sv.ShotHistogram.from_counts("MZ", np.array([4, 0, 0]))
         with pytest.raises(ValueError, match="non-negative"):
-            sv.ShotHistogram("MZ", np.array([5, -1]), 4)
-        assert sv.ShotHistogram("MZ", np.array([1, 0, 3, 0]), 4).num_qubits == 2
+            sv.ShotHistogram.from_counts("MZ", np.array([5, -1]))
+        with pytest.raises(ValueError, match="bits"):
+            sv.ShotHistogram("MZ", np.array([[2]]), np.array([4]), 4)
+        with pytest.raises(ValueError, match="one count per outcome row"):
+            sv.ShotHistogram("MZ", np.array([[0], [1]]), np.array([4]), 4)
+        hist = sv.ShotHistogram.from_counts("MZ", np.array([1, 0, 3, 0]))
+        assert hist.num_qubits == 2
+        assert (hist.rows.tolist(), hist.counts.tolist(), hist.total_shots) == ([[0, 0], [0, 1]], [1, 3], 4)
 
     def test_state_validation(self):
         with pytest.raises(ValueError, match="normalized"):
             sv.StateVector(1, np.array([1.0, 1.0]))
         with pytest.raises(ValueError):
             sv.StateVector(1, np.array([1.0, 0.0, 0.0]))
+        for amps in ([1.0, 1.0], [np.nan, 0.0], [np.inf, 0.0]):
+            with pytest.raises(ValueError, match="normalized"):
+                sv.SiteState(2, None, np.array(amps))
+        with pytest.raises(ValueError, match="shape"):
+            sv.SiteState(3, None, np.array([0.6, 0.8]))
+        with pytest.raises(ValueError, match="shape"):
+            sv.SiteState(2, np.array([1, 2, 3]), np.array([0.6, 0.8]))

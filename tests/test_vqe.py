@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import dense_register
 from sesvqe import circuits, encoding
 from sesvqe import hamiltonian as ham
 from sesvqe import statevector as sv
@@ -58,6 +59,9 @@ class TestConfigValidation:
             vqe.VqeConfig(self.h, protocol="exact_operator", shots=100, optimizer="spsa")
         with pytest.raises(ValueError, match="spsa"):
             vqe.VqeConfig(self.h, protocol="original", shots=100, optimizer="simplex")
+        for shots in (2.5, True):
+            with pytest.raises(ValueError, match="shots must be an integer"):
+                vqe.VqeConfig(self.h, protocol="original", shots=shots, optimizer="spsa")
 
     def test_scalar_bounds(self):
         with pytest.raises(ValueError, match="max_evaluations"):
@@ -196,13 +200,16 @@ class TestPrepare:
         with pytest.raises(ValueError, match="width"):
             vqe.prepare(cfg)
 
-    def test_shot_width_guard(self):
+    def test_one_hot_shot_mode_has_no_width_cap(self):
+        # 23 sites: one past the widest register a run may allocate, which
+        # one-hot shot mode does not need
         wide = ham.SiteHamiltonian(23, np.zeros((23, 23)))
         cfg = vqe.VqeConfig(
-            wide, protocol="original", shots=100, optimizer="spsa"
+            wide, protocol="original", shots=100, optimizer="spsa", max_evaluations=4
         )
-        with pytest.raises(ValueError, match="wide"):
-            vqe.prepare(cfg)
+        result = vqe.optimize(cfg)
+        assert result.evaluations_used == 4
+        assert all(math.isfinite(energy) for _, energy, _ in result.trace)
 
 
 def packed_register_energy(h, params):
@@ -234,13 +241,13 @@ class TestSiteVector:
 
     @given(ansatz_points())
     def test_one_hot_register_embeds_the_cascade(self, point):
-        # shot mode samples the embedded cascade in place of the simulated
-        # one-hot register, so the two must agree
+        # shot mode samples the cascade's site state in place of the
+        # simulated one-hot register, so the register it describes must agree
         h, params = point
         n = h.n_sites
         register = circuits.simulate(circuits.build_ses_circuit(n, params)).amplitudes
         alpha = circuits.ses_site_amplitudes(n, params)
-        embedded = sv.embed_sites(alpha, 1 << np.arange(n), n).amplitudes
+        embedded = dense_register(sv.SiteState(n, None, alpha))
         assert np.max(np.abs(register - embedded)) <= 1e-14
 
 
