@@ -14,9 +14,7 @@ from .circuits import (
     build_hardware_efficient_circuit,
     build_ses_circuit,
     decompose,
-    export_circuit,
     gate_counts,
-    import_circuit,
     ses_site_amplitudes,
     simulate,
 )
@@ -52,7 +50,7 @@ from .measurement import (
     settings_binary,
     settings_original,
 )
-from .resources import asymptotic_rows, constants_free_ratios, volume_ratios, volumetric_cost
+from .resources import asymptotic_rows, constants_free_ratios, volume_ratios
 from .statevector import ShotHistogram, SiteState, StateVector
 from .vqe import RunPlan, VqeConfig, VqeResult, evaluate_cost, optimize, prepare
 
@@ -90,13 +88,11 @@ __all__ = [
     "estimate_setting",
     "evaluate_cost",
     "exact_spectrum",
-    "export_circuit",
     "extend_with_penalty",
     "gate_counts",
     "gray_sequence",
     "ground_energy",
     "hypercube_edges",
-    "import_circuit",
     "load_hamiltonian",
     "optimize",
     "prepare",
@@ -109,6 +105,5 @@ __all__ = [
     "settings_original",
     "simulate",
     "volume_ratios",
-    "volumetric_cost",
     "__version__",
 ]

@@ -1,14 +1,14 @@
 """Circuit representation and the three ansatz families.
 
-Gate vocabulary: X, RY, RZ, H, SDG, CNOT, SWAP, CCX, MCX, A, CPREP, plus an
-opaque UNITARY escape hatch for tests.  The A gate is the excitation-preserving
+Gate vocabulary: X, RY, RZ, CNOT, SWAP, MCX, A and CPREP, the kinds the three
+builders and ``decompose`` emit.  The A gate is the excitation-preserving
 two-qubit rotation A(beta, gamma) built from three CNOTs and four single-qubit
 rotations; CPREP is a fan-out of CNOTs from one flag qubit onto listed targets.
 
-CNOT accounting treats CCX and MCX as costed units: CCX = 6 CNOTs, MCX with
-k >= 3 controls = (2k - 3) * 6 CNOTs using one clean helper ancilla.  Their
-primitive realizations are standard library constructions; simulation applies
-them as exact permutations.
+CNOT accounting treats MCX as a costed unit: one control = 1 CNOT, two
+controls = 6 CNOTs, k >= 3 controls = (2k - 3) * 6 CNOTs using one clean
+helper ancilla.  Its primitive realizations are standard library
+constructions; simulation applies it as an exact permutation.
 
 Simulation runs a circuit's compiled program (``Circuit.program``), built once
 per circuit: each run of consecutive permutation gates is fused into one
@@ -19,7 +19,7 @@ so one template circuit serves every parameter binding.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -28,9 +28,8 @@ from . import statevector as sv
 from .encoding import EncodingMap, build_map
 
 _PARAM_COUNTS = {"RY": 1, "RZ": 1, "A": 2}
-_FIXED_ARITY = {"X": 1, "RY": 1, "RZ": 1, "H": 1, "SDG": 1, "CNOT": 2, "SWAP": 2, "CCX": 3, "A": 2}
-_PERMUTATIONS = frozenset(("X", "CNOT", "CCX", "MCX", "SWAP", "CPREP"))
-_FIXED_MATRICES = {"H": sv.H, "SDG": sv.SDG}
+_FIXED_ARITY = {"X": 1, "RY": 1, "RZ": 1, "CNOT": 2, "SWAP": 2, "A": 2}
+_PERMUTATIONS = frozenset(("X", "CNOT", "MCX", "SWAP", "CPREP"))
 _UNITARY_TOL = 1e-10
 
 
@@ -52,9 +51,9 @@ def _check_unitary(matrices, what: str) -> None:
 
 @dataclass(frozen=True)
 class GateOp:
-    """One gate: kind, qubit tuple, optional angles, optional dense matrix.
+    """One gate: kind, qubit tuple and its angles.
 
-    Qubit order is semantic: CNOT/CCX/MCX list controls first and the target
+    Qubit order is semantic: CNOT/MCX list controls first and the target
     last; CPREP lists the flag first and the fan-out targets after it; the A
     gate lists the pair in chain order.
     """
@@ -62,7 +61,6 @@ class GateOp:
     kind: str
     qubits: tuple
     params: tuple = ()
-    matrix: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "qubits", tuple(int(q) for q in self.qubits))
@@ -79,47 +77,31 @@ class GateOp:
         elif kind == "CPREP":
             if len(self.qubits) < 1:
                 raise ValueError("CPREP needs a flag qubit")
-        elif kind == "UNITARY":
-            if self.matrix is None:
-                raise ValueError("UNITARY requires an explicit matrix")
         else:
             raise ValueError(f"unknown gate kind {kind!r}")
         if len(set(self.qubits)) != len(self.qubits):
             raise ValueError(f"duplicate qubit in {kind} gate: {self.qubits}")
         want = _PARAM_COUNTS.get(kind, 0)
-        if kind != "UNITARY" and len(self.params) != want:
+        if len(self.params) != want:
             raise ValueError(f"{kind} expects {want} parameter(s), got {self.params}")
         _check_finite(self.params, f"{kind} gate parameters")
-        if self.matrix is not None:
-            mat = np.asarray(self.matrix, dtype=complex)
-            dim = 2 ** len(self.qubits)
-            if mat.shape != (dim, dim):
-                raise ValueError(f"matrix shape {mat.shape} mismatches qubits {self.qubits}")
-            _check_unitary(mat, "custom gate")
-            object.__setattr__(self, "matrix", mat)
 
     def cnot_cost(self) -> int:
         kind = self.kind
-        if kind in ("X", "RY", "RZ", "H", "SDG"):
+        if kind in ("X", "RY", "RZ"):
             return 0
         if kind == "CNOT":
             return 1
-        if kind == "SWAP":
-            return 3
-        if kind == "CCX":
-            return 6
-        if kind == "A":
+        if kind in ("SWAP", "A"):
             return 3
         if kind == "CPREP":
             return len(self.qubits) - 1
-        if kind == "MCX":
-            k = len(self.qubits) - 1
-            if k == 1:
-                return 1
-            if k == 2:
-                return 6
-            return (2 * k - 3) * 6
-        raise ValueError(f"cannot cost opaque gate kind {self.kind!r}")
+        k = len(self.qubits) - 1  # MCX controls
+        if k == 1:
+            return 1
+        if k == 2:
+            return 6
+        return (2 * k - 3) * 6
 
 
 @dataclass(frozen=True)
@@ -175,7 +157,6 @@ class Program:
     num_qubits: int
     steps: tuple
     slots: dict
-    fixed: tuple
     params: np.ndarray
 
     def bind(self, params) -> np.ndarray:
@@ -200,7 +181,6 @@ class Program:
         }
         for kind, stack in mats.items():
             _check_unitary(stack, f"{kind} gate matrix")
-        mats["FIXED"] = self.fixed
         return mats
 
 
@@ -213,7 +193,7 @@ def _gather_index(gate: GateOp, idx: np.ndarray) -> np.ndarray:
         return idx ^ (differ * ((1 << a) | (1 << b)))
     if gate.kind == "CPREP":
         controls, flip = qubits[:1], sum(1 << t for t in qubits[1:])
-    else:  # X, CNOT, CCX, MCX: controls first, target last
+    else:  # X, CNOT, MCX: controls first, target last
         controls, flip = qubits[:-1], 1 << qubits[-1]
     mask = sum(1 << c for c in controls)
     return np.where(idx & mask == mask, idx ^ flip, idx)
@@ -226,7 +206,7 @@ def _compile(circuit: Circuit) -> Program:
             f"a {width}-qubit circuit is too wide to simulate; limit is {sv.MAX_SIM_WIDTH}"
         )
     idx = np.arange(2**width)
-    steps, fixed, params = [], [], []
+    steps, params = [], []
     slots = {"A": [], "RY": [], "RZ": []}
     gather = None
     for g in circuit.gates:
@@ -237,20 +217,15 @@ def _compile(circuit: Circuit) -> Program:
         if gather is not None:
             steps.append(gather)
             gather = None
-        if g.kind in slots:
-            steps.append((g.qubits, g.kind, len(slots[g.kind])))
-            slots[g.kind].append(len(params))
-            params.extend(g.params)
-        else:
-            steps.append((g.qubits, "FIXED", len(fixed)))
-            fixed.append(g.matrix if g.kind == "UNITARY" else _FIXED_MATRICES[g.kind])
+        steps.append((g.qubits, g.kind, len(slots[g.kind])))
+        slots[g.kind].append(len(params))
+        params.extend(g.params)
     if gather is not None:
         steps.append(gather)
     return Program(
         width,
         tuple(steps),
         {kind: np.array(s, dtype=np.intp) for kind, s in slots.items()},
-        tuple(fixed),
         np.array(params, dtype=float),
     )
 
@@ -408,8 +383,8 @@ def build_hardware_efficient_circuit(num_qubits: int, layers: int, params) -> Ci
 def decompose(circuit: Circuit) -> Circuit:
     """Expand A, SWAP and CPREP gates into X/rotation/CNOT primitives.
 
-    CCX and MCX are retained as costed units; their CNOT totals follow the
-    documented model rather than an inline synthesis.
+    MCX is retained as a costed unit; its CNOT total follows the documented
+    model rather than an inline synthesis.
     """
     out = []
     for g in circuit.gates:
@@ -493,47 +468,3 @@ def binary_data_amplitudes(state: sv.StateVector, emap: EncodingMap):
     alpha = state.amplitudes[np.asarray(emap.codewords)]
     leak = 1.0 - float(np.sum(np.abs(alpha) ** 2))
     return alpha, max(leak, 0.0)
-
-
-def export_circuit(circuit: Circuit) -> str:
-    """Line-oriented text rendering; bit-exact round trip through repr floats."""
-    lines = [f"WIDTH {circuit.num_qubits}"]
-    if circuit.label:
-        lines.append(f"LABEL {circuit.label}")
-    for g in circuit.gates:
-        if g.kind == "UNITARY":
-            raise ValueError("opaque UNITARY gates are not exportable")
-        entry = f"GATE {g.kind} {','.join(str(q) for q in g.qubits)}"
-        if g.params:
-            entry += " " + ",".join(repr(p) for p in g.params)
-        lines.append(entry)
-    return "\n".join(lines) + "\n"
-
-
-def import_circuit(text: str) -> Circuit:
-    width = None
-    label = ""
-    gates = []
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split()
-        if fields[0] == "WIDTH":
-            width = int(fields[1])
-        elif fields[0] == "LABEL":
-            label = " ".join(fields[1:])
-        elif fields[0] == "GATE":
-            if width is None:
-                raise ValueError(f"line {ln}: GATE before WIDTH header")
-            if len(fields) < 3:
-                raise ValueError(f"line {ln}: malformed gate line {line!r}")
-            kind = fields[1]
-            qubits = tuple(int(q) for q in fields[2].split(","))
-            params = tuple(float(p) for p in fields[3].split(",")) if len(fields) > 3 else ()
-            gates.append(GateOp(kind, qubits, params))
-        else:
-            raise ValueError(f"line {ln}: unknown directive {fields[0]!r}")
-    if width is None:
-        raise ValueError("missing WIDTH header")
-    return Circuit(width, tuple(gates), label)

@@ -4,8 +4,7 @@ A site register of N sites is packed into n = max(1, ceil(log2 N)) qubits.
 The default "shifted" map sends site k to the codeword (k + 1) mod 2^n so the
 all-zeros register is the codeword of the last site of a full register; the
 "plain" map sends site k to k.  Codewords are integers; bit ell of a codeword
-lives on data qubit ell.  Rendered strings are big-endian (leftmost character
-is qubit n - 1).
+lives on data qubit ell.
 """
 
 from __future__ import annotations
@@ -47,20 +46,6 @@ class EncodingMap:
         if not 0 <= site < self.n_sites:
             raise ValueError(f"site {site} out of range for {self.n_sites} sites")
         return self.codewords[site]
-
-    def site_of(self, codeword: int):
-        """Inverse lookup; None for codewords with no assigned site."""
-        return self._inverse().get(codeword)
-
-    def _inverse(self) -> dict:
-        inv = getattr(self, "_inv_cache", None)
-        if inv is None:
-            inv = {c: s for s, c in enumerate(self.codewords)}
-            object.__setattr__(self, "_inv_cache", inv)
-        return inv
-
-    def codeword_string(self, site: int) -> str:
-        return format(self.codeword(site), f"0{self.num_qubits}b")
 
 
 def build_map(n_sites: int, mode: str = "shifted") -> EncodingMap:

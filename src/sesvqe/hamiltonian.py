@@ -10,6 +10,7 @@ measurement module for the one-hot and packed binary registers).
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -202,22 +203,46 @@ def save_hamiltonian(h: SiteHamiltonian, path, meta: dict | None = None) -> None
         fh.write("\n")
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    """A float, or an int that converts to one."""
+    return isinstance(value, float) or _is_int(value) and abs(value) <= sys.float_info.max
+
+
 def load_hamiltonian(path) -> SiteHamiltonian:
     """Read a Hamiltonian file, mirroring entries Hermitianly.
 
-    Entries must satisfy row <= col; diagonal entries must be real.
+    The document is an object with an int ``n_sites`` from 1 to the dense
+    spectrum's limit and a list of ``[row, col, re, im]`` entries: int
+    indices with row <= col, real value parts, and a real value on the
+    diagonal.  Anything else is refused, a bad site count before the matrix
+    is allocated.
     """
     with open(path) as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError(f"a Hamiltonian file holds a JSON object, got {type(doc).__name__}")
     if doc.get("format") != FORMAT_TAG:
         raise ValueError(f"unrecognized Hamiltonian format tag {doc.get('format')!r}")
-    n = int(doc["n_sites"])
-    if n < 1:
-        raise ValueError("n_sites must be >= 1")
+    n = doc.get("n_sites")
+    if not _is_int(n) or not 1 <= n <= _SPECTRUM_BUDGET:
+        raise ValueError(f"n_sites must be an integer from 1 to {_SPECTRUM_BUDGET}, got {n!r}")
+    entries = doc.get("entries")
+    if not isinstance(entries, list):
+        raise ValueError(f"entries must be a list, got {entries!r}")
     mat = np.zeros((n, n), dtype=complex)
     seen = set()
-    for row, col, re, im in doc["entries"]:
-        row, col = int(row), int(col)
+    for entry in entries:
+        if not isinstance(entry, list) or len(entry) != 4:
+            raise ValueError(f"entry {entry!r} is not a list [row, col, re, im]")
+        row, col, re, im = entry
+        if not (_is_int(row) and _is_int(col)):
+            raise ValueError(f"entry {entry!r}: row and column must be integers")
+        if not (_is_real(re) and _is_real(im)):
+            raise ValueError(f"entry {entry!r}: re and im must be real numbers")
         if not (0 <= row < n and 0 <= col < n):
             raise ValueError(f"entry ({row},{col}) out of range for n_sites={n}")
         if row > col:

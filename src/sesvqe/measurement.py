@@ -359,14 +359,6 @@ def check_epsilon(epsilon) -> None:
         raise ValueError(f"epsilon must be a finite number >= 0, got {epsilon!r}")
 
 
-def check_shots(shots) -> None:
-    """Refuse a shot count that is not an int >= 1; None means exact mode."""
-    if shots is None:
-        return
-    if isinstance(shots, bool) or not isinstance(shots, numbers.Integral) or shots < 1:
-        raise ValueError(f"shots must be an integer >= 1, got {shots!r}")
-
-
 def pick_epsilon(shots: int | None) -> float:
     """Default activity threshold: fixed in exact mode, noise-scaled with shots."""
     if shots is None:
@@ -504,8 +496,8 @@ def estimate_energy(
         raise ValueError(f"encoding map covers {layout.sites.size} sites, Hamiltonian has {h.n_sites}")
     alpha = _site_vector(alpha, h.n_sites)
     check_epsilon(epsilon)
-    check_shots(shots)
     if shots is not None:
+        sv.check_shots(shots)
         state = sv.SiteState(len(layout.settings[0].bases), layout.positions, alpha)
         seed_root = list(seed) if isinstance(seed, (tuple, list)) else [seed]
 

@@ -44,12 +44,6 @@ class VolumetricRow:
         }
 
 
-def volumetric_cost(width: int, depth: int, settings: int) -> int:
-    if width < 1 or settings < 1 or depth < 0:
-        raise ValueError("width and settings must be >= 1 and depth >= 0")
-    return width * depth * settings
-
-
 def asymptotic_rows(n_sites: int) -> list:
     """Unit-constant footprints of the four strategies at ``n_sites``.
 
@@ -114,11 +108,6 @@ def binary_ansatz_cnot_total(n_sites: int) -> int:
     """CNOT-equivalent count of the packed ansatz circuit at ``n_sites``."""
     params = np.zeros(2 * (n_sites - 1)) if n_sites > 1 else np.zeros(0)
     return circuits.build_binary_ses_circuit(n_sites, params).cnot_count
-
-
-def onehot_ansatz_cnot_total(n_sites: int) -> int:
-    params = np.zeros(2 * (n_sites - 1)) if n_sites > 1 else np.zeros(0)
-    return circuits.build_ses_circuit(n_sites, params).cnot_count
 
 
 def scaling_exponent(sizes, costs, reference) -> float:

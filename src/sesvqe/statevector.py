@@ -27,6 +27,7 @@ and runs one kernel per register:
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,8 +40,6 @@ MAX_RECORD_ENTRIES = 16 << MAX_SIM_WIDTH
 _DRAW_BLOCK = 1 << 20  # uniforms drawn at once by the one-hot X/Y kernel
 _BIT_WEIGHTS = 1 << np.arange(63)  # 2^k for qubit k of an outcome index
 
-H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
-SDG = np.array([[1, 0], [0, -1j]], dtype=complex)
 # rows: the outcomes with the flipped bit 0 and 1, from the pair (a_lo, a_hi)
 _PAIR_CHANGE = {
     letter: np.array([[1, phi], [1, -phi]], dtype=complex) / np.sqrt(2.0)
@@ -157,6 +156,12 @@ class ShotHistogram:
         return self.rows @ _BIT_WEIGHTS[: self.num_qubits]
 
 
+def check_shots(shots) -> None:
+    """Refuse a shot count that is not an int >= 1; a bool and None are refused too."""
+    if isinstance(shots, bool) or not isinstance(shots, numbers.Integral) or shots < 1:
+        raise ValueError(f"shots must be an integer >= 1, got {shots!r}")
+
+
 def _apply_matrix(
     amps: np.ndarray, matrix: np.ndarray, qubits, num_qubits: int
 ) -> np.ndarray:
@@ -244,8 +249,7 @@ def sample_bitstrings(state: SiteState, bases: str, shots: int, seed, label: str
     histograms.  A one-hot record above MAX_RECORD_ENTRIES bits is refused
     before any draw.
     """
-    if shots <= 0:
-        raise ValueError("shots must be positive")
+    check_shots(shots)
     if len(bases) != state.num_qubits:
         raise ValueError(f"basis string length {len(bases)} != state width {state.num_qubits}")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)

@@ -18,6 +18,7 @@ a configuration reproduces the trace bit for bit.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -32,7 +33,7 @@ from .hamiltonian import (
     extend_with_penalty,
     ground_energy,
 )
-from .statevector import MAX_SIM_WIDTH
+from .statevector import MAX_SIM_WIDTH, check_shots
 
 ANSATZE = ("one_hot_ses", "binary_ses", "hardware_efficient")
 PROTOCOLS = ("original", "binary", "exact_operator")
@@ -72,6 +73,12 @@ _MIN_SPREAD = 5e-4
 _SWEEP_STALL = 1e-10
 
 
+def _check_count(name: str, value, least: int) -> None:
+    """Refuse a value that is not an int >= ``least``; a bool is refused too."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class VqeConfig:
     """Everything a run needs; validated on construction."""
@@ -97,8 +104,8 @@ class VqeConfig:
             raise ValueError(
                 f"protocol {self.protocol!r} does not run on the {self.ansatz!r} register"
             )
-        measurement.check_shots(self.shots)
         if self.shots is not None:
+            check_shots(self.shots)
             if self.protocol == "exact_operator":
                 raise ValueError("shot mode needs a measurement protocol")
             if self.optimizer == "simplex":
@@ -111,12 +118,11 @@ class VqeConfig:
             raise ValueError(
                 f"unknown {self.optimizer} option(s) {unknown}; known: {sorted(known)}"
             )
-        if self.max_evaluations < 1:
-            raise ValueError("max_evaluations must be >= 1")
+        _check_count("max_evaluations", self.max_evaluations, 1)
+        _check_count("seed", self.seed, 0)
         if self.penalty is not None and self.ansatz != "hardware_efficient":
             raise ValueError("penalty extension only applies to hardware_efficient")
-        if self.layers < 1:
-            raise ValueError("layers must be >= 1")
+        _check_count("layers", self.layers, 1)
         measurement.check_epsilon(self.epsilon)
 
 

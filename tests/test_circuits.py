@@ -1,5 +1,5 @@
-"""Circuit builders: the pair-rotation gate, both ansatz forms, text I/O, and
-the compiled simulator against a per-gate dense kron oracle."""
+"""Circuit builders: the pair-rotation gate, the ansatz forms, the CNOT cost
+model, and the compiled simulator against a per-gate dense kron oracle."""
 
 import math
 
@@ -224,9 +224,10 @@ class TestCostModel:
     def test_unit_costs(self):
         assert qc.GateOp("A", (0, 1), (0.1, 0.2)).cnot_cost() == 3
         assert qc.GateOp("SWAP", (0, 1)).cnot_cost() == 3
-        assert qc.GateOp("CCX", (0, 1, 2)).cnot_cost() == 6
         assert qc.GateOp("CNOT", (0, 1)).cnot_cost() == 1
         assert qc.GateOp("X", (0,)).cnot_cost() == 0
+        assert qc.GateOp("RY", (0,), (0.3,)).cnot_cost() == 0
+        assert qc.GateOp("RZ", (0,), (0.3,)).cnot_cost() == 0
 
     def test_mcx_ladder(self):
         # k controls: 1 -> 1, 2 -> 6, k >= 3 -> (2k-3)*6
@@ -284,9 +285,9 @@ class TestDecompose:
         b = qc.simulate(qc.decompose(circ))
         np.testing.assert_allclose(a.amplitudes, b.amplitudes, atol=1e-12)
 
-    def test_ccx_is_retained(self):
-        circ = qc.Circuit(3, (qc.GateOp("CCX", (0, 1, 2)),))
-        assert qc.decompose(circ).gates[0].kind == "CCX"
+    def test_mcx_is_retained(self):
+        gate = qc.GateOp("MCX", (0, 1, 2))
+        assert qc.decompose(qc.Circuit(3, (gate,))).gates == (gate,)
 
 
 class TestGateOpValidation:
@@ -301,20 +302,25 @@ class TestGateOpValidation:
             qc.GateOp("CNOT", (1, 1))
 
     def test_unknown_kind(self):
+        # only the kinds the builders and decompose emit exist
+        for kind, qubits in (("TOFFOLI", (0, 1, 2)), ("CCX", (0, 1, 2)), ("H", (0,)),
+                             ("SDG", (0,))):
+            with pytest.raises(ValueError, match="unknown gate kind"):
+                qc.GateOp(kind, qubits)
+
+    def test_unitary_needs_matrix(self):
+        # no gate carries a caller-supplied matrix: the UNITARY kind is
+        # refused, and GateOp takes no matrix to build one from
         with pytest.raises(ValueError, match="unknown gate kind"):
-            qc.GateOp("TOFFOLI", (0, 1, 2))
+            qc.GateOp("UNITARY", (0,))
+        with pytest.raises(TypeError, match="matrix"):
+            qc.GateOp("UNITARY", (0,), matrix=np.eye(2))
 
     def test_param_counts(self):
         with pytest.raises(ValueError, match="parameter"):
             qc.GateOp("RY", (0,))
         with pytest.raises(ValueError, match="parameter"):
             qc.GateOp("A", (0, 1), (0.1,))
-
-    def test_unitary_needs_matrix(self):
-        with pytest.raises(ValueError, match="matrix"):
-            qc.GateOp("UNITARY", (0,))
-        with pytest.raises(ValueError, match="unitary"):
-            qc.GateOp("UNITARY", (0,), matrix=np.array([[1, 1], [0, 1]]))
 
     def test_circuit_width_guard(self):
         with pytest.raises(ValueError, match="exceeds width"):
@@ -327,54 +333,6 @@ class TestGateOpValidation:
             qc.build_binary_ses_circuit(4, [0.1, np.nan, 0.2, 0.3, 0.4, 0.5])
         with pytest.raises(ValueError, match="finite"):
             qc.ses_site_amplitudes(3, [0.1, 0.2, np.inf, 0.3])
-        with pytest.raises(ValueError, match="finite"):
-            qc.import_circuit("WIDTH 2\nGATE A 0,1 nan,0.5\n")
-
-    def test_non_finite_matrix_refused(self):
-        bad = np.array([[np.nan, 0], [0, 1]])
-        with pytest.raises(ValueError, match="unitary"):
-            qc.GateOp("UNITARY", (0,), matrix=bad)
-
-
-class TestTextFormat:
-    def test_round_trip_is_bit_exact(self):
-        params = np.random.default_rng(1).uniform(-np.pi, np.pi, size=14)
-        circ = qc.build_binary_ses_circuit(8, params)
-        back = qc.import_circuit(qc.export_circuit(circ))
-        assert back.num_qubits == circ.num_qubits
-        assert back.label == circ.label
-        assert len(back.gates) == len(circ.gates)
-        for g1, g2 in zip(circ.gates, back.gates):
-            assert g1.kind == g2.kind
-            assert g1.qubits == g2.qubits
-            assert g1.params == g2.params  # exact float equality via repr
-
-    def test_comments_and_blanks_ignored(self):
-        text = "# header\n\nWIDTH 2\nLABEL demo\nGATE X 0\nGATE A 0,1 0.5,-0.25\n"
-        circ = qc.import_circuit(text)
-        assert circ.label == "demo"
-        assert circ.gates[1].params == (0.5, -0.25)
-
-    def test_gate_before_width(self):
-        with pytest.raises(ValueError, match="WIDTH"):
-            qc.import_circuit("GATE X 0\nWIDTH 1\n")
-
-    def test_unknown_directive(self):
-        with pytest.raises(ValueError, match="directive"):
-            qc.import_circuit("WIDTH 1\nNOISE 0.1\n")
-
-    def test_malformed_gate_line(self):
-        with pytest.raises(ValueError, match="malformed"):
-            qc.import_circuit("WIDTH 1\nGATE X\n")
-
-    def test_missing_width(self):
-        with pytest.raises(ValueError, match="WIDTH"):
-            qc.import_circuit("# empty\n")
-
-    def test_unitary_not_exportable(self):
-        circ = qc.Circuit(1, (qc.GateOp("UNITARY", (0,), matrix=np.eye(2)),))
-        with pytest.raises(ValueError, match="exportable"):
-            qc.export_circuit(circ)
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +355,7 @@ def local_matrix(gate):
     """The gate's own 2^m x 2^m matrix, first listed qubit = low bit."""
     m = len(gate.qubits)
     kind = gate.kind
-    if kind in ("X", "CNOT", "CCX", "MCX"):
+    if kind in ("X", "CNOT", "MCX"):
         controls = (1 << (m - 1)) - 1
         return local_permutation(m, lambda i: i ^ (1 << (m - 1)) if i & controls == controls else i)
     if kind == "SWAP":
@@ -409,13 +367,8 @@ def local_matrix(gate):
         return expm_hermitian(PAULI["Y"], gate.params[0] / 2)
     if kind == "RZ":
         return expm_hermitian(PAULI["Z"], gate.params[0] / 2)
-    if kind == "H":
-        return np.array([[1, 1], [1, -1]]) / math.sqrt(2)
-    if kind == "SDG":
-        return np.diag([1, -1j])
-    if kind == "A":
-        return product_form_a(*gate.params)
-    return gate.matrix
+    assert kind == "A", kind
+    return product_form_a(*gate.params)
 
 
 def kron_embed(local, qubits, width):
@@ -441,37 +394,25 @@ def oracle_state(circuit):
     return psi
 
 
-def random_unitary(dim, rng):
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    q, r = np.linalg.qr(g)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
 @st.composite
 def gates(draw, width):
-    kinds = ["X", "RY", "RZ", "H", "SDG", "UNITARY", "CPREP"]
+    """One of the eight gate kinds; MCX takes up to three controls."""
+    kinds = ["X", "RY", "RZ", "CPREP"]
     if width >= 2:
         kinds += ["CNOT", "SWAP", "A", "MCX"]
-    if width >= 3:
-        kinds += ["CCX"]
     kind = draw(st.sampled_from(kinds))
-    arity = {"X": 1, "RY": 1, "RZ": 1, "H": 1, "SDG": 1, "CNOT": 2, "SWAP": 2, "A": 2, "CCX": 3}
+    arity = {"X": 1, "RY": 1, "RZ": 1, "CNOT": 2, "SWAP": 2, "A": 2}
     if kind in arity:
         m = arity[kind]
     elif kind == "MCX":
         m = 1 + draw(st.integers(1, min(3, width - 1)))
-    elif kind == "CPREP":
+    else:  # CPREP
         m = 1 + draw(st.integers(0, width - 1))
-    else:
-        m = draw(st.integers(1, min(3, width)))
     qubits = tuple(draw(st.permutations(range(width)))[:m])
     angle = st.floats(-math.pi, math.pi, allow_nan=False)
     n_params = {"RY": 1, "RZ": 1, "A": 2}.get(kind, 0)
     params = tuple(draw(angle) for _ in range(n_params))
-    matrix = None
-    if kind == "UNITARY":
-        matrix = random_unitary(2**m, np.random.default_rng(draw(st.integers(0, 2**16))))
-    return qc.GateOp(kind, qubits, params, matrix)
+    return qc.GateOp(kind, qubits, params)
 
 
 @st.composite

@@ -263,6 +263,15 @@ class TestSolve:
         assert "config error: unknown simplex option" in capsys.readouterr().err
         assert not (tmp_path / "o.json").exists()
 
+    @pytest.mark.parametrize("key,value", [("seed", 1.5), ("max_evaluations", 10.5), ("layers", True)])
+    def test_non_integer_count_rejected(self, tmp_path, capsys, key, value):
+        cfg = self.make_config(tmp_path, name="count.json", ansatz="hardware_efficient",
+                               protocol="binary", **{key: value})
+        rc = cli.main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o.json")])
+        assert rc == 1
+        assert f"config error: {key} must be an integer" in capsys.readouterr().err
+        assert not (tmp_path / "o.json").exists()
+
     @pytest.mark.parametrize("epsilon", ["x", -1.0, float("nan"), float("inf")])
     def test_bad_epsilon_rejected(self, tmp_path, capsys, epsilon):
         cfg = self.make_config(tmp_path, name="eps.json", protocol="original", epsilon=epsilon)
@@ -291,6 +300,12 @@ class TestSolve:
 EXAMPLES = Path(__file__).resolve().parent.parent / "docs" / "examples"
 
 
+def with_entry_field(doc, field, value):
+    """``doc`` with field ``field`` of its second entry (the (0, 1) hopping) set to ``value``."""
+    doc["entries"][1][field] = value
+    return doc
+
+
 class TestReconstruct:
     @pytest.mark.parametrize("epsilon", ["nan", "inf"])
     def test_non_finite_epsilon_rejected(self, tmp_path, capsys, epsilon):
@@ -302,6 +317,30 @@ class TestReconstruct:
         ])
         assert rc == 1
         assert "epsilon must be a finite number >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "corrupt,match",
+        [
+            (lambda doc: {**doc, "n_sites": 4.7}, "n_sites must be an integer"),
+            (lambda doc: with_entry_field(doc, 0, 0.9), "row and column must be integers"),
+            (lambda doc: with_entry_field(doc, 2, "1.0"), "re and im must be real numbers"),
+            (lambda doc: with_entry_field(doc, 3, None), "re and im must be real numbers"),
+            (lambda doc: [doc], "holds a JSON object"),
+        ],
+        ids=["n-sites-float", "index-float", "value-string", "value-null", "array-document"],
+    )
+    def test_malformed_hamiltonian_is_an_input_error(self, tmp_path, capsys, corrupt, match):
+        ham_path = tmp_path / "h.json"
+        ham_path.write_text(json.dumps(corrupt(read_json(EXAMPLES / "hamiltonian.json"))))
+        out = tmp_path / "rec.json"
+        rc = cli.main([
+            "reconstruct", "--hamiltonian", str(ham_path), "--protocol", "original",
+            "--params", str(EXAMPLES / "params.json"), "--out", str(out),
+        ])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: ") and match in err
         assert not out.exists()
 
     @pytest.mark.parametrize(

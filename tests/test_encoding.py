@@ -28,9 +28,7 @@ def test_register_width_rejects_zero():
 def test_shifted_map_eight_sites():
     emap = encoding.build_map(8, "shifted")
     assert [emap.codeword(k) for k in range(8)] == [1, 2, 3, 4, 5, 6, 7, 0]
-    assert emap.codeword_string(0) == "001"
-    assert emap.codeword_string(6) == "111"
-    assert emap.codeword_string(7) == "000"
+    assert emap.codewords == (0b001, 0b010, 0b011, 0b100, 0b101, 0b110, 0b111, 0b000)
 
 
 def test_plain_map_is_identity():
@@ -42,15 +40,21 @@ def test_plain_map_is_identity():
 def test_single_site_register():
     emap = encoding.build_map(1, "plain")
     assert emap.num_qubits == 1
-    assert emap.codeword_string(0) == "0"
+    assert emap.codewords == (0,)
+
+
+def site_of(emap) -> dict:
+    """Codeword -> site, the inverse the packed register reads outcomes with."""
+    return {c: s for s, c in enumerate(emap.codewords)}
 
 
 def test_inverse_round_trip():
     for n_sites in (1, 2, 3, 5, 8, 13, 16):
         for mode in ("shifted", "plain"):
             emap = encoding.build_map(n_sites, mode)
+            inverse = site_of(emap)
             for k in range(n_sites):
-                assert emap.site_of(emap.codeword(k)) == k
+                assert inverse[emap.codeword(k)] == k
 
 
 def test_unassigned_codewords_map_to_none():
@@ -59,7 +63,7 @@ def test_unassigned_codewords_map_to_none():
     used = {emap.codeword(k) for k in range(5)}
     assert used == {1, 2, 3, 4, 5}
     for free in (0, 6, 7):
-        assert emap.site_of(free) is None
+        assert site_of(emap).get(free) is None
 
 
 def test_build_map_rejects_unknown_mode():
@@ -167,9 +171,10 @@ class TestHypercubeEdges:
         emap = encoding.build_map(8, "shifted")
         edge_pairs = {(j, k) for j, k, _ in encoding.hypercube_edges(emap)}
         seq = encoding.gray_sequence(3)
+        inverse = site_of(emap)
         for i in range(8):
-            a = emap.site_of(seq[i])
-            b = emap.site_of(seq[(i + 1) % 8])
+            a = inverse[seq[i]]
+            b = inverse[seq[(i + 1) % 8]]
             assert (min(a, b), max(a, b)) in edge_pairs
 
     def test_partial_register(self):
@@ -196,7 +201,7 @@ def test_map_invariants(n_sites, mode):
     words = [emap.codeword(s) for s in range(n_sites)]
     assert len(set(words)) == n_sites
     assert all(0 <= w < 2**n for w in words)
-    assert [emap.site_of(w) for w in words] == list(range(n_sites))
+    assert emap.codewords == tuple(words)
     edges = encoding.hypercube_edges(emap)
     for j, k, flip in edges:
         assert words[j] ^ words[k] == 1 << flip

@@ -5,7 +5,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import PAULI, kron_qubits
@@ -363,6 +363,39 @@ class TestSaveLoad:
         )
         with pytest.raises(ValueError, match="diagonal"):
             ham.load_hamiltonian(path)
+
+    @settings(max_examples=200)
+    @given(data=st.data())
+    def test_load_refuses_a_corrupted_field_with_value_error(self, tmp_path_factory, data):
+        # a valid document with one field replaced by another JSON value: the
+        # load succeeds (the value was valid too) or raises ValueError, never
+        # any other exception
+        h = ham.random_hermitian_instance(3, seed=4)
+        doc = {"format": ham.FORMAT_TAG, "n_sites": 3,
+               "entries": [[j, k, h.matrix[j, k].real, h.matrix[j, k].imag] for j in range(3) for k in range(j, 3)]}
+        scalars = (st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3)
+                   | st.sampled_from([0.9, 2.7, 1e300, -1, 10**400]))
+        value = data.draw(st.recursive(scalars, lambda inner: st.lists(inner, max_size=5)
+                                       | st.dictionaries(st.text(max_size=3), inner, max_size=3)))
+        where = data.draw(st.sampled_from(["document", "format", "n_sites", "entries", "entry", "field"]))
+        if where == "document":
+            doc = value
+        elif where in ("format", "n_sites", "entries"):
+            if where == "n_sites" and type(value) is int and 64 < value <= 4096:
+                value = 64  # valid, and a larger one only allocates a bigger dense matrix
+            doc[where] = value
+        else:
+            entry = data.draw(st.integers(0, len(doc["entries"]) - 1))
+            if where == "entry":
+                doc["entries"][entry] = value
+            else:
+                doc["entries"][entry][data.draw(st.integers(0, 3))] = value
+        path = tmp_path_factory.mktemp("h") / "h.json"
+        path.write_text(json.dumps(doc))
+        try:
+            ham.load_hamiltonian(path)
+        except ValueError:
+            pass
 
     def test_load_rejects_out_of_range_entry(self, tmp_path):
         path = tmp_path / "bad.json"

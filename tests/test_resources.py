@@ -3,18 +3,12 @@
 import numpy as np
 import pytest
 
-from sesvqe import resources
+from sesvqe import circuits, resources
 
 
 def test_volumetric_cost():
-    assert resources.volumetric_cost(3, 5, 2) == 30
-    assert resources.volumetric_cost(4, 0, 1) == 0
-    with pytest.raises(ValueError):
-        resources.volumetric_cost(0, 5, 2)
-    with pytest.raises(ValueError):
-        resources.volumetric_cost(3, -1, 2)
-    with pytest.raises(ValueError):
-        resources.volumetric_cost(3, 5, 0)
+    assert resources.VolumetricRow("x", 3, 5, 2).volume == 30
+    assert resources.VolumetricRow("x", 4, 0, 1).volume == 0
 
 
 def test_asymptotic_rows_four_sites():
@@ -113,7 +107,7 @@ def test_binary_cnot_totals_frozen():
 
 def test_onehot_cnot_totals():
     for n in (1, 2, 8, 50):
-        assert resources.onehot_ansatz_cnot_total(n) == 3 * (n - 1)
+        assert circuits.build_ses_circuit(n, np.zeros(2 * (n - 1))).cnot_count == 3 * (n - 1)
 
 
 class TestScalingExponent:

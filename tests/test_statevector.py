@@ -51,22 +51,12 @@ def random_unitary(dim: int, rng=RNG) -> np.ndarray:
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
-def prepared(state: sv.StateVector, gate: qc.GateOp) -> qc.Circuit:
-    """One-gate circuit run on ``state``: a full-register UNITARY prepares it from |0>."""
-    n = state.num_qubits
-    # QR of [state, e_1, ..., e_{d-1}] is a unitary whose first column is the
-    # state up to a phase, fixed below (needs state[0] != 0)
-    basis = np.column_stack([state.amplitudes, np.eye(2**n, dtype=complex)[:, 1:]])
-    q, r = np.linalg.qr(basis)
-    q[:, 0] *= r[0, 0] / abs(r[0, 0])
-    return qc.Circuit(n, (qc.GateOp("UNITARY", tuple(range(n)), matrix=q), gate))
-
-
 CCX = np.eye(8, dtype=complex)[:, [0, 1, 2, 7, 4, 5, 6, 3]]  # controls = the two low bits
 
 
 class TestApplyGate:
-    """Gate application through ``circuits.simulate`` on one-gate circuits."""
+    """Dense steps (``_apply_matrix``) and permutation gates (``circuits.simulate``)
+    against the index-arithmetic oracle."""
 
     def test_x_flips_qubit_zero(self):
         out = qc.simulate(qc.Circuit(2, (qc.GateOp("X", (0,)),)))
@@ -89,24 +79,18 @@ class TestApplyGate:
             m = int(rng.integers(1, min(3, num_qubits) + 1))
             qubits = tuple(int(q) for q in rng.choice(num_qubits, size=m, replace=False))
             gate = random_unitary(2**m, rng)
-            got = qc.simulate(prepared(state, qc.GateOp("UNITARY", qubits, matrix=gate))).amplitudes
+            got = sv._apply_matrix(state.amplitudes, gate, qubits, num_qubits)
             want = embed(gate, qubits, num_qubits) @ state.amplitudes
             np.testing.assert_allclose(got, want, atol=1e-12)
             state = sv.StateVector(num_qubits, want / np.linalg.norm(want))
 
     def test_norm_preserved_over_long_sequence(self):
         rng = np.random.default_rng(3)
-        gates = [
-            qc.GateOp("UNITARY", tuple(int(q) for q in rng.choice(4, size=2, replace=False)),
-                      matrix=random_unitary(4, rng))
-            for _ in range(60)
-        ]
-        state = qc.simulate(qc.Circuit(4, tuple(gates)))
-        assert abs(np.sum(np.abs(state.amplitudes) ** 2) - 1.0) < 1e-12
-
-    def test_rejects_non_unitary(self):
-        with pytest.raises(ValueError, match="unitary"):
-            qc.GateOp("UNITARY", (0,), matrix=np.array([[1, 1], [0, 1]]))
+        amps = zero_state(4).amplitudes
+        for _ in range(60):
+            qubits = tuple(int(q) for q in rng.choice(4, size=2, replace=False))
+            amps = sv._apply_matrix(amps, random_unitary(4, rng), qubits, 4)
+        assert abs(np.sum(np.abs(amps) ** 2) - 1.0) < 1e-12
 
     def test_rejects_bad_indices(self):
         with pytest.raises(ValueError, match="exceeds width"):
@@ -115,11 +99,13 @@ class TestApplyGate:
             qc.GateOp("CNOT", (1, 1))
 
     def test_mcx_matches_embedded_permutation(self):
-        rng = np.random.default_rng(11)
-        state = random_state(4, rng)
-        got = qc.simulate(prepared(state, qc.GateOp("MCX", (0, 2, 3)))).amplitudes
+        # a permutation is fixed by its action on the basis: X gates prepare
+        # each basis state, then the MCX must move it as the embedded CCX does
         ccx = embed(CCX, [0, 2, 3], 4)
-        np.testing.assert_allclose(got, ccx @ state.amplitudes, atol=1e-13)
+        for b in range(16):
+            prep = tuple(qc.GateOp("X", (q,)) for q in range(4) if b >> q & 1)
+            got = qc.simulate(qc.Circuit(4, prep + (qc.GateOp("MCX", (0, 2, 3)),))).amplitudes
+            np.testing.assert_array_equal(got, ccx[:, b])
 
 
 def measured_expectation(state: sv.StateVector, ops: str) -> float:
@@ -252,9 +238,11 @@ class TestBasisRotationAndSampling:
                 sv.sample_bitstrings(state, bases, 10, seed=0)
 
     def test_shots_must_be_positive(self):
+        # a packed and a one-hot register; a fraction, a bool and None are no shot count
         for state in (one_qubit(1.0), even_pair()):
-            with pytest.raises(ValueError, match="shots must be positive"):
-                sv.sample_bitstrings(state, "Z" * state.num_qubits, 0, seed=0)
+            for shots in (0, -3, 2.5, True, None):
+                with pytest.raises(ValueError, match="shots must be an integer >= 1"):
+                    sv.sample_bitstrings(state, "Z" * state.num_qubits, shots, seed=0)
 
 
 def chi_square_pvalue(state: sv.SiteState, bases: str, shots: int, seed: int) -> float:

@@ -64,10 +64,15 @@ class TestConfigValidation:
                 vqe.VqeConfig(self.h, protocol="original", shots=shots, optimizer="spsa")
 
     def test_scalar_bounds(self):
-        with pytest.raises(ValueError, match="max_evaluations"):
-            vqe.VqeConfig(self.h, max_evaluations=0)
-        with pytest.raises(ValueError, match="layers"):
-            vqe.VqeConfig(self.h, ansatz="hardware_efficient", protocol="binary", layers=0)
+        for value in (0, 10.5, True):
+            with pytest.raises(ValueError, match="max_evaluations must be an integer >= 1"):
+                vqe.VqeConfig(self.h, max_evaluations=value)
+        for value in (0, 1.5, True):
+            with pytest.raises(ValueError, match="layers must be an integer >= 1"):
+                vqe.VqeConfig(self.h, ansatz="hardware_efficient", protocol="binary", layers=value)
+        for value in (-1, 1.5, True, None):
+            with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+                vqe.VqeConfig(self.h, seed=value)
 
     @pytest.mark.parametrize("epsilon", [float("nan"), float("inf"), -0.5, "x"])
     def test_epsilon_must_be_a_finite_number_at_least_zero(self, epsilon):
