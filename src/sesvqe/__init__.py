@@ -51,7 +51,7 @@ from .measurement import (
     settings_original,
 )
 from .resources import asymptotic_rows, constants_free_ratios, volume_ratios
-from .statevector import ShotHistogram, SiteState, StateVector
+from .statevector import ShotHistogram, SiteState
 from .vqe import RunPlan, VqeConfig, VqeResult, evaluate_cost, optimize, prepare
 
 __version__ = "0.1.0"
@@ -69,7 +69,6 @@ __all__ = [
     "ShotHistogram",
     "SiteState",
     "SiteHamiltonian",
-    "StateVector",
     "VqeConfig",
     "VqeResult",
     "a_gate_matrix",

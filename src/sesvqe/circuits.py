@@ -1,9 +1,14 @@
-"""Circuit representation and the three ansatz families.
+"""Circuit representation, the three ansatz families and their simulation.
 
-Gate vocabulary: X, RY, RZ, CNOT, SWAP, MCX, A and CPREP, the kinds the three
-builders and ``decompose`` emit.  The A gate is the excitation-preserving
+Registers are little-endian: basis state ``|i>`` gives qubit ``k`` the bit
+``(i >> k) & 1``, so qubit 0 is the least significant bit of an amplitude
+index.  Gate vocabulary: X, RY, RZ, CNOT, SWAP, MCX, A and CPREP, the kinds the
+three builders and ``decompose`` emit.  The A gate is the excitation-preserving
 two-qubit rotation A(beta, gamma) built from three CNOTs and four single-qubit
 rotations; CPREP is a fan-out of CNOTs from one flag qubit onto listed targets.
+The dense gates act on one ascending run of adjacent qubits: RY and RZ on one
+qubit, A on a pair ``(q, q + 1)``, the only placement the builders use, so
+``GateOp`` refuses an A gate anywhere else.
 
 CNOT accounting treats MCX as a costed unit: one control = 1 CNOT, two
 controls = 6 CNOTs, k >= 3 controls = (2k - 3) * 6 CNOTs using one clean
@@ -13,7 +18,9 @@ constructions; simulation applies it as an exact permutation.
 Simulation runs a circuit's compiled program (``Circuit.program``), built once
 per circuit: each run of consecutive permutation gates is fused into one
 gather index, and dense gates read their angles from a flat parameter vector,
-so one template circuit serves every parameter binding.
+so one template circuit serves every parameter binding.  A dense gate on the
+run of m qubits from ``low`` is one matrix product with the register viewed
+as ``(high, 2^m, 2^low)``.
 """
 
 from __future__ import annotations
@@ -55,7 +62,8 @@ class GateOp:
 
     Qubit order is semantic: CNOT/MCX list controls first and the target
     last; CPREP lists the flag first and the fan-out targets after it; the A
-    gate lists the pair in chain order.
+    gate lists its adjacent pair ``(q, q + 1)``, the first qubit being the low
+    bit of its matrix.
     """
 
     kind: str
@@ -81,6 +89,8 @@ class GateOp:
             raise ValueError(f"unknown gate kind {kind!r}")
         if len(set(self.qubits)) != len(self.qubits):
             raise ValueError(f"duplicate qubit in {kind} gate: {self.qubits}")
+        if kind == "A" and self.qubits[1] != self.qubits[0] + 1:
+            raise ValueError(f"A acts on adjacent qubits (q, q + 1), got {self.qubits}")
         want = _PARAM_COUNTS.get(kind, 0)
         if len(self.params) != want:
             raise ValueError(f"{kind} expects {want} parameter(s), got {self.params}")
@@ -148,10 +158,12 @@ class Program:
 
     Each step is either a gather index ``g`` (the new amplitude ``i`` is the
     old amplitude ``g[i]``: one fused run of permutation gates) or a dense gate
-    ``(qubits, kind, index)`` whose matrix is entry ``index`` of the per-kind
-    matrices that ``matrices`` returns.  ``slots[kind]`` holds the offset of
-    each parametric gate's first angle in the flat parameter vector, in gate
-    order; ``params`` is the circuit's own vector.
+    ``(low, width, kind, index)`` on the qubits ``low .. low + width - 1``
+    (``low`` is the least significant bit of its matrix), whose matrix is
+    entry ``index`` of the per-kind matrices that ``matrices`` returns.
+    ``slots[kind]`` holds the offset of each parametric gate's first angle in
+    the flat parameter vector, in gate order; ``params`` is the circuit's own
+    vector.
     """
 
     num_qubits: int
@@ -176,8 +188,8 @@ class Program:
         a = self.slots["A"]
         mats = {
             "A": a_gate_matrix(values[a], values[a + 1]),
-            "RY": [sv.ry(t) for t in values[self.slots["RY"]]],
-            "RZ": [sv.rz(t) for t in values[self.slots["RZ"]]],
+            "RY": ry_matrix(values[self.slots["RY"]]),
+            "RZ": rz_matrix(values[self.slots["RZ"]]),
         }
         for kind, stack in mats.items():
             _check_unitary(stack, f"{kind} gate matrix")
@@ -217,7 +229,7 @@ def _compile(circuit: Circuit) -> Program:
         if gather is not None:
             steps.append(gather)
             gather = None
-        steps.append((g.qubits, g.kind, len(slots[g.kind])))
+        steps.append((g.qubits[0], len(g.qubits), g.kind, len(slots[g.kind])))
         slots[g.kind].append(len(params))
         params.extend(g.params)
     if gather is not None:
@@ -258,6 +270,26 @@ def a_gate_matrix(beta, gamma) -> np.ndarray:
     mat[..., 2, 2] = -c
     mat[..., 1, 2] = phase * s
     mat[..., 2, 1] = phase.conj() * s
+    return mat
+
+
+def ry_matrix(theta) -> np.ndarray:
+    """Rotation exp(-i*theta*Y/2); an angle array gives a stack (..., 2, 2)."""
+    theta = np.asarray(theta, dtype=float)
+    c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
+    mat = np.empty(theta.shape + (2, 2), dtype=complex)
+    mat[..., 0, 0] = mat[..., 1, 1] = c
+    mat[..., 0, 1] = -s
+    mat[..., 1, 0] = s
+    return mat
+
+
+def rz_matrix(theta) -> np.ndarray:
+    """Rotation exp(-i*theta*Z/2); an angle array gives a stack (..., 2, 2)."""
+    theta = np.asarray(theta, dtype=float)
+    mat = np.zeros(theta.shape + (2, 2), dtype=complex)
+    mat[..., 0, 0] = np.exp(-1j * theta / 2.0)
+    mat[..., 1, 1] = np.exp(1j * theta / 2.0)
     return mat
 
 
@@ -412,8 +444,8 @@ def decompose(circuit: Circuit) -> Circuit:
     return Circuit(circuit.num_qubits, tuple(out), circuit.label)
 
 
-def simulate(circuit: Circuit, params=None) -> sv.StateVector:
-    """Run the circuit's compiled program from |0...0>.
+def simulate(circuit: Circuit, params=None) -> np.ndarray:
+    """Amplitudes of the circuit's compiled program run from |0...0>.
 
     ``params`` binds a flat angle vector to the parametric gates (RY, RZ, A)
     in gate order, which is the order every ansatz builder takes, so a
@@ -423,19 +455,25 @@ def simulate(circuit: Circuit, params=None) -> sv.StateVector:
     """
     program = circuit.program
     mats = program.matrices(program.bind(params))
-    width = program.num_qubits
-    amps = np.zeros(2**width, dtype=complex)
+    amps = np.zeros(2**program.num_qubits, dtype=complex)
     amps[0] = 1.0
     for step in program.steps:
         if isinstance(step, np.ndarray):
             amps = amps[step]
             continue
-        qubits, kind, index = step
-        amps = sv._apply_matrix(amps, mats[kind][index], qubits, width)
+        low, width, kind, index = step
+        dim, stride = 1 << width, 1 << low
+        # one transposing copy puts the gate's qubits on the rows of a single
+        # GEMM operand; this layout fixes the rounding that the pinned outputs
+        # and fixed-seed traces rely on
+        blocks = amps.reshape(-1, dim, stride).transpose(1, 0, 2).reshape(dim, -1)
+        out = mats[kind][index] @ blocks
+        amps = out.reshape(dim, -1, stride).transpose(1, 0, 2).reshape(-1)
         norm = float(np.vdot(amps, amps).real)
         if not abs(norm - 1.0) <= sv._NORM_TOL:
+            qubits = tuple(range(low, low + width))
             raise ValueError(f"{kind} gate on {qubits} broke the norm: sum |amp|^2 = {norm!r}")
-    return sv.StateVector(width, amps)
+    return amps
 
 
 def ses_site_amplitudes(n_sites: int, params) -> np.ndarray:
@@ -457,14 +495,14 @@ def ses_site_amplitudes(n_sites: int, params) -> np.ndarray:
     return alpha
 
 
-def binary_data_amplitudes(state: sv.StateVector, emap: EncodingMap):
-    """Read the data-register block of a packed-ansatz output state.
+def binary_data_amplitudes(amplitudes: np.ndarray, emap: EncodingMap):
+    """Read the data-register block of a packed-ansatz output register.
 
     Projects every non-data qubit onto 0 and returns (site amplitudes, leaked
     probability outside that block).  The data qubits are the low bits, so a
     site's amplitude sits at its codeword's index.  The builders guarantee
     the leak is at numerical-noise level.
     """
-    alpha = state.amplitudes[np.asarray(emap.codewords)]
+    alpha = amplitudes[np.asarray(emap.codewords)]
     leak = 1.0 - float(np.sum(np.abs(alpha) ** 2))
     return alpha, max(leak, 0.0)

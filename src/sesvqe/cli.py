@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import datetime
 import json
 import os
@@ -32,6 +31,7 @@ from .hamiltonian import (
     chain_instance,
     complex_ring_instance,
     ground_energy,
+    is_real,
     load_hamiltonian,
     random_hermitian_instance,
     save_hamiltonian,
@@ -153,16 +153,20 @@ def _parse_penalty(value, h: SiteHamiltonian) -> PenaltyConfig | None:
     if value in (None, "default"):
         return None
     if isinstance(value, dict) and "c_p" in value:
-        return PenaltyConfig(float(value["c_p"]), register_width(h.n_sites))
+        c_p = value["c_p"]
+        if not is_real(c_p):
+            raise ConfigError(f"config key 'penalty': c_p must be a real number, got {c_p!r}")
+        return PenaltyConfig(float(c_p), register_width(h.n_sites))
     raise ConfigError(f"config key 'penalty': expected \"default\" or {{\"c_p\": value}}, got {value!r}")
 
 
 def load_solve_config(path: Path, overrides) -> vqe.VqeConfig:
-    """Read a solve configuration file, applying CLI overrides."""
+    """Read a solve configuration file; an override that is not None replaces its key."""
     with open(path) as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
         raise ConfigError("config file must hold a JSON object")
+    doc.update((key, value) for key, value in overrides.items() if value is not None)
     ham_ref = _config_get(doc, "hamiltonian", required=True)
     ham_path = Path(ham_ref)
     if not ham_path.is_absolute():
@@ -182,9 +186,6 @@ def load_solve_config(path: Path, overrides) -> vqe.VqeConfig:
         "layers": _config_get(doc, "layers", 2),
         "epsilon": _config_get(doc, "epsilon"),
     }
-    for key, value in overrides.items():
-        if value is not None:
-            kwargs[key] = value
     try:
         return vqe.VqeConfig(**kwargs)
     except (TypeError, ValueError) as exc:
@@ -203,20 +204,10 @@ def _write_trace_csv(path: Path, trace) -> None:
 def cmd_solve(args, argv) -> int:
     overrides = {
         "seed": args.seed,
+        "shots": args.shots,
         "max_evaluations": args.max_evaluations,
     }
     config = load_solve_config(Path(args.config), overrides)
-    if args.shots is not None:
-        if args.shots == "exact":
-            shots_val = None
-        elif args.shots.isdigit():
-            shots_val = int(args.shots)
-        else:
-            raise UsageError(f"--shots expects an integer or 'exact', got {args.shots!r}")
-        try:
-            config = dataclasses.replace(config, shots=shots_val)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
     result = vqe.optimize(config)
     out = _resolve_out(args.out, "solve_report.json")
     report = {
@@ -259,10 +250,6 @@ def cmd_solve(args, argv) -> int:
     return 0 if result.status == "converged" else 2
 
 
-def _is_real(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 def _load_site_vector(args) -> tuple:
     """Site amplitudes plus a label describing where they came from."""
     if args.params:
@@ -270,7 +257,7 @@ def _load_site_vector(args) -> tuple:
             doc = json.load(fh)
         ansatz = _config_get(doc, "ansatz", "one_hot_ses")
         pairs = np.asarray(_config_get(doc, "pairs", required=True), dtype=object)
-        if not all(_is_real(x) for x in pairs.flat):
+        if not all(is_real(x) for x in pairs.flat):
             raise ConfigError("params key 'pairs': expected real numbers")
         n_sites = _config_get(doc, "n_sites", required=True)
         if isinstance(n_sites, bool) or not isinstance(n_sites, int) or n_sites < 1:
@@ -283,7 +270,7 @@ def _load_site_vector(args) -> tuple:
         doc = json.load(fh)
     raw = _config_get(doc, "amplitudes", required=True)
     if not isinstance(raw, list) or not all(
-        isinstance(entry, list) and len(entry) == 2 and all(_is_real(x) for x in entry)
+        isinstance(entry, list) and len(entry) == 2 and all(is_real(x) for x in entry)
         for entry in raw
     ):
         raise ConfigError("amplitudes must be a list of [re, im] pairs of real numbers")
@@ -362,6 +349,15 @@ def cmd_resources(args, argv) -> int:
     return 0
 
 
+def _shots_option(text: str):
+    """``--shots``: an integer or "exact", as the config's ``shots`` key takes them."""
+    if text == "exact":
+        return text
+    if text.isdigit():
+        return int(text)
+    raise argparse.ArgumentTypeError(f"expects an integer or 'exact', got {text!r}")
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="sesvqe", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -381,7 +377,7 @@ def build_parser() -> _Parser:
     solve.add_argument("--out", default=None)
     solve.add_argument("--trace-csv", default=None)
     solve.add_argument("--seed", type=int, default=None)
-    solve.add_argument("--shots", default=None)
+    solve.add_argument("--shots", type=_shots_option, default=None)
     solve.add_argument("--max-evaluations", type=int, default=None)
     solve.set_defaults(func=cmd_solve)
 

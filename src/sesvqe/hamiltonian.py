@@ -59,8 +59,8 @@ class PenaltyConfig:
     num_qubits: int
 
     def __post_init__(self):
-        if not self.c_p > 0:
-            raise ValueError(f"penalty c_p must be positive, got {self.c_p}")
+        if not (self.c_p > 0 and np.isfinite(self.c_p)):
+            raise ValueError(f"penalty c_p must be positive and finite, got {self.c_p}")
         if self.num_qubits < 1:
             raise ValueError("num_qubits must be >= 1")
 
@@ -207,8 +207,8 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _is_real(value) -> bool:
-    """A float, or an int that converts to one."""
+def is_real(value) -> bool:
+    """A float, or an int that converts to one; a bool is no real number."""
     return isinstance(value, float) or _is_int(value) and abs(value) <= sys.float_info.max
 
 
@@ -241,7 +241,7 @@ def load_hamiltonian(path) -> SiteHamiltonian:
         row, col, re, im = entry
         if not (_is_int(row) and _is_int(col)):
             raise ValueError(f"entry {entry!r}: row and column must be integers")
-        if not (_is_real(re) and _is_real(im)):
+        if not (is_real(re) and is_real(im)):
             raise ValueError(f"entry {entry!r}: re and im must be real numbers")
         if not (0 <= row < n and 0 <= col < n):
             raise ValueError(f"entry ({row},{col}) out of range for n_sites={n}")

@@ -1,9 +1,8 @@
-"""Register states and shot sampling, with a little-endian qubit convention.
+"""Site states and shot sampling, with a little-endian qubit convention.
 
 Basis state ``|i>`` assigns qubit ``k`` the bit ``(i >> k) & 1``, so qubit 0 is
-the least significant bit of the amplitude index.  All exported operations
-treat states as immutable and return fresh arrays.  Circuits are simulated by
-``circuits.simulate``, which applies dense gates through ``_apply_matrix``.
+the least significant bit of the outcome index.  Circuits are simulated by
+``circuits.simulate``; this module holds the register limits it shares.
 
 Shot sampling never builds the one-hot register.  ``sample_bitstrings`` reads
 a ``SiteState``, the site amplitudes alpha and the register that carries them,
@@ -45,41 +44,6 @@ _PAIR_CHANGE = {
     letter: np.array([[1, phi], [1, -phi]], dtype=complex) / np.sqrt(2.0)
     for letter, phi in (("X", 1.0), ("Y", -1j))
 }
-
-
-def ry(theta: float) -> np.ndarray:
-    """Rotation exp(-i*theta*Y/2)."""
-    c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
-    return np.array([[c, -s], [s, c]], dtype=complex)
-
-
-def rz(theta: float) -> np.ndarray:
-    """Rotation exp(-i*theta*Z/2)."""
-    return np.array(
-        [[np.exp(-1j * theta / 2.0), 0], [0, np.exp(1j * theta / 2.0)]], dtype=complex
-    )
-
-
-@dataclass(frozen=True)
-class StateVector:
-    """Normalized pure state over ``num_qubits`` little-endian qubits."""
-
-    num_qubits: int
-    amplitudes: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex)
-        if self.num_qubits < 1:
-            raise ValueError(f"num_qubits must be >= 1, got {self.num_qubits}")
-        if amps.shape != (2**self.num_qubits,):
-            raise ValueError(
-                f"amplitude vector has shape {amps.shape}, expected"
-                f" ({2 ** self.num_qubits},) for {self.num_qubits} qubits"
-            )
-        norm = float(np.sum(np.abs(amps) ** 2))
-        if not abs(norm - 1.0) <= _NORM_TOL:
-            raise ValueError(f"state is not normalized: sum |amp|^2 = {norm!r}")
-        object.__setattr__(self, "amplitudes", amps)
 
 
 @dataclass(frozen=True)
@@ -160,25 +124,6 @@ def check_shots(shots) -> None:
     """Refuse a shot count that is not an int >= 1; a bool and None are refused too."""
     if isinstance(shots, bool) or not isinstance(shots, numbers.Integral) or shots < 1:
         raise ValueError(f"shots must be an integer >= 1, got {shots!r}")
-
-
-def _apply_matrix(
-    amps: np.ndarray, matrix: np.ndarray, qubits, num_qubits: int
-) -> np.ndarray:
-    """Apply a 2^m x 2^m matrix to the listed qubits of a flat amplitude array.
-
-    The first listed qubit indexes the least significant bit of the matrix.
-    """
-    m = len(qubits)
-    tensor = amps.reshape([2] * num_qubits)
-    # numpy axis a of the reshaped tensor corresponds to qubit (n-1-a); the
-    # transpose puts the most significant gate qubit first.
-    axes = [num_qubits - 1 - q for q in reversed(qubits)]
-    rest = [a for a in range(num_qubits) if a not in axes]
-    perm = axes + rest
-    moved = tensor.transpose(perm).reshape(2**m, -1)
-    out = (matrix @ moved).reshape([2] * num_qubits)
-    return out.transpose(np.argsort(perm)).reshape(-1)
 
 
 def _one_hot_record(alpha: np.ndarray, bases: str, shots: int, rng) -> tuple:

@@ -206,7 +206,7 @@ def site_vector(plan: RunPlan, params) -> np.ndarray:
     register is its own site basis.
     """
     if plan.config.ansatz == "hardware_efficient":
-        return circuits.simulate(plan.circuit, params).amplitudes
+        return circuits.simulate(plan.circuit, params)
     return circuits.ses_site_amplitudes(plan.target.n_sites, params)
 
 

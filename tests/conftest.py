@@ -46,12 +46,12 @@ BASIS_CHANGE = {"Z": PAULI["I"], "X": _H, "Y": _H @ np.diag([1, -1j])}
 def measurement_distribution(register: np.ndarray, bases: str) -> np.ndarray:
     """Oracle: outcome probabilities of measuring every qubit of a dense
     register in ``bases`` (letter q on qubit q), by rotating each qubit to
-    its Z basis and squaring the amplitudes."""
+    its Z basis (one kron product of the per-qubit rotations) and squaring
+    the amplitudes."""
     n = len(bases)
     if register.shape != (2**n,):
         raise ValueError(f"register of {register.size} amplitudes does not match width {n}")
-    for q, letter in enumerate(bases):
-        register = sv._apply_matrix(register, BASIS_CHANGE[letter], [q], n)
+    register = kron_qubits([BASIS_CHANGE[letter] for letter in bases]) @ register
     p = np.abs(register) ** 2
     return p / p.sum()
 

@@ -279,6 +279,15 @@ class TestSolve:
         assert rc == 1
         assert "config error: epsilon must be a finite number" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("c_p", [None, "5", True])
+    def test_penalty_c_p_must_be_a_real_number(self, tmp_path, capsys, c_p):
+        cfg = self.make_config(tmp_path, n=4, name="pen.json", ansatz="hardware_efficient",
+                               penalty={"c_p": c_p})
+        rc = cli.main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o.json")])
+        assert rc == 1
+        assert "config error: config key 'penalty': c_p must be a real number" in capsys.readouterr().err
+        assert not (tmp_path / "o.json").exists()
+
     def test_non_physical_best_state_exits_2_with_a_warning(self, tmp_path, capsys, lifted_chain):
         ham.save_hamiltonian(lifted_chain, tmp_path / "lifted.json")
         cfg = tmp_path / "low-penalty.json"
@@ -352,6 +361,9 @@ class TestReconstruct:
             ("amplitudes", {"amplitudes": [["1", "0"], ["0", "0"], ["0", "0"], ["0", "0"]]}),
             ("amplitudes", {"amplitudes": [[1, 0, 0], [0, 0], [0, 0], [0, 0]]}),
             ("params", {"ansatz": "one_hot_ses", "n_sites": 4, "pairs": ["0.1"] * 6}),
+            # an int beyond the float range is no real number
+            ("amplitudes", {"amplitudes": [[10**400, 0], [0, 0], [0, 0], [0, 0]]}),
+            ("params", {"ansatz": "one_hot_ses", "n_sites": 4, "pairs": [10**400] + [0.1] * 5}),
         ],
     )
     def test_malformed_state_file_is_a_config_error(self, tmp_path, capsys, route, doc):

@@ -129,6 +129,8 @@ class TestPenaltyExtension:
             ham.PenaltyConfig(0.0, 2)
         with pytest.raises(ValueError, match="positive"):
             ham.PenaltyConfig(-3.0, 2)
+        with pytest.raises(ValueError, match="finite"):
+            ham.PenaltyConfig(float("inf"), 2)
         with pytest.raises(ValueError):
             ham.PenaltyConfig(1.0, 0)
 

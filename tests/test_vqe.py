@@ -250,7 +250,7 @@ class TestSiteVector:
         # simulated one-hot register, so the register it describes must agree
         h, params = point
         n = h.n_sites
-        register = circuits.simulate(circuits.build_ses_circuit(n, params)).amplitudes
+        register = circuits.simulate(circuits.build_ses_circuit(n, params))
         alpha = circuits.ses_site_amplitudes(n, params)
         embedded = dense_register(sv.SiteState(n, None, alpha))
         assert np.max(np.abs(register - embedded)) <= 1e-14
