@@ -43,7 +43,6 @@ from .measurement import (
     AmplitudeProfile,
     MeasurementSetting,
     PhaseGraph,
-    SettingEstimates,
     estimate_energy,
     estimate_setting,
     reconstruct_profile,
@@ -65,7 +64,6 @@ __all__ = [
     "PenaltyConfig",
     "PhaseGraph",
     "RunPlan",
-    "SettingEstimates",
     "ShotHistogram",
     "SiteState",
     "SiteHamiltonian",

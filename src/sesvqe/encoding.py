@@ -26,7 +26,6 @@ class EncodingMap:
 
     n_sites: int
     num_qubits: int
-    mode: str
     codewords: tuple = field(repr=False)
 
     def __post_init__(self):
@@ -61,7 +60,7 @@ def build_map(n_sites: int, mode: str = "shifted") -> EncodingMap:
         words = tuple(range(n_sites))
     else:
         raise ValueError(f"unknown encoding mode {mode!r}")
-    return EncodingMap(n_sites, n, mode, words)
+    return EncodingMap(n_sites, n, words)
 
 
 def gray_code(value: int) -> int:

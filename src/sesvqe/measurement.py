@@ -11,13 +11,14 @@ measurements alone:
   elsewhere.  Each X/Y setting resolves every encoded pair whose codewords
   differ exactly at ell.
 
-Estimates are arrays over one pair list per (protocol, N), built once: the
-chain pairs (j, j+1) for ``original``, the hypercube edges of the encoding
-map for ``binary``.  Every pair is stored in site order (j < k) with value
-conventions cos: 2 r_j r_k cos(t_k - t_j) and sin: 2 r_j r_k sin(t_k - t_j).
-Relative phases come from a maximum-weight spanning forest over the measured
-pairs, so a state is reconstructed up to one global phase per connected
-component.
+Each setting carries its kind (``prob``, ``cos`` or ``sin``); one layout per
+(protocol, N), built once, says what each setting measures: the chain pairs
+(j, j+1) for ``original``, the hypercube edges of the encoding map for
+``binary``.  A setting's estimate is a bare array in that layout's order.
+Pairs are read in site order (j < k) as cos: 2 r_j r_k cos(t_k - t_j) and
+sin: 2 r_j r_k sin(t_k - t_j).  Relative phases come from a maximum-weight
+spanning forest over the measured pairs, so a state is reconstructed up to
+one global phase per connected component.
 """
 
 from __future__ import annotations
@@ -37,36 +38,21 @@ EXACT_EPSILON = 1e-9
 
 @dataclass(frozen=True)
 class MeasurementSetting:
-    """One product-measurement context: a basis letter per qubit."""
+    """One product-measurement context: a basis letter per qubit, and the
+    ``kind`` it estimates (``prob``, ``cos`` or ``sin``)."""
 
     label: str
     bases: str
     protocol: str
+    kind: str
     axis: int | None = None
 
     def __post_init__(self):
         bad = set(self.bases) - set("XYZ")
         if bad:
             raise ValueError(f"unknown basis letters {sorted(bad)} in {self.bases!r}")
-
-
-@dataclass(frozen=True)
-class SettingEstimates:
-    """Estimates extracted from one setting.
-
-    ``kind`` is ``prob`` (``values[i]`` estimates |alpha|^2 of site
-    ``sites[i]``), ``cos`` or ``sin`` (``values[i]`` estimates the correlator
-    of the site-ordered pair ``(sites[i], partners[i])``).  ``shots_used`` is
-    None in exact mode.
-    """
-
-    setting_label: str
-    kind: str
-    sites: np.ndarray = field(repr=False)
-    values: np.ndarray = field(repr=False)
-    partners: np.ndarray | None = field(default=None, repr=False)
-    shots_used: int | None = None
-    extras: dict | None = None
+        if self.kind not in ("prob", "cos", "sin"):
+            raise ValueError(f"unknown setting kind {self.kind!r}")
 
 
 @dataclass(frozen=True)
@@ -120,7 +106,6 @@ class PhaseGraph:
     inactive site.
     """
 
-    n_sites: int
     edge_j: np.ndarray = field(repr=False)
     edge_k: np.ndarray = field(repr=False)
     delta: np.ndarray = field(repr=False)
@@ -136,9 +121,9 @@ def settings_original(n_sites: int) -> list:
         raise ValueError("n_sites must be >= 1")
     alternating = "".join("X" if q % 2 == 0 else "Y" for q in range(n_sites))
     return [
-        MeasurementSetting("MZ", "Z" * n_sites, "original"),
-        MeasurementSetting("MXX", "X" * n_sites, "original"),
-        MeasurementSetting("MXY", alternating, "original"),
+        MeasurementSetting("MZ", "Z" * n_sites, "original", "prob"),
+        MeasurementSetting("MXX", "X" * n_sites, "original", "cos"),
+        MeasurementSetting("MXY", alternating, "original", "sin"),
     ]
 
 
@@ -146,28 +131,26 @@ def settings_binary(num_qubits: int) -> list:
     """The 2n + 1 settings for a packed ``num_qubits`` register."""
     if num_qubits < 1:
         raise ValueError("num_qubits must be >= 1")
-    out = [MeasurementSetting("BZ", "Z" * num_qubits, "binary")]
+    out = [MeasurementSetting("BZ", "Z" * num_qubits, "binary", "prob")]
     for axis in range(num_qubits):
-        for letter in ("X", "Y"):
+        for letter, kind in (("X", "cos"), ("Y", "sin")):
             bases = "".join(letter if q == axis else "Z" for q in range(num_qubits))
-            out.append(MeasurementSetting(f"B{letter}{axis}", bases, "binary", axis))
+            out.append(MeasurementSetting(f"B{letter}{axis}", bases, "binary", kind, axis))
     return out
 
 
 @dataclass(frozen=True)
 class _PairGroup:
-    """The pairs one X/Y setting resolves.
+    """The pairs one X/Y setting resolves, in its estimate's order.
 
-    Pair ``i`` joins sites ``j[i] < k[i]``.  The setting measures the raw
-    correlator 2 conj(a_low) a_high in register order: ``low`` is the site on
-    the X qubit (one-hot) or whose codeword has bit 0 at the flip axis
-    (packed).  ``sign`` is +1 where ``low`` is ``j``, so ``sign * Im(raw)``
-    is the site-ordered sine.  ``index[i]`` is the place of pair ``i`` in the
+    The setting measures the raw correlator 2 conj(a_low) a_high of pair
+    ``i`` in register order: ``low[i]`` is the site on the X qubit (one-hot)
+    or whose codeword has bit 0 at the flip axis (packed).  ``sign[i]`` is +1
+    where ``low[i]`` is the lower site, so ``sign * Im(raw)`` is the
+    site-ordered sine.  ``index[i]`` is the place of pair ``i`` in the
     layout's pair list.
     """
 
-    j: np.ndarray
-    k: np.ndarray
     low: np.ndarray
     high: np.ndarray
     sign: np.ndarray
@@ -188,7 +171,7 @@ class _Layout:
     """
 
     settings: tuple
-    sites: np.ndarray
+    n_sites: int
     groups: dict
     positions: np.ndarray | None
     pair_j: np.ndarray
@@ -203,17 +186,16 @@ def _read_only(*arrays) -> tuple:
 
 def _pair_group(j, k, j_is_low, index) -> _PairGroup:
     low, high = np.where(j_is_low, j, k), np.where(j_is_low, k, j)
-    return _PairGroup(*_read_only(j, k, low, high, np.where(j_is_low, 1.0, -1.0), index))
+    return _PairGroup(*_read_only(low, high, np.where(j_is_low, 1.0, -1.0), index))
 
 
 @functools.lru_cache(maxsize=64)
 def _chain_layout(n_sites: int) -> _Layout:
     settings = tuple(settings_original(n_sites))
-    j = np.arange(n_sites - 1)
+    j, k = _read_only(np.arange(n_sites - 1), np.arange(1, n_sites))
     # the alternating pattern puts X on even qubits
-    group = _pair_group(j, j + 1, j % 2 == 0, j)
-    (sites,) = _read_only(np.arange(n_sites))
-    return _Layout(settings, sites, {None: group}, None, group.j, group.k)
+    group = _pair_group(j, k, j % 2 == 0, j)
+    return _Layout(settings, n_sites, {None: group}, None, j, k)
 
 
 def _binary_layout(emap: EncodingMap) -> _Layout:
@@ -227,8 +209,8 @@ def _binary_layout(emap: EncodingMap) -> _Layout:
     for a in range(emap.num_qubits):
         on_axis = axis == a
         groups[a] = _pair_group(j[on_axis], k[on_axis], j_is_low[on_axis], index[on_axis])
-    sites, positions, pair_j, pair_k = _read_only(np.arange(emap.n_sites), positions, j[order], k[order])
-    return _Layout(tuple(settings_binary(emap.num_qubits)), sites, groups, positions, pair_j, pair_k)
+    positions, pair_j, pair_k = _read_only(positions, j[order], k[order])
+    return _Layout(tuple(settings_binary(emap.num_qubits)), emap.n_sites, groups, positions, pair_j, pair_k)
 
 
 def _layout(protocol: str, n_sites: int, emap: EncodingMap | None) -> _Layout:
@@ -244,19 +226,6 @@ def _layout(protocol: str, n_sites: int, emap: EncodingMap | None) -> _Layout:
         layout = _binary_layout(emap)
         object.__setattr__(emap, "_layout_cache", layout)
     return layout
-
-
-_ORIGINAL_KINDS = {"MZ": "prob", "MXX": "cos", "MXY": "sin"}
-
-
-def _kind(setting: MeasurementSetting) -> str:
-    if setting.protocol == "original":
-        if setting.label not in _ORIGINAL_KINDS:
-            raise ValueError(f"unknown original-protocol setting {setting.label!r}")
-        return _ORIGINAL_KINDS[setting.label]
-    if setting.label == "BZ":
-        return "prob"
-    return "cos" if setting.label.startswith("BX") else "sin"
 
 
 def _check_histogram(hist: sv.ShotHistogram, setting: MeasurementSetting):
@@ -280,19 +249,14 @@ def _site_vector(alpha, n_sites: int) -> np.ndarray:
     return alpha
 
 
-def _estimate_exact(alpha, setting, layout: _Layout, kind: str):
+def _estimate_exact(alpha, setting, layout: _Layout) -> np.ndarray:
     """Estimates read straight from the site amplitudes."""
-    alpha = _site_vector(alpha, layout.sites.size)
-    if kind == "prob":
-        probs = np.abs(alpha) ** 2
-        extras = None
-        if setting.protocol == "binary":
-            extras = {"unencoded_mass": float(1.0 - probs.sum())}
-        return SettingEstimates(setting.label, kind, layout.sites, probs, extras=extras)
+    alpha = _site_vector(alpha, layout.n_sites)
+    if setting.kind == "prob":
+        return np.abs(alpha) ** 2
     group = layout.groups[setting.axis]
     raw = 2.0 * (np.conj(alpha[group.low]) * alpha[group.high])
-    values = raw.real if kind == "cos" else group.sign * raw.imag
-    return SettingEstimates(setting.label, kind, group.j, values, group.k)
+    return raw.real if setting.kind == "cos" else group.sign * raw.imag
 
 
 def _bit_sums(hist: sv.ShotHistogram, adjacent: bool = False) -> np.ndarray:
@@ -307,38 +271,39 @@ def _bit_sums(hist: sv.ShotHistogram, adjacent: bool = False) -> np.ndarray:
     return np.einsum("k,kq->q", np.asarray(hist.counts, dtype=np.int64), rows)
 
 
-def _estimate_histogram(hist: sv.ShotHistogram, setting, layout: _Layout, kind: str):
+def _estimate_histogram(hist: sv.ShotHistogram, setting, layout: _Layout) -> np.ndarray:
     """Estimates from integer outcome counts; each mean is an exact integer over the shots."""
     shots = hist.total_shots
     if setting.protocol == "binary":
         # shots per outcome index; float64 holds these integers exactly
         counts = np.bincount(hist.outcome_index(), weights=hist.counts, minlength=1 << hist.num_qubits)
-        if kind == "prob":
-            found = counts[layout.positions]
-            unknown = shots - int(found.sum())
-            extras = {"unknown_codeword_count": unknown, "unencoded_mass": unknown / shots}
-            return SettingEstimates(setting.label, kind, layout.sites, found / shots,
-                                    shots_used=shots, extras=extras)
-        group = layout.groups[setting.axis]
         positions = layout.positions
+        if setting.kind == "prob":
+            return counts[positions] / shots
+        group = layout.groups[setting.axis]
         raw = (counts[positions[group.low]] - counts[positions[group.high]]) / shots
     else:
         # means of +-1 bit products over the recorded outcomes
-        if kind == "prob":
-            return SettingEstimates(setting.label, kind, layout.sites, _bit_sums(hist) / shots,
-                                    shots_used=shots)
+        if setting.kind == "prob":
+            return _bit_sums(hist) / shots
         group = layout.groups[None]
         raw = (shots - 2 * _bit_sums(hist, adjacent=True)) / shots
-    values = raw if kind == "cos" else group.sign * raw
-    return SettingEstimates(setting.label, kind, group.j, values, group.k, shots_used=shots)
+    return raw if setting.kind == "cos" else group.sign * raw
 
 
-def estimate_setting(source, setting: MeasurementSetting, emap: EncodingMap | None = None):
+def estimate_setting(source, setting: MeasurementSetting, emap: EncodingMap | None = None) -> np.ndarray:
     """Evaluate one measurement setting on a site vector or a shot record.
 
     ``source`` is a site-amplitude vector (numpy array) or a ShotHistogram
     recorded for this setting.  Binary-protocol settings need the encoding
     map.
+
+    A ``prob`` setting returns one value per site, estimating |a_j|^2.  A
+    ``cos`` or ``sin`` setting returns one value per pair (j < k) it
+    resolves, estimating 2 r_j r_k cos(t_k - t_j) or 2 r_j r_k sin(t_k - t_j),
+    in a fixed order: on the one-hot register pair (j, j + 1) is at index j;
+    on the packed register the pairs come in ``hypercube_edges(emap)`` order,
+    restricted to the edges whose flip position is the setting's axis.
     """
     width = len(setting.bases)
     layout = _layout(setting.protocol, width, emap)
@@ -347,8 +312,8 @@ def estimate_setting(source, setting: MeasurementSetting, emap: EncodingMap | No
         raise ValueError(f"setting width {width} != register width {register}")
     if isinstance(source, sv.ShotHistogram):
         _check_histogram(source, setting)
-        return _estimate_histogram(source, setting, layout, _kind(setting))
-    return _estimate_exact(source, setting, layout, _kind(setting))
+        return _estimate_histogram(source, setting, layout)
+    return _estimate_exact(source, setting, layout)
 
 
 def check_epsilon(epsilon) -> None:
@@ -451,7 +416,7 @@ def reconstruct_profile(probs, pair_j, pair_k, cos, sin, epsilon: float | None =
 
     reference = active_sites.index(True) if True in active_sites else None
     profile = AmplitudeProfile(n_sites, magnitudes, np.array(phases), active, float(epsilon), reference)
-    pgraph = PhaseGraph(n_sites, j, k, delta, np.array(weights), np.array(in_tree, dtype=bool),
+    pgraph = PhaseGraph(j, k, delta, np.array(weights), np.array(in_tree, dtype=bool),
                         np.array(component), n_components)
     return profile, pgraph
 
@@ -492,8 +457,8 @@ def estimate_energy(
     not depend on evaluation order.  Returns ``(energy, diagnostics)``.
     """
     layout = _layout(protocol, h.n_sites, emap)
-    if layout.sites.size != h.n_sites:
-        raise ValueError(f"encoding map covers {layout.sites.size} sites, Hamiltonian has {h.n_sites}")
+    if layout.n_sites != h.n_sites:
+        raise ValueError(f"encoding map covers {layout.n_sites} sites, Hamiltonian has {h.n_sites}")
     alpha = _site_vector(alpha, h.n_sites)
     check_epsilon(epsilon)
     if shots is not None:
@@ -501,20 +466,22 @@ def estimate_energy(
         state = sv.SiteState(len(layout.settings[0].bases), layout.positions, alpha)
         seed_root = list(seed) if isinstance(seed, (tuple, list)) else [seed]
 
-    probs = np.zeros(h.n_sites)
     cos, sin = np.empty(layout.pair_j.size), np.empty(layout.pair_j.size)
     for idx, setting in enumerate(layout.settings):
-        if shots is None:
-            est = estimate_setting(alpha, setting, emap)
-        else:
+        source = alpha
+        if shots is not None:
             rng = np.random.default_rng(np.random.SeedSequence(seed_root + [idx]))
-            hist = sv.sample_bitstrings(state, setting.bases, shots, rng, setting.label)
-            est = estimate_setting(hist, setting, emap)
-        if est.kind == "prob":
-            probs[layout.sites] = est.values
-            z_extras = est.extras or {}
+            source = sv.sample_bitstrings(state, setting.bases, shots, rng, setting.label)
+        values = estimate_setting(source, setting, emap)
+        if setting.kind == "prob":
+            probs = values
         else:
-            (cos if est.kind == "cos" else sin)[layout.groups[setting.axis].index] = est.values
+            (cos if setting.kind == "cos" else sin)[layout.groups[setting.axis].index] = values
+    # the packed sampler puts probability exactly 0 off the codewords
+    # (``_packed_distribution`` writes only ``register[positions]``), so a
+    # record drawn here has no shot on an unknown codeword and no unencoded mass
+    exact_binary = protocol == "binary" and shots is None
+    unencoded_mass = max(0.0, float(1.0 - probs.sum())) if exact_binary else 0.0
 
     profile, pgraph = reconstruct_profile(probs, layout.pair_j, layout.pair_k, cos, sin, epsilon, shots)
     energy = energy_from_profile(h, profile)
@@ -528,8 +495,8 @@ def estimate_energy(
         "n_components": pgraph.n_components,
         "cross_component_terms": unresolved,
         "inactive_terms": inactive_terms,
-        "unencoded_mass": max(0.0, z_extras.get("unencoded_mass", 0.0)),
-        "unknown_codeword_count": z_extras.get("unknown_codeword_count", 0),
+        "unencoded_mass": unencoded_mass,
+        "unknown_codeword_count": 0,
         "warnings": ["unresolved-phase"] if unresolved else [],
         "profile": profile_summary(profile),
         "phase_graph": phase_graph_summary(pgraph),

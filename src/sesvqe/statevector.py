@@ -121,9 +121,9 @@ class ShotHistogram:
 
 
 def check_shots(shots) -> None:
-    """Refuse a shot count that is not an int >= 1; a bool and None are refused too."""
-    if isinstance(shots, bool) or not isinstance(shots, numbers.Integral) or shots < 1:
-        raise ValueError(f"shots must be an integer >= 1, got {shots!r}")
+    """Refuse a shot count that is not an int in [1, 2^53] (float64 counts are exact up to 2^53)."""
+    if isinstance(shots, bool) or not isinstance(shots, numbers.Integral) or not 1 <= shots <= 1 << 53:
+        raise ValueError(f"shots must be an integer >= 1 and <= 2^53, got {shots!r}")
 
 
 def _one_hot_record(alpha: np.ndarray, bases: str, shots: int, rng) -> tuple:

@@ -236,6 +236,20 @@ class TestSolve:
         assert rc == 1
         assert "--shots" in capsys.readouterr().err
 
+    def test_shot_count_past_two_to_the_53_refused(self, tmp_path, capsys):
+        # estimates count outcomes in float64; a larger count once reached the
+        # multinomial draw and ended in an OverflowError traceback
+        cfg = self.make_config(tmp_path, n=4, name="huge.json", ansatz="binary_ses", protocol="binary",
+                               optimizer="spsa", shots=10**30)
+        assert cli.main(["solve", "--config", str(cfg)]) == 1
+        assert "shots must be an integer >= 1" in capsys.readouterr().err
+        amp_path = tmp_path / "amps.json"
+        amp_path.write_text(json.dumps({"amplitudes": [[0.5, 0.0]] * 4}))
+        rc = cli.main(["reconstruct", "--hamiltonian", str(tmp_path / "h.json"), "--protocol", "binary",
+                       "--amplitudes", str(amp_path), "--shots", str(10**30)])
+        assert rc == 1
+        assert "shots must be an integer >= 1" in capsys.readouterr().err
+
     def test_shots_override_rejected_for_simplex(self, tmp_path, capsys):
         cfg = self.make_config(tmp_path, name="simplex.json", protocol="original")
         rc = cli.main(["solve", "--config", str(cfg), "--shots", "100"])

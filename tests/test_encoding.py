@@ -73,11 +73,11 @@ def test_build_map_rejects_unknown_mode():
 
 def test_map_validation():
     with pytest.raises(ValueError, match="distinct"):
-        encoding.EncodingMap(2, 1, "plain", (0, 0))
+        encoding.EncodingMap(2, 1, (0, 0))
     with pytest.raises(ValueError):
-        encoding.EncodingMap(3, 1, "plain", (0, 1, 2))
+        encoding.EncodingMap(3, 1, (0, 1, 2))
     with pytest.raises(ValueError, match="out of range"):
-        encoding.EncodingMap(2, 1, "plain", (0, 2))
+        encoding.EncodingMap(2, 1, (0, 2))
     emap = encoding.build_map(4)
     with pytest.raises(ValueError, match="site"):
         emap.codeword(4)

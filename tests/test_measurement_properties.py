@@ -130,10 +130,8 @@ def histograms(draw):
 @given(histograms())
 def test_one_hot_histogram_estimates_equal_bitstring_sums(data):
     width, counts = data
-    shots = int(counts.sum())
     for setting in meas.settings_original(width):
         est = meas.estimate_setting(sv.ShotHistogram.from_counts(setting.label, counts), setting)
-        assert est.shots_used == shots
         if setting.label == "MZ":
             want = [brute_mean(counts, lambda i, j=j: bit(i, j)) for j in range(width)]
         else:
@@ -143,7 +141,7 @@ def test_one_hot_histogram_estimates_equal_bitstring_sums(data):
                     counts, lambda i, j=j: (1 - 2 * bit(i, j)) * (1 - 2 * bit(i, j + 1))
                 )
                 want.append(raw if setting.label == "MXX" or setting.bases[j] == "X" else -raw)
-        assert est.values.tolist() == want
+        assert est.tolist() == want
 
 
 @given(histograms(), st.data())
@@ -158,14 +156,11 @@ def test_packed_histogram_estimates_equal_bitstring_sums(data, choose):
         est = meas.estimate_setting(sv.ShotHistogram.from_counts(setting.label, counts), setting, emap)
         if setting.label == "BZ":
             found = [int(counts[emap.codeword(s)]) for s in range(emap.n_sites)]
-            assert est.values.tolist() == [c / shots for c in found]
-            assert est.extras == {
-                "unknown_codeword_count": shots - sum(found),
-                "unencoded_mass": (shots - sum(found)) / shots,
-            }
+            assert est.tolist() == [c / shots for c in found]
             continue
         axis = setting.axis
-        want = {}
+        # one value per edge on the setting's axis, in hypercube_edges order
+        want = []
         for j, k, pos in encoding.hypercube_edges(emap):
             if pos != axis:
                 continue
@@ -173,9 +168,8 @@ def test_packed_histogram_estimates_equal_bitstring_sums(data, choose):
             raw = (int(counts[base0]) - int(counts[base0 | 1 << axis])) / shots
             if setting.label.startswith("BY") and bit(emap.codeword(j), axis):
                 raw = -raw
-            want[j, k] = raw
-        got = dict(zip(zip(est.sites.tolist(), est.partners.tolist()), est.values.tolist()))
-        assert got == want
+            want.append(raw)
+        assert est.tolist() == want
 
 
 @given(

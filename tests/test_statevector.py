@@ -212,11 +212,13 @@ class TestBasisRotationAndSampling:
                 sv.sample_bitstrings(state, bases, 10, seed=0)
 
     def test_shots_must_be_positive(self):
-        # a packed and a one-hot register; a fraction, a bool and None are no shot count
+        # a packed and a one-hot register; a fraction, a bool, None and a count
+        # past float64's exact integers are no shot count
         for state in (one_qubit(1.0), even_pair()):
-            for shots in (0, -3, 2.5, True, None):
+            for shots in (0, -3, 2.5, True, None, 2**53 + 1, 10**30):
                 with pytest.raises(ValueError, match="shots must be an integer >= 1"):
                     sv.sample_bitstrings(state, "Z" * state.num_qubits, shots, seed=0)
+        assert sv.sample_bitstrings(one_qubit(0.6, 0.8), "Z", 2**53, seed=0).total_shots == 2**53
 
 
 def chi_square_pvalue(state: sv.SiteState, bases: str, shots: int, seed: int) -> float:

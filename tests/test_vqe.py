@@ -179,7 +179,7 @@ class TestPrepare:
     def test_binary_plan_uses_shifted_map(self):
         cfg = vqe.VqeConfig(ham.chain_instance(8), ansatz="binary_ses", protocol="binary")
         plan = vqe.prepare(cfg)
-        assert plan.emap.mode == "shifted"
+        assert plan.emap.codewords == encoding.build_map(8, "shifted").codewords
         assert plan.emap.num_qubits == 3
 
     def test_hardware_efficient_gets_default_penalty(self):
@@ -191,7 +191,7 @@ class TestPrepare:
             ham.exact_spectrum(h)[-1] - ham.exact_spectrum(h)[0]
         )
         assert plan.target.matrix[3, 3].real == pytest.approx(max(10 * spread, 1.0))
-        assert plan.emap.mode == "plain"
+        assert plan.emap.codewords == encoding.build_map(4, "plain").codewords
         # ground energy of the extension matches the raw problem
         assert plan.exact_ground == pytest.approx(ham.ground_energy(h), abs=1e-12)
 
