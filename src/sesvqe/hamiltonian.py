@@ -123,13 +123,12 @@ def energy_from_profile(h: SiteHamiltonian, profile) -> float:
         raise ValueError(
             f"profile has {profile.n_sites} sites, Hamiltonian has {h.n_sites}"
         )
-    r = np.asarray(profile.magnitudes, dtype=float)
-    norm_sq = float(np.sum(r**2))
-    if norm_sq > 1.0 + 1e-6:
-        raise ValueError(f"profile magnitudes are super-normalized: {norm_sq!r}")
-    active = np.asarray(profile.active, dtype=bool)
-    a = np.where(active, profile.site_amplitudes(), 0.0)
-    inactive_energy = float(np.sum(np.diag(h.matrix).real[~active] * r[~active] ** 2))
+    a = profile.site_amplitudes()
+    inactive = ~np.asarray(profile.active, dtype=bool)
+    inactive_energy = 0.0
+    if inactive.any():
+        r = np.asarray(profile.magnitudes, dtype=float)
+        inactive_energy = float(np.sum(np.diag(h.matrix).real[inactive] * r[inactive] ** 2))
     return float((a.conj() @ h.matrix @ a).real) + inactive_energy
 
 

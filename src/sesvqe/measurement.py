@@ -26,6 +26,7 @@ from __future__ import annotations
 import functools
 import numbers
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -80,9 +81,9 @@ class AmplitudeProfile:
             raise ValueError(f"profile is super-normalized: sum r^2 = {norm_sq!r}")
 
     def site_amplitudes(self) -> np.ndarray:
-        """Complex site vector with zero phase on inactive sites."""
-        theta = np.where(self.active, np.nan_to_num(self.phases), 0.0)
-        return self.magnitudes * np.exp(1j * theta)
+        """Complex site vector, zero on inactive sites."""
+        theta = np.where(self.active, self.phases, 0.0)
+        return np.where(self.active, self.magnitudes * np.exp(1j * theta), 0.0)
 
     @staticmethod
     def from_amplitudes(alpha, threshold: float = EXACT_EPSILON) -> "AmplitudeProfile":
@@ -249,9 +250,14 @@ def _site_vector(alpha, n_sites: int) -> np.ndarray:
     return alpha
 
 
-def _estimate_exact(alpha, setting, layout: _Layout) -> np.ndarray:
-    """Estimates read straight from the site amplitudes."""
-    alpha = _site_vector(alpha, layout.n_sites)
+class _CheckedSites(NamedTuple):
+    """A site vector ``estimate_energy`` has checked once for all its settings."""
+
+    amplitudes: np.ndarray
+
+
+def _estimate_exact(alpha: np.ndarray, setting, layout: _Layout) -> np.ndarray:
+    """Estimates read straight from checked site amplitudes."""
     if setting.kind == "prob":
         return np.abs(alpha) ** 2
     group = layout.groups[setting.axis]
@@ -313,7 +319,9 @@ def estimate_setting(source, setting: MeasurementSetting, emap: EncodingMap | No
     if isinstance(source, sv.ShotHistogram):
         _check_histogram(source, setting)
         return _estimate_histogram(source, setting, layout)
-    return _estimate_exact(source, setting, layout)
+    if isinstance(source, _CheckedSites):
+        return _estimate_exact(source.amplitudes, setting, layout)
+    return _estimate_exact(_site_vector(source, layout.n_sites), setting, layout)
 
 
 def check_epsilon(epsilon) -> None:
@@ -331,42 +339,45 @@ def pick_epsilon(shots: int | None) -> float:
     return max(1e-6, 3.0 / np.sqrt(shots))
 
 
-def _spanning_forest(active: list, js: list, ks: list, deltas: list, weights: list) -> tuple:
+def _spanning_forest(active: list, js: list, ks: list, deltas: list, weights: np.ndarray) -> tuple:
     """Maximum-weight spanning forest over the active sites, and the phases it gives.
 
     Kruskal with a union-find: edges by descending weight, ties in edge order
-    (a stable sort).  Each component's root is its lowest site, where its
-    phase is 0; phases spread from there along tree edges.  Returns
-    ``(in_tree, component, n_components, phases)`` as lists.
+    (a stable sort).  Chain links (j, j + 1), each j once, form no cycle, so
+    there every edge is a tree edge and the union-find is skipped.  Each
+    component's root is its lowest site, where its phase is 0; phases spread
+    from there along tree edges.  Returns ``(in_tree, component, n_components,
+    phases)``: a bool array and lists.
     """
     n_sites = len(active)
-    root = list(range(n_sites))
+    if all(k == j + 1 for j, k in zip(js, ks)) and len(set(js)) == len(js):
+        in_tree = np.ones(len(js), dtype=bool)
+    else:
+        in_tree = np.zeros(len(js), dtype=bool)
+        root = list(range(n_sites))
 
-    def find(s):
-        while root[s] != s:
-            root[s] = s = root[root[s]]  # path halving
-        return s
+        def find(s):
+            while root[s] != s:
+                root[s] = s = root[root[s]]  # path halving
+            return s
 
-    in_tree = [False] * len(js)
+        for e in np.argsort(-weights, kind="stable").tolist():
+            a, b = find(js[e]), find(ks[e])
+            if a != b:
+                root[max(a, b)] = min(a, b)
+                in_tree[e] = True
+
     links = [[] for _ in range(n_sites)]
-    for e in sorted(range(len(js)), key=weights.__getitem__, reverse=True):
-        j, k = js[e], ks[e]
-        a, b = find(j), find(k)
-        if a == b:
-            continue
-        if a < b:
-            root[b] = a
-        else:
-            root[a] = b
-        in_tree[e] = True
-        links[j].append((k, deltas[e]))
-        links[k].append((j, -deltas[e]))
+    for e in np.flatnonzero(in_tree).tolist():
+        j, k, step = js[e], ks[e], deltas[e]
+        links[j].append((k, step))
+        links[k].append((j, -step))
 
     component = [-1] * n_sites
     phases = [np.nan] * n_sites
     n_components = 0
     for start in range(n_sites):
-        if not active[start] or root[start] != start:
+        if not active[start] or component[start] >= 0:
             continue
         component[start] = n_components
         phases[start] = 0.0
@@ -394,11 +405,10 @@ def reconstruct_profile(probs, pair_j, pair_k, cos, sin, epsilon: float | None =
     probs = np.asarray(probs, dtype=float)
     j, k = np.asarray(pair_j, dtype=np.int64), np.asarray(pair_k, dtype=np.int64)
     c, s = np.asarray(cos, dtype=float), np.asarray(sin, dtype=float)
-    n_sites = probs.size
     check_epsilon(epsilon)
     if epsilon is None:
         epsilon = pick_epsilon(shots)
-    magnitudes = np.sqrt(np.clip(probs, 0.0, None))
+    magnitudes = np.sqrt(np.maximum(probs, 0.0))
     active = magnitudes > epsilon
 
     keep = active[j] & active[k]
@@ -408,16 +418,15 @@ def reconstruct_profile(probs, pair_j, pair_k, cos, sin, epsilon: float | None =
     # squares through libm pow, as Python's ``x ** 2`` computes them: np.square
     # differs in the last bit for about 0.1% of inputs, enough to reorder
     # near-tied shot-mode edges and so change which tree is used
-    weights = [y**2 + x**2 for x, y in zip(c.tolist(), s.tolist())]
+    weights = np.array([y**2 + x**2 for x, y in zip(c.tolist(), s.tolist())])
     active_sites = active.tolist()
     in_tree, component, n_components, phases = _spanning_forest(
         active_sites, j.tolist(), k.tolist(), delta.tolist(), weights
     )
 
     reference = active_sites.index(True) if True in active_sites else None
-    profile = AmplitudeProfile(n_sites, magnitudes, np.array(phases), active, float(epsilon), reference)
-    pgraph = PhaseGraph(j, k, delta, np.array(weights), np.array(in_tree, dtype=bool),
-                        np.array(component), n_components)
+    profile = AmplitudeProfile(probs.size, magnitudes, np.array(phases), active, float(epsilon), reference)
+    pgraph = PhaseGraph(j, k, delta, weights, in_tree, np.array(component), n_components)
     return profile, pgraph
 
 
@@ -448,13 +457,17 @@ def estimate_energy(
     seed=0,
     emap: EncodingMap | None = None,
     epsilon: float | None = None,
+    *,
+    diagnostics: bool = True,
 ):
     """Full protocol run: settings -> estimates -> profile -> energy.
 
     ``alpha`` is the state's site-amplitude vector.  In shot mode each
     setting is sampled from it, on the protocol's register, with its own
     generator derived from ``seed`` (an int or tuple of ints), so results do
-    not depend on evaluation order.  Returns ``(energy, diagnostics)``.
+    not depend on evaluation order.  Returns ``(energy, diagnostics)``; with
+    ``diagnostics=False`` (the cost loop, which reads the energy alone) the
+    report is not built and the second item is None.
     """
     layout = _layout(protocol, h.n_sites, emap)
     if layout.n_sites != h.n_sites:
@@ -467,8 +480,9 @@ def estimate_energy(
         seed_root = list(seed) if isinstance(seed, (tuple, list)) else [seed]
 
     cos, sin = np.empty(layout.pair_j.size), np.empty(layout.pair_j.size)
+    checked = _CheckedSites(alpha)
     for idx, setting in enumerate(layout.settings):
-        source = alpha
+        source = checked
         if shots is not None:
             rng = np.random.default_rng(np.random.SeedSequence(seed_root + [idx]))
             source = sv.sample_bitstrings(state, setting.bases, shots, rng, setting.label)
@@ -477,16 +491,18 @@ def estimate_energy(
             probs = values
         else:
             (cos if setting.kind == "cos" else sin)[layout.groups[setting.axis].index] = values
+
+    profile, pgraph = reconstruct_profile(probs, layout.pair_j, layout.pair_k, cos, sin, epsilon, shots)
+    energy = energy_from_profile(h, profile)
+    if not diagnostics:
+        return energy, None
     # the packed sampler puts probability exactly 0 off the codewords
     # (``_packed_distribution`` writes only ``register[positions]``), so a
     # record drawn here has no shot on an unknown codeword and no unencoded mass
     exact_binary = protocol == "binary" and shots is None
     unencoded_mass = max(0.0, float(1.0 - probs.sum())) if exact_binary else 0.0
-
-    profile, pgraph = reconstruct_profile(probs, layout.pair_j, layout.pair_k, cos, sin, epsilon, shots)
-    energy = energy_from_profile(h, profile)
     inactive_terms, unresolved = _unmeasured_terms(h, profile, pgraph)
-    diagnostics = {
+    report = {
         "protocol": protocol,
         "settings": [s.label for s in layout.settings],
         "shots_per_setting": shots,
@@ -501,7 +517,7 @@ def estimate_energy(
         "profile": profile_summary(profile),
         "phase_graph": phase_graph_summary(pgraph),
     }
-    return energy, diagnostics
+    return energy, report
 
 
 def profile_summary(profile: AmplitudeProfile) -> dict:

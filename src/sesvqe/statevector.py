@@ -76,12 +76,15 @@ class ShotHistogram:
 
     ``rows[i]`` is an observed outcome, one bit per qubit (``rows[i, k]`` is
     qubit ``k``), seen ``counts[i]`` times.  Rows need not be distinct.
+    ``index`` holds each row's basis index when ``from_counts`` drew the rows
+    from it, so ``outcome_index`` does not recompute it.
     """
 
     setting_label: str
     rows: np.ndarray = field(repr=False)
     counts: np.ndarray = field(repr=False)
     total_shots: int
+    index: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         rows, counts = np.asarray(self.rows), np.asarray(self.counts)
@@ -109,7 +112,9 @@ class ShotHistogram:
             raise ValueError(f"histogram needs 2^width outcome counts, got shape {dense.shape}")
         seen = np.flatnonzero(dense)
         rows = (seen[:, None] >> np.arange(dense.size.bit_length() - 1)) & 1
-        return cls(label, rows.astype(np.uint8), dense[seen], int(dense.sum()))
+        hist = cls(label, rows.astype(np.uint8), dense[seen], int(dense.sum()))
+        object.__setattr__(hist, "index", seen)
+        return hist
 
     @property
     def num_qubits(self) -> int:
@@ -117,6 +122,8 @@ class ShotHistogram:
 
     def outcome_index(self) -> np.ndarray:
         """Basis index of each row (qubit k is bit k), the inverse of ``from_counts``."""
+        if self.index is not None:
+            return self.index
         return self.rows @ _BIT_WEIGHTS[: self.num_qubits]
 
 

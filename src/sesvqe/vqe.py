@@ -224,6 +224,7 @@ def evaluate_cost(plan: RunPlan, params, eval_index: int = 0) -> float:
         seed=_shot_seed(config, eval_index),
         emap=plan.emap,
         epsilon=config.epsilon,
+        diagnostics=False,
     )
     return energy
 

@@ -3,6 +3,7 @@ profile, dense kron oracles, the dense measurement oracle and shared
 instances."""
 
 import functools
+import math
 
 import numpy as np
 import pytest
@@ -64,6 +65,20 @@ def dense_register(state: sv.SiteState) -> np.ndarray:
     register = np.zeros(2**state.num_qubits, dtype=complex)
     register[positions] = state.amplitudes
     return register
+
+
+def ses_cascade_loop(n_sites: int, params) -> np.ndarray:
+    """Oracle: the one-hot cascade one A gate at a time, in scalar complex
+    arithmetic (the loop that ``circuits.ses_site_amplitudes`` vectorises)."""
+    pairs = np.asarray(params, dtype=float).reshape(n_sites - 1, 2)
+    alpha = np.zeros(n_sites, dtype=complex)
+    carry = 1.0 + 0.0j
+    for j in range(n_sites - 1):
+        beta, gamma = pairs[j]
+        alpha[j] = math.cos(beta) * carry
+        carry = np.exp(-1j * gamma) * math.sin(beta) * carry
+    alpha[n_sites - 1] = carry
+    return alpha
 
 
 def outcome_counts(hist: sv.ShotHistogram) -> np.ndarray:

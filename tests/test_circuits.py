@@ -6,10 +6,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import PAULI, kron_qubits
+from conftest import PAULI, kron_qubits, ses_cascade_loop
 from sesvqe import circuits as qc
 from sesvqe import encoding
 from sesvqe import statevector as sv
@@ -111,6 +111,22 @@ class TestOneHotAnsatz:
         want = qc.ses_site_amplitudes(n_sites, params)
         np.testing.assert_allclose(alpha, want, atol=1e-12)
         assert abs(np.sum(np.abs(alpha) ** 2) - 1.0) < 1e-12
+
+    @settings(max_examples=200)
+    @given(st.integers(1, 64).flatmap(lambda n: st.tuples(st.just(n), st.lists(
+        st.sampled_from([0.0, -0.0, math.pi / 2, -math.pi / 2, math.pi, 1e-300, 5e-324, -5e-324])
+        | st.floats(-4.0, 4.0),
+        min_size=2 * (n - 1), max_size=2 * (n - 1)))))
+    # products that underflow to zero, where numpy's vectorised complex
+    # multiply gives the other zero sign: in the moving factor, and in cos *
+    # carry; 48 sites take the vectorised form, 3 the scalar loop
+    @example((48, [-5e-324, math.pi / 2] + [0.0] * 92))
+    @example((48, [5e-324, math.pi, math.pi / 2, 0.0] + [0.0] * 90))
+    @example((3, [5e-324, math.pi, math.pi / 2, 0.0]))
+    def test_cascade_bytes_equal_the_scalar_loop(self, case):
+        n_sites, params = case
+        got = qc.ses_site_amplitudes(n_sites, params)
+        assert got.tobytes() == ses_cascade_loop(n_sites, params).tobytes()
 
     def test_cnot_budget(self):
         for n in (2, 5, 9):

@@ -566,11 +566,13 @@ class TestEstimateEnergy:
             if zeroed and n > 1:
                 alpha[rng.choice(n, size=max(1, n // 3), replace=False)] = 0.0
             alpha /= np.linalg.norm(alpha)
-            energy, diag = meas.estimate_energy(
-                family(n, idx), alpha, protocol, shots=shots, seed=idx,
-                emap=encoding.build_map(n, mode) if mode else None, epsilon=(None, 0, 0.05)[idx % 3],
-            )
+            args = (family(n, idx), alpha, protocol)
+            kwargs = dict(shots=shots, seed=idx, emap=encoding.build_map(n, mode) if mode else None,
+                          epsilon=(None, 0, 0.05)[idx % 3])
+            energy, diag = meas.estimate_energy(*args, **kwargs)
             digest.update(json.dumps([repr(energy), diag], sort_keys=True).encode())
+            # the cost loop's call builds no report and gets the same energy
+            assert meas.estimate_energy(*args, **kwargs, diagnostics=False) == (energy, None)
         assert digest.hexdigest() == "e84c157ec6f728ac380050de4fadb21b9cc348eb0bfd0d3f6c51d43a9d965816"
 
     def test_unknown_protocol(self):
@@ -584,6 +586,13 @@ class TestAmplitudeProfile:
         alpha = random_site_vector(4, 99)
         profile = meas.AmplitudeProfile.from_amplitudes(alpha)
         np.testing.assert_allclose(profile.site_amplitudes(), alpha, atol=1e-12)
+
+    def test_inactive_sites_read_zero(self):
+        alpha = np.array([0.8, 1e-12, -0.6j])
+        profile = meas.AmplitudeProfile.from_amplitudes(alpha)
+        got = profile.site_amplitudes()
+        assert got[1] == 0.0
+        np.testing.assert_allclose(got, [0.8, 0.0, -0.6j], atol=1e-15)
 
     def test_phase_difference(self):
         alpha = np.array([1.0, np.exp(0.7j)]) / np.sqrt(2.0)

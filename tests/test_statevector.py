@@ -328,6 +328,9 @@ class TestOverlapAndHelpers:
         hist = sv.ShotHistogram.from_counts("MZ", np.array([1, 0, 3, 0]))
         assert hist.num_qubits == 2
         assert (hist.rows.tolist(), hist.counts.tolist(), hist.total_shots) == ([[0, 0], [0, 1]], [1, 3], 4)
+        # the indices the rows were drawn from, as the rows spell them
+        assert hist.outcome_index().tolist() == [0, 2] == (hist.rows @ [1, 2]).tolist()
+        assert sv.ShotHistogram("MZ", hist.rows, hist.counts, 4).outcome_index().tolist() == [0, 2]
 
     def test_state_validation(self):
         for amps in ([1.0, 1.0], [np.nan, 0.0], [np.inf, 0.0]):

@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import dense_register
-from sesvqe import circuits, encoding
+from sesvqe import circuits, encoding, measurement
 from sesvqe import hamiltonian as ham
 from sesvqe import statevector as sv
 from sesvqe import vqe
@@ -303,6 +303,49 @@ class TestEvaluateCost:
         params = np.array([0.3, -0.2, 1.0, 0.1])
         assert vqe.evaluate_cost(plan, params, 7) == vqe.evaluate_cost(plan, params, 7)
         assert vqe.evaluate_cost(plan, params, 7) != vqe.evaluate_cost(plan, params, 8)
+
+
+class TestCostLoopCalls:
+    """The benchmark's tracer counts calls through module attributes (as
+    ``perfbench/tracing.py`` wraps them); the cost loop must reach each
+    traced name and skip the report builders."""
+
+    TRACED = ("estimate_energy", "estimate_setting", "reconstruct_profile", "energy_from_profile")
+    REPORT_ONLY = ("profile_summary", "phase_graph_summary", "_unmeasured_terms")
+
+    @pytest.mark.parametrize("ansatz,protocol", [("one_hot_ses", "original"), ("binary_ses", "binary")])
+    def test_each_evaluation_reaches_the_traced_names(self, monkeypatch, ansatz, protocol):
+        calls = dict.fromkeys(self.TRACED + self.REPORT_ONLY, 0)
+        inside = []  # non-empty while an evaluate_cost runs
+
+        def count(name):
+            real = getattr(measurement, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += bool(inside)
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(measurement, name, wrapper)
+
+        def cost(*args, **kwargs):
+            inside.append(args)
+            try:
+                return real_cost(*args, **kwargs)
+            finally:
+                evaluations.append(inside.pop())
+
+        evaluations, real_cost = [], vqe.evaluate_cost
+        monkeypatch.setattr(vqe, "evaluate_cost", cost)
+        for name in self.TRACED + self.REPORT_ONLY:
+            count(name)
+        h = ham.chain_instance(6, 0.8, disorder=0.5, seed=2)
+        result = vqe.optimize(vqe.VqeConfig(h, ansatz=ansatz, protocol=protocol, max_evaluations=40))
+        evals = len(evaluations)
+        n_settings = 3 if protocol == "original" else 2 * encoding.build_map(6, "shifted").num_qubits + 1
+        assert evals == result.evaluations_used > 0
+        assert calls["estimate_energy"] == calls["reconstruct_profile"] == calls["energy_from_profile"] == evals
+        assert calls["estimate_setting"] == n_settings * evals
+        assert all(calls[name] == 0 for name in self.REPORT_ONLY), calls
 
 
 class TestOptimize:
