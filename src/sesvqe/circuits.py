@@ -477,50 +477,22 @@ def simulate(circuit: Circuit, params=None) -> np.ndarray:
     return amps
 
 
-# widest chain whose cascade the scalar loop computes (timed against the
-# vectorised form: the loop is faster up to about 40 sites)
-_CASCADE_LOOP_SITES = 40
-
-
-def _times_real(z: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``z * x`` for real ``x``, rounded as the scalar complex product (x + 0j) z.
-
-    numpy's vectorised complex multiply differs from it in the sign of zero
-    parts and below the normal range, so the cascade keeps the scalar rounding
-    written out.
-    """
-    out = np.empty_like(z)
-    out.real = z.real * x - z.imag * 0.0
-    out.imag = z.real * 0.0 + z.imag * x
-    return out
-
-
 def ses_site_amplitudes(n_sites: int, params) -> np.ndarray:
     """Closed-form site amplitudes of the one-hot ansatz.
 
     The A gate splits the traveling amplitude c as cos(beta)*c staying on the
     current site and exp(-i*gamma)*sin(beta)*c moving on, so the profile is a
-    simple cascade: one running product of the moving factors, each site
-    keeping cos(beta) of what reaches it.  Up to ``_CASCADE_LOOP_SITES`` sites
-    a loop over Python complex numbers is cheaper than numpy's per-call cost;
-    both forms round alike.  Verified against dense simulation in the test
-    suite; used as the exact-mode fast path at widths where a dense register
-    is wasteful.
+    simple cascade, computed in Python complex numbers (cheaper than numpy's
+    per-call cost at the widths the solver runs).  Verified against dense
+    simulation in the test suite; used as the exact-mode fast path at widths
+    where a dense register is wasteful.
     """
     pairs = _as_pair_params(params, n_sites - 1)
-    if n_sites <= _CASCADE_LOOP_SITES:
-        alpha, carry = [], 1.0 + 0.0j
-        for beta, gamma in pairs.tolist():
-            alpha.append(math.cos(beta) * carry)
-            carry = cmath.exp(-1j * gamma) * math.sin(beta) * carry
-        return np.array(alpha + [carry])
-    beta, gamma = pairs.T
-    alpha = np.empty(n_sites, dtype=complex)
-    alpha[0] = 1.0
-    alpha[1:] = _times_real(np.exp(-1j * gamma), np.sin(beta))
-    np.multiply.accumulate(alpha, out=alpha)
-    alpha[:-1] = _times_real(alpha[:-1], np.cos(beta))
-    return alpha
+    alpha, carry = [], 1.0 + 0.0j
+    for beta, gamma in pairs.tolist():
+        alpha.append(math.cos(beta) * carry)
+        carry = cmath.exp(-1j * gamma) * math.sin(beta) * carry
+    return np.array(alpha + [carry])
 
 
 def binary_data_amplitudes(amplitudes: np.ndarray, emap: EncodingMap):

@@ -339,45 +339,42 @@ def pick_epsilon(shots: int | None) -> float:
     return max(1e-6, 3.0 / np.sqrt(shots))
 
 
-def _spanning_forest(active: list, js: list, ks: list, deltas: list, weights: np.ndarray) -> tuple:
+def _spanning_forest(active: list, js: list, ks: list, deltas: list, weights: list) -> tuple:
     """Maximum-weight spanning forest over the active sites, and the phases it gives.
 
     Kruskal with a union-find: edges by descending weight, ties in edge order
-    (a stable sort).  Chain links (j, j + 1), each j once, form no cycle, so
-    there every edge is a tree edge and the union-find is skipped.  Each
-    component's root is its lowest site, where its phase is 0; phases spread
-    from there along tree edges.  Returns ``(in_tree, component, n_components,
-    phases)``: a bool array and lists.
+    (a stable sort).  Each component's root is its lowest site, where its
+    phase is 0; phases spread from there along tree edges.  Returns
+    ``(in_tree, component, n_components, phases)`` as lists.
     """
     n_sites = len(active)
-    if all(k == j + 1 for j, k in zip(js, ks)) and len(set(js)) == len(js):
-        in_tree = np.ones(len(js), dtype=bool)
-    else:
-        in_tree = np.zeros(len(js), dtype=bool)
-        root = list(range(n_sites))
+    root = list(range(n_sites))
 
-        def find(s):
-            while root[s] != s:
-                root[s] = s = root[root[s]]  # path halving
-            return s
+    def find(s):
+        while root[s] != s:
+            root[s] = s = root[root[s]]  # path halving
+        return s
 
-        for e in np.argsort(-weights, kind="stable").tolist():
-            a, b = find(js[e]), find(ks[e])
-            if a != b:
-                root[max(a, b)] = min(a, b)
-                in_tree[e] = True
-
+    in_tree = [False] * len(js)
     links = [[] for _ in range(n_sites)]
-    for e in np.flatnonzero(in_tree).tolist():
-        j, k, step = js[e], ks[e], deltas[e]
-        links[j].append((k, step))
-        links[k].append((j, -step))
+    for e in sorted(range(len(js)), key=weights.__getitem__, reverse=True):
+        j, k = js[e], ks[e]
+        a, b = find(j), find(k)
+        if a == b:
+            continue
+        if a < b:
+            root[b] = a
+        else:
+            root[a] = b
+        in_tree[e] = True
+        links[j].append((k, deltas[e]))
+        links[k].append((j, -deltas[e]))
 
     component = [-1] * n_sites
     phases = [np.nan] * n_sites
     n_components = 0
     for start in range(n_sites):
-        if not active[start] or component[start] >= 0:
+        if not active[start] or root[start] != start:
             continue
         component[start] = n_components
         phases[start] = 0.0
@@ -405,6 +402,7 @@ def reconstruct_profile(probs, pair_j, pair_k, cos, sin, epsilon: float | None =
     probs = np.asarray(probs, dtype=float)
     j, k = np.asarray(pair_j, dtype=np.int64), np.asarray(pair_k, dtype=np.int64)
     c, s = np.asarray(cos, dtype=float), np.asarray(sin, dtype=float)
+    n_sites = probs.size
     check_epsilon(epsilon)
     if epsilon is None:
         epsilon = pick_epsilon(shots)
@@ -418,15 +416,16 @@ def reconstruct_profile(probs, pair_j, pair_k, cos, sin, epsilon: float | None =
     # squares through libm pow, as Python's ``x ** 2`` computes them: np.square
     # differs in the last bit for about 0.1% of inputs, enough to reorder
     # near-tied shot-mode edges and so change which tree is used
-    weights = np.array([y**2 + x**2 for x, y in zip(c.tolist(), s.tolist())])
+    weights = [y**2 + x**2 for x, y in zip(c.tolist(), s.tolist())]
     active_sites = active.tolist()
     in_tree, component, n_components, phases = _spanning_forest(
         active_sites, j.tolist(), k.tolist(), delta.tolist(), weights
     )
 
     reference = active_sites.index(True) if True in active_sites else None
-    profile = AmplitudeProfile(probs.size, magnitudes, np.array(phases), active, float(epsilon), reference)
-    pgraph = PhaseGraph(j, k, delta, weights, in_tree, np.array(component), n_components)
+    profile = AmplitudeProfile(n_sites, magnitudes, np.array(phases), active, float(epsilon), reference)
+    pgraph = PhaseGraph(j, k, delta, np.array(weights), np.array(in_tree, dtype=bool),
+                        np.array(component), n_components)
     return profile, pgraph
 
 

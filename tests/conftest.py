@@ -69,7 +69,7 @@ def dense_register(state: sv.SiteState) -> np.ndarray:
 
 def ses_cascade_loop(n_sites: int, params) -> np.ndarray:
     """Oracle: the one-hot cascade one A gate at a time, in scalar complex
-    arithmetic (the loop that ``circuits.ses_site_amplitudes`` vectorises)."""
+    arithmetic, written into a preallocated numpy array with numpy's ``exp``."""
     pairs = np.asarray(params, dtype=float).reshape(n_sites - 1, 2)
     alpha = np.zeros(n_sites, dtype=complex)
     carry = 1.0 + 0.0j
