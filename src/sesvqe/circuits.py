@@ -17,15 +17,20 @@ constructions; simulation applies it as an exact permutation.
 
 Simulation runs a circuit's compiled program (``Circuit.program``), built once
 per circuit: each run of consecutive permutation gates is fused into one
-gather index, and dense gates read their angles from a flat parameter vector,
-so one template circuit serves every parameter binding.  A dense gate on the
-run of m qubits from ``low`` is one matrix product with the register viewed
-as ``(high, 2^m, 2^low)``.
+gather index, and each run of two or more RY/RZ gates (a hardware-efficient
+layer's 2n rotations) into rotation-layer steps: per qubit, its 2x2 matrices
+multiplied in gate order, and the qubits joined by kron into one matrix per
+``LAYER_WIDTH`` adjacent qubits.  An isolated RY or RZ and every A gate stay
+steps of their own.  Dense gates read their angles from a flat parameter
+vector, so one template circuit serves every parameter binding.  Every dense
+step, fused or not, is one matrix product with the register viewed as
+``(high, 2^m, 2^low)`` for its run of m qubits from ``low``.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -38,7 +43,13 @@ from .encoding import EncodingMap, build_map
 _PARAM_COUNTS = {"RY": 1, "RZ": 1, "A": 2}
 _FIXED_ARITY = {"X": 1, "RY": 1, "RZ": 1, "CNOT": 2, "SWAP": 2, "A": 2}
 _PERMUTATIONS = frozenset(("X", "CNOT", "MCX", "SWAP", "CPREP"))
+_ROTATIONS = frozenset(("RY", "RZ"))
 _UNITARY_TOL = 1e-10
+# widest kron-built step of a rotation layer: widths 2-4 time alike, 5 is
+# slower from n = 6 on and 6 slower than the per-gate steps from n = 7 on
+# (timeit sweep in BENCH_packed.json); 4 keeps registers up to 4 qubits at
+# one step per layer
+LAYER_WIDTH = 4
 
 
 def _check_finite(values, what: str) -> None:
@@ -158,19 +169,29 @@ class Program:
     """A circuit compiled for repeated simulation.
 
     Each step is either a gather index ``g`` (the new amplitude ``i`` is the
-    old amplitude ``g[i]``: one fused run of permutation gates) or a dense gate
-    ``(low, width, kind, index)`` on the qubits ``low .. low + width - 1``
+    old amplitude ``g[i]``: one fused run of permutation gates) or a dense
+    step ``(low, width, kind, index)`` on the qubits ``low .. low + width - 1``
     (``low`` is the least significant bit of its matrix), whose matrix is
-    entry ``index`` of the per-kind matrices that ``matrices`` returns.
-    ``slots[kind]`` holds the offset of each parametric gate's first angle in
-    the flat parameter vector, in gate order; ``params`` is the circuit's own
-    vector.
+    entry ``index`` of ``matrices(values)[kind]``.  Kind ``"layer"`` is one
+    kron-built step of a rotation layer, all of width
+    ``min(LAYER_WIDTH, num_qubits)``: ``layers[d, index, j]`` picks the d-th
+    gate on its qubit ``low + j`` from the stack (identity, RY..., RZ...),
+    identity padding a qubit with fewer gates.  An isolated RY or RZ stays a
+    step of its own kind.  ``slots[kind]`` holds the offset of each
+    parametric gate's first angle in the flat parameter vector, in gate order,
+    for the kinds the circuit holds; ``params`` is the circuit's own vector.
     """
 
     num_qubits: int
     steps: tuple
     slots: dict
     params: np.ndarray
+    layers: np.ndarray
+
+    @cached_property
+    def applied(self) -> tuple:
+        """The matrix kinds that steps apply, in first-use order."""
+        return tuple(dict.fromkeys(s[2] for s in self.steps if isinstance(s, tuple)))
 
     def bind(self, params) -> np.ndarray:
         """Flat parameter vector for one run; refuses a wrong count or non-finite angles."""
@@ -185,16 +206,44 @@ class Program:
         return values
 
     def matrices(self, values: np.ndarray) -> dict:
-        """Dense matrices for bound parameters, each kind checked for unitarity once."""
-        a = self.slots["A"]
-        mats = {
-            "A": a_gate_matrix(values[a], values[a + 1]),
-            "RY": ry_matrix(values[self.slots["RY"]]),
-            "RZ": rz_matrix(values[self.slots["RZ"]]),
-        }
-        for kind, stack in mats.items():
-            _check_unitary(stack, f"{kind} gate matrix")
+        """Dense matrices of the kinds the circuit holds; each applied stack checked unitary once."""
+        slots = self.slots
+        mats = {}
+        if "A" in slots:
+            mats["A"] = a_gate_matrix(values[slots["A"]], values[slots["A"] + 1])
+        if "RY" in slots:
+            mats["RY"] = ry_matrix(values[slots["RY"]])
+        if "RZ" in slots:
+            mats["RZ"] = rz_matrix(values[slots["RZ"]])
+        if self.layers.size:
+            factors = np.concatenate(
+                [np.eye(2, dtype=complex)[None]] + [mats[k] for k in ("RY", "RZ") if k in mats]
+            )
+            mats["layer"] = _layer_matrices(self.layers, factors)
+        for kind in self.applied:
+            _check_unitary(mats[kind], f"{_step_name(kind)} matrix")
         return mats
+
+
+def _step_name(kind: str) -> str:
+    return "rotation layer" if kind == "layer" else f"{kind} gate"
+
+
+def _layer_matrices(layers: np.ndarray, factors: np.ndarray) -> np.ndarray:
+    """Kron-built layer-step matrices from their qubit-wise gate sequences.
+
+    Each qubit's 2x2 matrices are multiplied in gate order; the qubit ``low +
+    j`` is bit ``j`` of the step's matrix, so higher qubits are the outer
+    kron factors.
+    """
+    prods = factors[layers[0]]
+    for seq in layers[1:]:
+        prods = factors[seq] @ prods
+    mats = prods[:, 0]
+    for j in range(1, prods.shape[1]):
+        dim = 2 * mats.shape[-1]
+        mats = (prods[:, j, :, None, :, None] * mats[:, None, :, None, :]).reshape(-1, dim, dim)
+    return mats
 
 
 def _gather_index(gate: GateOp, idx: np.ndarray) -> np.ndarray:
@@ -219,27 +268,54 @@ def _compile(circuit: Circuit) -> Program:
             f"a {width}-qubit circuit is too wide to simulate; limit is {sv.MAX_SIM_WIDTH}"
         )
     idx = np.arange(2**width)
-    steps, params = [], []
-    slots = {"A": [], "RY": [], "RZ": []}
-    gather = None
-    for g in circuit.gates:
-        if g.kind in _PERMUTATIONS:
-            step = _gather_index(g, idx)
-            gather = step if gather is None else gather[step]
-            continue
-        if gather is not None:
-            steps.append(gather)
-            gather = None
-        steps.append((g.qubits[0], len(g.qubits), g.kind, len(slots[g.kind])))
-        slots[g.kind].append(len(params))
+    layer_width = min(LAYER_WIDTH, width)
+    steps, params, slots, layers = [], [], {}, []
+
+    def slot(g: GateOp) -> int:
+        """Record a parametric gate's angles; return its entry in its kind's stack."""
+        offsets = slots.setdefault(g.kind, [])
+        offsets.append(len(params))
         params.extend(g.params)
-    if gather is not None:
-        steps.append(gather)
+        return len(offsets) - 1
+
+    def family(g: GateOp) -> str:
+        return "permutation" if g.kind in _PERMUTATIONS else "rotation" if g.kind in _ROTATIONS else g.kind
+
+    for kind, group in itertools.groupby(circuit.gates, key=family):
+        group = list(group)
+        if kind == "permutation":
+            gather = _gather_index(group[0], idx)
+            for g in group[1:]:
+                gather = gather[_gather_index(g, idx)]
+            steps.append(gather)
+        elif kind == "rotation" and len(group) > 1:
+            # qubit q joins the step from the multiple of layer_width below it,
+            # the last step moved down to fit the register; each step lists
+            # the gates on each of its qubits in gate order
+            run = {}
+            for g in group:
+                q = g.qubits[0]
+                low = min(q - q % layer_width, width - layer_width)
+                run.setdefault(low, [[] for _ in range(layer_width)])[q - low].append((g.kind, slot(g)))
+            for low in sorted(run):
+                steps.append((low, layer_width, "layer", len(layers)))
+                layers.append(run[low])
+        else:
+            steps.extend((g.qubits[0], len(g.qubits), g.kind, slot(g)) for g in group)
+    # a layer entry indexes the factor stack (identity, RY..., RZ...)
+    first = {"RY": 1, "RZ": 1 + len(slots.get("RY", ()))}
+    depth = max((len(seq) for sequences in layers for seq in sequences), default=0)
+    table = np.zeros((depth, len(layers), layer_width), dtype=np.intp)
+    for i, sequences in enumerate(layers):
+        for j, seq in enumerate(sequences):
+            for d, (kind, entry) in enumerate(seq):
+                table[d, i, j] = first[kind] + entry
     return Program(
         width,
         tuple(steps),
         {kind: np.array(s, dtype=np.intp) for kind, s in slots.items()},
         np.array(params, dtype=float),
+        table,
     )
 
 
@@ -451,8 +527,13 @@ def simulate(circuit: Circuit, params=None) -> np.ndarray:
     ``params`` binds a flat angle vector to the parametric gates (RY, RZ, A)
     in gate order, which is the order every ansatz builder takes, so a
     template circuit built once serves every evaluation; the default is the
-    circuit's own angles.  Dense matrices are checked for unitarity and the
-    norm after every dense step, both to 1e-10.
+    circuit's own angles.  Every step runs the same kernel: a gather, or one
+    GEMM of a dense matrix over its run of adjacent qubits.  A run of RY/RZ
+    gates on an n-qubit register (a hardware-efficient layer's 2n rotations)
+    is ``ceil(n / LAYER_WIDTH)`` such products, one when n <= LAYER_WIDTH,
+    and rounds as its kron-built matrices do; an isolated RY or RZ and every
+    A gate keep their own gate step.  Every applied matrix stack is checked
+    unitary, and the norm after every dense step, both to 1e-10.
     """
     program = circuit.program
     mats = program.matrices(program.bind(params))
@@ -473,7 +554,7 @@ def simulate(circuit: Circuit, params=None) -> np.ndarray:
         norm = float(np.vdot(amps, amps).real)
         if not abs(norm - 1.0) <= sv._NORM_TOL:
             qubits = tuple(range(low, low + width))
-            raise ValueError(f"{kind} gate on {qubits} broke the norm: sum |amp|^2 = {norm!r}")
+            raise ValueError(f"{_step_name(kind)} on {qubits} broke the norm: sum |amp|^2 = {norm!r}")
     return amps
 
 

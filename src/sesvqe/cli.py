@@ -15,15 +15,15 @@ from __future__ import annotations
 import argparse
 import csv
 import datetime
+import functools
 import json
 import os
 import sys
-from importlib import metadata
 from pathlib import Path
 
 import numpy as np
 
-from . import circuits, measurement, resources, vqe
+from . import __version__, circuits, measurement, resources, vqe
 from .encoding import build_map, register_width
 from .hamiltonian import (
     PenaltyConfig,
@@ -56,13 +56,6 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _version() -> str:
-    try:
-        return metadata.version("sesvqe")
-    except metadata.PackageNotFoundError:
-        return "unknown"
-
-
 def _output_dir() -> Path:
     return Path(os.environ.get("SESVQE_OUTPUT_DIR", "."))
 
@@ -90,7 +83,7 @@ def _write_manifest(primary: Path, argv, outputs) -> Path:
         "format": MANIFEST_TAG,
         "command": ["sesvqe", *argv],
         "created_utc": _utc_now(),
-        "package_version": _version(),
+        "package_version": __version__,
         "outputs": [str(p) for p in outputs],
     }
     _write_json(manifest_path, doc)
@@ -358,7 +351,9 @@ def _shots_option(text: str):
     raise argparse.ArgumentTypeError(f"expects an integer or 'exact', got {text!r}")
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The command-line parser, built on first use and shared by later calls."""
     parser = _Parser(prog="sesvqe", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -444,6 +444,22 @@ def circuits(draw):
     return qc.Circuit(width, tuple(draw(st.lists(gates(width), max_size=12))))
 
 
+@st.composite
+def rotation_run_circuits(draw):
+    """Runs of RY/RZ gates between other gates: a run may repeat a qubit, touch
+    only some qubits, or span more than one layer step of LAYER_WIDTH qubits."""
+    width = draw(st.integers(1, 7))
+    angle = st.floats(-math.pi, math.pi, allow_nan=False)
+    out = []
+    for _ in range(draw(st.integers(1, 3))):
+        touched = draw(st.lists(st.integers(0, width - 1), min_size=1, max_size=width, unique=True))
+        for _ in range(draw(st.integers(2, 8))):
+            kind = draw(st.sampled_from(["RY", "RZ"]))
+            out.append(qc.GateOp(kind, (draw(st.sampled_from(touched)),), (draw(angle),)))
+        out.extend(draw(st.lists(gates(width), max_size=2)))
+    return qc.Circuit(width, tuple(out))
+
+
 class TestCompiledSimulator:
     @settings(max_examples=60)
     @given(circuits())
@@ -451,6 +467,14 @@ class TestCompiledSimulator:
         got = qc.simulate(circ)
         np.testing.assert_allclose(got, oracle_state(circ), atol=1e-10)
         # binding the circuit's own angles is the same run
+        np.testing.assert_array_equal(qc.simulate(circ, circ.program.params), got)
+
+    @settings(max_examples=60)
+    @given(rotation_run_circuits())
+    def test_rotation_layers_match_per_gate_kron_oracle(self, circ):
+        assert "layer" in circ.program.applied
+        got = qc.simulate(circ)
+        np.testing.assert_allclose(got, oracle_state(circ), atol=1e-10)
         np.testing.assert_array_equal(qc.simulate(circ, circ.program.params), got)
 
     @settings(max_examples=60)
@@ -480,13 +504,15 @@ class TestCompiledSimulator:
             )
 
     def test_output_bytes_are_pinned(self):
-        # sha256 of the amplitude bytes at a commit that applied dense gates
-        # through a general axis-permuting kernel; the simulator must keep its
-        # rounding to the last bit, so fixed-seed traces do not move
+        # sha256 of the amplitude bytes: the binary_ses case at a commit that
+        # applied dense gates through a general axis-permuting kernel, the
+        # hardware-efficient case since its rotation layers became one
+        # kron-built step each; the simulator must keep its rounding to the
+        # last bit, so fixed-seed traces do not move
         emap = encoding.build_map(5, "shifted")
         cases = (
             (qc.build_hardware_efficient_circuit(3, 3, np.linspace(-2.9, 3.1, 18)),
-             "0286498a14c80a63be1f47d26a4dfab954d00214bc8db059016cff181fb3fcb6"),
+             "ae996746d88a00cfccf62eaf0123aa3b1dcdb5096bafad5cc9b57d7c0cbb73c7"),
             (qc.build_binary_ses_circuit(5, np.linspace(-1.0, 2.0, 8), emap),
              "74edae78d6af29412c2bc7ec066e66edb94f14e4820ac6a85d0a150f8d8144c5"),
         )
@@ -503,6 +529,22 @@ class TestCompiledSimulator:
         assert len(circ.program.steps) == 15
         assert sum(isinstance(s, np.ndarray) for s in circ.program.steps) == 8
 
+    @pytest.mark.parametrize("n, layers", [(1, 3), (2, 1), (3, 2), (4, 3), (5, 2), (8, 2), (9, 1)])
+    def test_hardware_efficient_layer_is_one_step(self, n, layers):
+        # each layer's 2n rotations are one kron-built step per LAYER_WIDTH
+        # qubits, and its CNOT ring one gather; a 1-qubit circuit is one run
+        circ = qc.build_hardware_efficient_circuit(n, layers, np.zeros(2 * n * layers))
+        steps = circ.program.steps
+        dense = [s for s in steps if isinstance(s, tuple)]
+        assert {s[2] for s in dense} == {"layer"}
+        if n == 1:
+            assert len(steps) == 1
+            return
+        assert len(dense) == layers * math.ceil(n / qc.LAYER_WIDTH)
+        assert sum(isinstance(s, np.ndarray) for s in steps) == layers
+        if n <= qc.LAYER_WIDTH:
+            assert [isinstance(s, tuple) for s in steps] == [True, False] * layers
+
     def test_parameter_count_and_finiteness_refused(self):
         template = qc.build_ses_circuit(3, np.zeros(4))
         with pytest.raises(ValueError, match="takes 4 parameters, got 3"):
@@ -511,15 +553,38 @@ class TestCompiledSimulator:
             qc.simulate(template, [0.1, np.nan, 0.3, 0.4])
 
     @pytest.mark.parametrize("entry", [2.0, np.nan])
-    def test_each_evaluation_checks_unitarity(self, monkeypatch, entry):
-        def broken(beta, gamma):
-            mats = np.tile(np.eye(4, dtype=complex), np.shape(beta) + (1, 1))
+    @pytest.mark.parametrize(
+        "builder, circ, match",
+        [
+            ("a_gate_matrix", qc.build_ses_circuit(3, np.zeros(4)), "A gate matrix"),
+            ("ry_matrix", qc.Circuit(2, (qc.GateOp("RY", (1,), (0.0,)),)), "RY gate matrix"),
+            ("rz_matrix", qc.Circuit(2, (qc.GateOp("RZ", (0,), (0.0,)),)), "RZ gate matrix"),
+            ("ry_matrix", qc.build_hardware_efficient_circuit(3, 2, np.zeros(12)), "rotation layer matrix"),
+            ("rz_matrix", qc.build_hardware_efficient_circuit(3, 2, np.zeros(12)), "rotation layer matrix"),
+        ],
+        ids=["A", "RY", "RZ", "RY-layer", "RZ-layer"],
+    )
+    def test_each_evaluation_checks_unitarity(self, monkeypatch, builder, circ, match, entry):
+        real = getattr(qc, builder)
+
+        def broken(*angles):
+            mats = real(*angles)
             mats[..., 1, 1] = entry
             return mats
 
-        monkeypatch.setattr(qc, "a_gate_matrix", broken)
-        with pytest.raises(ValueError, match="A gate matrix is not unitary"):
-            qc.simulate(qc.build_ses_circuit(3, np.zeros(4)), np.full(4, 0.5))
+        monkeypatch.setattr(qc, builder, broken)
+        with pytest.raises(ValueError, match=f"{match} is not unitary"):
+            qc.simulate(circ, np.full(circ.program.params.size, 0.5))
+
+    def test_norm_check_refuses_a_broken_rotation_layer(self, monkeypatch):
+        # with the unitarity check out of the way, the norm check after the
+        # fused step still stops the run
+        real = qc.ry_matrix
+        monkeypatch.setattr(qc, "ry_matrix", lambda theta: 1.5 * real(theta))
+        monkeypatch.setattr(qc, "_check_unitary", lambda mats, what: None)
+        circ = qc.build_hardware_efficient_circuit(3, 2, np.zeros(12))
+        with pytest.raises(ValueError, match=r"rotation layer on \(0, 1, 2\) broke the norm"):
+            qc.simulate(circ, np.full(12, 0.5))
 
     def test_too_wide_refused_before_allocation(self):
         with pytest.raises(ValueError, match="too wide"):

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import sesvqe
 from sesvqe import cli
 from sesvqe import hamiltonian as ham
 
@@ -57,6 +58,20 @@ class TestGen:
         assert manifest["command"][0] == "sesvqe"
         assert manifest["command"][1] == "gen"
         assert str(out) in manifest["outputs"]
+
+    def test_manifest_names_the_package_version(self, tmp_path):
+        # from a checkout no distribution metadata exists; the package's own
+        # version string is the one home of the version
+        path = write_chain(tmp_path)
+        manifest = read_json(str(path) + ".manifest.json")
+        assert manifest["package_version"] == sesvqe.__version__
+
+    def test_parser_is_built_once_and_reused(self, tmp_path, capsys):
+        assert cli.build_parser() is cli.build_parser()
+        # a refused call leaves the shared parser fit for the next one
+        assert cli.main(["gen", "--family", "chain"]) == 1
+        assert "usage error" in capsys.readouterr().err
+        write_chain(tmp_path)
 
     def test_instance_files_are_reproducible(self, tmp_path):
         a = write_chain(tmp_path, 6, "a.json", disorder="1.5", seed="9")
