@@ -339,36 +339,71 @@ def pick_epsilon(shots: int | None) -> float:
     return max(1e-6, 3.0 / np.sqrt(shots))
 
 
+def _chain_forest(active: list, ks: list, deltas: list) -> tuple:
+    """The forest of pairs that form a path in site order, each pair ``(k - 1, k)``.
+
+    A path has no cycle, so every pair is a tree edge; each linked run of
+    active sites is one component, rooted at its lowest site.  From there the
+    walk in ``_spanning_forest`` adds each delta to the previous site's phase,
+    one site after the next; this running sum makes the same adds in the same
+    order, so its phases round the same, bit for bit.  Returns what
+    ``_spanning_forest`` returns.
+    """
+    phases = [0.0 if a else np.nan for a in active]
+    for k, step in zip(ks, deltas):
+        phases[k] = phases[k - 1] + step
+    linked = set(ks)
+    component, n_components = [], 0
+    for site, a in enumerate(active):
+        if not a:
+            component.append(-1)
+        elif site in linked:
+            component.append(n_components - 1)
+        else:
+            component.append(n_components)
+            n_components += 1
+    return np.ones(len(ks), dtype=bool), component, n_components, phases
+
+
 def _spanning_forest(active: list, js: list, ks: list, deltas: list, weights: list) -> tuple:
     """Maximum-weight spanning forest over the active sites, and the phases it gives.
 
     Kruskal with a union-find: edges by descending weight, ties in edge order
-    (a stable sort).  Each component's root is its lowest site, where its
-    phase is 0; phases spread from there along tree edges.  Returns
-    ``(in_tree, component, n_components, phases)`` as lists.
+    (a stable sort), stopping once the tree spans every active site.  Each
+    component's root is its lowest site, where its phase is 0; phases spread
+    from there along tree edges.  Returns ``(in_tree, component,
+    n_components, phases)``: a bool array, a list, an int and a list.  Pairs
+    that form a path in site order take ``_chain_forest``, which returns the
+    same.
     """
     n_sites = len(active)
     root = list(range(n_sites))
-
-    def find(s):
-        while root[s] != s:
-            root[s] = s = root[root[s]]  # path halving
-        return s
-
-    in_tree = [False] * len(js)
+    tree = []
     links = [[] for _ in range(n_sites)]
+    # tree edges still to find; an edge joins two active sites, so this is
+    # at least 1 whenever the loop runs
+    missing = sum(active) - 1
     for e in sorted(range(len(js)), key=weights.__getitem__, reverse=True):
         j, k = js[e], ks[e]
-        a, b = find(j), find(k)
+        a, b = root[j], root[k]
+        if a == b:  # one parent, so one set
+            continue
+        while root[a] != a:
+            root[a] = a = root[root[a]]  # path halving
+        while root[b] != b:
+            root[b] = b = root[root[b]]
         if a == b:
             continue
         if a < b:
             root[b] = a
         else:
             root[a] = b
-        in_tree[e] = True
+        tree.append(e)
         links[j].append((k, deltas[e]))
         links[k].append((j, -deltas[e]))
+        missing -= 1
+        if not missing:
+            break
 
     component = [-1] * n_sites
     phases = [np.nan] * n_sites
@@ -386,7 +421,28 @@ def _spanning_forest(active: list, js: list, ks: list, deltas: list, weights: li
                     phases[other] = phases[site] + step
                     frontier.append(other)
         n_components += 1
+    in_tree = np.zeros(len(js), dtype=bool)
+    in_tree[tree] = True
     return in_tree, component, n_components, phases
+
+
+@functools.lru_cache(maxsize=64)
+def _pair_route(pair_j: bytes, pair_k: bytes, n_sites: int) -> bool:
+    """Refuse a pair outside ``0 <= j < k < n_sites``; True when the pairs form
+    a path in site order, each ``(j, j + 1)`` with ``j`` strictly increasing.
+
+    Keyed by the int64 bytes of the pair indices, as a layout passes the same
+    pairs to every estimate: a few numpy calls on every estimate would cost a
+    small packed register a tenth of its estimate.  A refusal is not cached.
+    """
+    j, k = np.frombuffer(pair_j, dtype=np.int64), np.frombuffer(pair_k, dtype=np.int64)
+    if not j.size:
+        return True
+    if (j >= k).any():
+        raise ValueError("every pair must have j < k")
+    if j.min() < 0 or k.max() >= n_sites:
+        raise ValueError(f"pair index outside [0, {n_sites})")
+    return bool((k - j == 1).all() and (j[1:] > j[:-1]).all())
 
 
 def reconstruct_profile(probs, pair_j, pair_k, cos, sin, epsilon: float | None = None,
@@ -398,11 +454,26 @@ def reconstruct_profile(probs, pair_j, pair_k, cos, sin, epsilon: float | None =
     sine/cosine estimates, spread from each component's lowest active site
     over a maximum-weight spanning forest.  ``epsilon`` must be a finite
     number >= 0 and defaults to ``pick_epsilon(shots)``.
+
+    ``probs`` is 1-D; ``pair_j``, ``pair_k``, ``cos`` and ``sin`` are 1-D
+    of one length, with ``0 <= j < k < N`` for every pair (refused
+    otherwise).  Pairs that form a path in site order, each ``(j, j + 1)``
+    with ``j`` strictly increasing (the one-hot chain), take a running sum
+    along the path; any other pairs take Kruskal and a walk over its tree.
+    Both give the same forest and phases, bit for bit: on a path the walk
+    adds each pair's delta to the previous site's phase in site order, and
+    the running sum makes those adds in that order (``_chain_forest``).
     """
     probs = np.asarray(probs, dtype=float)
     j, k = np.asarray(pair_j, dtype=np.int64), np.asarray(pair_k, dtype=np.int64)
     c, s = np.asarray(cos, dtype=float), np.asarray(sin, dtype=float)
     n_sites = probs.size
+    if probs.ndim != 1:
+        raise ValueError(f"probs must be 1-D, got shape {probs.shape}")
+    if j.ndim != 1 or not j.shape == k.shape == c.shape == s.shape:
+        raise ValueError(f"pair_j, pair_k, cos and sin must be 1-D of one length, got shapes "
+                         f"{j.shape}, {k.shape}, {c.shape}, {s.shape}")
+    path = _pair_route(j.tobytes(), k.tobytes(), n_sites)
     check_epsilon(epsilon)
     if epsilon is None:
         epsilon = pick_epsilon(shots)
@@ -414,18 +485,19 @@ def reconstruct_profile(probs, pair_j, pair_k, cos, sin, epsilon: float | None =
         j, k, c, s = j[keep], k[keep], c[keep], s[keep]
     delta = np.arctan2(s, c)
     # squares through libm pow, as Python's ``x ** 2`` computes them: np.square
-    # differs in the last bit for about 0.1% of inputs, enough to reorder
-    # near-tied shot-mode edges and so change which tree is used
-    weights = [y**2 + x**2 for x, y in zip(c.tolist(), s.tolist())]
+    # (x * x) differs in the last bit for about 0.1% of inputs, enough to
+    # reorder near-tied shot-mode edges and so change which tree is used
+    weight = np.float_power(s, 2.0) + np.float_power(c, 2.0)
     active_sites = active.tolist()
-    in_tree, component, n_components, phases = _spanning_forest(
-        active_sites, j.tolist(), k.tolist(), delta.tolist(), weights
-    )
+    if path:
+        forest = _chain_forest(active_sites, k.tolist(), delta.tolist())
+    else:
+        forest = _spanning_forest(active_sites, j.tolist(), k.tolist(), delta.tolist(), weight.tolist())
+    in_tree, component, n_components, phases = forest
 
     reference = active_sites.index(True) if True in active_sites else None
     profile = AmplitudeProfile(n_sites, magnitudes, np.array(phases), active, float(epsilon), reference)
-    pgraph = PhaseGraph(j, k, delta, np.array(weights), np.array(in_tree, dtype=bool),
-                        np.array(component), n_components)
+    pgraph = PhaseGraph(j, k, delta, weight, in_tree, np.array(component), n_components)
     return profile, pgraph
 
 
@@ -538,7 +610,7 @@ def profile_summary(profile: AmplitudeProfile) -> dict:
 def phase_graph_summary(pgraph: PhaseGraph) -> dict:
     js, ks = pgraph.edge_j.tolist(), pgraph.edge_k.tolist()
     return {
-        "edges": [list(e) for e in zip(js, ks, pgraph.delta.tolist(), pgraph.weight.tolist())],
+        "edges": [[j, k, d, w] for j, k, d, w in zip(js, ks, pgraph.delta.tolist(), pgraph.weight.tolist())],
         "tree_edges": [[j, k] for j, k, t in zip(js, ks, pgraph.in_tree.tolist()) if t],
         "n_components": pgraph.n_components,
         "component_of": [[s, c] for s, c in enumerate(pgraph.component.tolist()) if c >= 0],

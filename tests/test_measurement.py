@@ -381,6 +381,24 @@ class TestReconstructProfile:
         with pytest.raises(ValueError, match="epsilon must be a finite number >= 0"):
             meas.reconstruct_profile([1.0], [], [], [], [], epsilon=epsilon)
 
+    @pytest.mark.parametrize("probs,pair_j,pair_k,cos,sin,message", [
+        ([[0.5, 0.5]], [0], [1], [0.0], [1.0], "probs must be 1-D"),
+        (0.5, [], [], [], [], "probs must be 1-D"),
+        ([0.5, 0.5], [0], [1], [0.0, 1.0], [1.0], "one length"),
+        ([0.5, 0.5], [0, 0], [1], [0.0], [1.0], "one length"),
+        ([0.5, 0.5], [[0]], [[1]], [[0.0]], [[1.0]], "one length"),
+        ([0.5, 0.5], [1], [0], [0.0], [1.0], "j < k"),
+        ([0.5, 0.5], [1], [1], [0.0], [1.0], "j < k"),
+        ([0.5, 0.5], [-1], [0], [0.0], [1.0], r"outside \[0, 2\)"),
+        ([0.5, 0.5], [1], [2], [0.0], [1.0], r"outside \[0, 2\)"),
+        ([0.3, 0.3, 0.4], [0, -2], [1, 2], [0.0, 0.0], [1.0, 1.0], r"outside \[0, 3\)"),
+        ([0.3, 0.3, 0.4], [0, 0], [1, 3], [0.0, 0.0], [1.0, 1.0], r"outside \[0, 3\)"),
+    ])
+    def test_bad_pair_data_refused(self, probs, pair_j, pair_k, cos, sin, message):
+        for _ in range(2):  # the pair checks are cached by the pairs; a refusal is not
+            with pytest.raises(ValueError, match=message):
+                meas.reconstruct_profile(probs, pair_j, pair_k, cos, sin)
+
     def test_zero_epsilon_is_accepted(self):
         profile, _ = meas.reconstruct_profile([0.0, 1.0], [0], [1], [0.0], [0.0], epsilon=0)
         assert profile.active.tolist() == [False, True]
@@ -574,6 +592,24 @@ class TestEstimateEnergy:
             # the cost loop's call builds no report and gets the same energy
             assert meas.estimate_energy(*args, **kwargs, diagnostics=False) == (energy, None)
         assert digest.hexdigest() == "e84c157ec6f728ac380050de4fadb21b9cc348eb0bfd0d3f6c51d43a9d965816"
+
+    def test_outputs_are_pinned_at_large_n(self):
+        # the same hash at N = 128 and 256, computed before the one-hot chain
+        # took its own phase route; the shot runs and epsilon 0.05 leave
+        # inactive sites that split the chain and the hypercube forest
+        cases = itertools.product((128, 256), (("original", None), ("binary", "shifted")),
+                                  (None, 1000), (None, 0.05))
+        digest = hashlib.sha256()
+        for idx, (n, (protocol, mode), shots, epsilon) in enumerate(cases):
+            rng = np.random.default_rng(idx)
+            alpha = rng.normal(size=n) + 1j * rng.normal(size=n)
+            alpha /= np.linalg.norm(alpha)
+            energy, diag = meas.estimate_energy(
+                ham.random_hermitian_instance(n, seed=idx), alpha, protocol, shots=shots, seed=idx,
+                emap=encoding.build_map(n, mode) if mode else None, epsilon=epsilon,
+            )
+            digest.update(json.dumps([repr(energy), diag], sort_keys=True).encode())
+        assert digest.hexdigest() == "762507ed7531245a3d63b337a3e69e3a416e412b82e82625658771fa1efcf001"
 
     def test_unknown_protocol(self):
         h = ham.chain_instance(2)

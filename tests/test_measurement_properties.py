@@ -7,11 +7,17 @@ components), and the unmeasured coupling lists of a plain double loop.
 
 Shot mode: on random outcome counts, every histogram estimate equals the
 per-bitstring sum it stands for, bit for bit.
+
+Phase forest: pairs that form a path in site order give the forest and the
+phases of the Kruskal walk that every pair graph once took, bit for bit, and
+``np.float_power(x, 2.0)`` squares like Python's ``x ** 2``.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sesvqe import encoding
@@ -195,3 +201,131 @@ def test_phase_graph_lists_each_measured_pair_once_in_site_order(n, seed, protoc
     assert listed == sorted(measured_pairs(protocol, n, emap))
     assert len(set(listed)) == len(listed)
     assert all(j < k for j, k in listed)
+
+
+def parent_spanning_forest(active, js, ks, deltas, weights):
+    """Kruskal and the walk over its tree, as every pair graph took them before
+    pairs forming a path in site order got their own route: the oracle for that route."""
+    n_sites = len(active)
+    root = list(range(n_sites))
+
+    def find(s):
+        while root[s] != s:
+            root[s] = s = root[root[s]]
+        return s
+
+    in_tree = [False] * len(js)
+    links = [[] for _ in range(n_sites)]
+    for e in sorted(range(len(js)), key=weights.__getitem__, reverse=True):
+        j, k = js[e], ks[e]
+        a, b = find(j), find(k)
+        if a == b:
+            continue
+        if a < b:
+            root[b] = a
+        else:
+            root[a] = b
+        in_tree[e] = True
+        links[j].append((k, deltas[e]))
+        links[k].append((j, -deltas[e]))
+
+    component = [-1] * n_sites
+    phases = [np.nan] * n_sites
+    n_components = 0
+    for start in range(n_sites):
+        if not active[start] or root[start] != start:
+            continue
+        component[start] = n_components
+        phases[start] = 0.0
+        frontier = [start]
+        for site in frontier:
+            for other, step in links[site]:
+                if component[other] < 0:
+                    component[other] = n_components
+                    phases[other] = phases[site] + step
+                    frontier.append(other)
+        n_components += 1
+    return in_tree, component, n_components, phases
+
+
+# zero (both signs), tied and negative correlator values
+TIED = [0.0, -0.0, 0.25, -0.25, 0.5, -1.0]
+
+
+@settings(max_examples=300)
+@given(
+    n=st.integers(1, 64),
+    seed=st.integers(0, 2**32 - 1),
+    dropped=st.sampled_from([0.0, 0.2, 0.5]),
+    inactive=st.lists(st.tuples(st.integers(0, 63), st.integers(1, 8)), max_size=6),
+    tied=st.sampled_from([0.0, 0.5, 1.0]),
+    epsilon=st.sampled_from([None, 0.0, 0.05]),
+    shots=st.sampled_from([None, 1000]),
+    order=st.sampled_from(["path", "path", "reversed", "repeated"]),
+)
+def test_path_route_equals_the_kruskal_walk(n, seed, dropped, inactive, tied, epsilon, shots, order):
+    rng = np.random.default_rng(seed)
+    # noisy, sub-normalised probabilities (some negative), with runs of zeros
+    probs = rng.random(n)
+    probs *= rng.uniform(0.5, 0.9) / probs.sum()
+    probs += rng.normal(scale=0.002, size=n)
+    for start, length in inactive:
+        probs[start % n:start % n + length] = 0.0
+    # pairs (j, j + 1), j strictly increasing, some of the chain's left out;
+    # reversed or with a pair repeated they are no path, and take Kruskal
+    j = np.flatnonzero(rng.random(max(n - 1, 0)) >= dropped)
+    if order == "reversed":
+        j = j[::-1]
+    elif order == "repeated" and j.size:
+        j = np.sort(np.append(j, rng.choice(j)))
+    k = j + 1
+    cos, sin = rng.normal(size=(2, j.size))
+    ties = rng.random(j.size) < tied
+    cos[ties] = rng.choice(TIED, size=int(ties.sum()))
+    sin[ties] = rng.choice(TIED, size=int(ties.sum()))
+
+    with mock.patch.object(meas, "_spanning_forest", wraps=meas._spanning_forest) as kruskal:
+        profile, pgraph = meas.reconstruct_profile(probs, j, k, cos, sin, epsilon, shots)
+    assert kruskal.called == (order != "path" and j.size > 1)
+
+    threshold = meas.pick_epsilon(shots) if epsilon is None else epsilon
+    active = np.sqrt(np.maximum(probs, 0.0)) > threshold
+    keep = active[j] & active[k]
+    c, s = cos[keep], sin[keep]
+    delta = np.arctan2(s, c)
+    weights = [y**2 + x**2 for x, y in zip(c.tolist(), s.tolist())]
+    in_tree, component, n_components, phases = parent_spanning_forest(
+        active.tolist(), j[keep].tolist(), k[keep].tolist(), delta.tolist(), weights
+    )
+    assert pgraph.in_tree.tolist() == in_tree
+    assert pgraph.component.tolist() == component
+    assert pgraph.n_components == n_components
+    # bit for bit, NaN on the inactive sites included
+    assert profile.phases.tobytes() == np.array(phases).tobytes()
+    assert pgraph.delta.tobytes() == delta.tobytes()
+    assert pgraph.weight.tobytes() == np.array(weights).tobytes()
+
+
+# many doubles over the whole range the squares stay finite in
+MANY_DOUBLES = (
+    np.random.default_rng(0).normal(size=4096) * 10.0 ** np.random.default_rng(1).uniform(-160, 150, 4096)
+).tolist()
+
+
+@given(st.lists(
+    st.one_of(
+        st.floats(-1e150, 1e150),
+        st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-150, -1e-150, 1e150, -1e150]),
+    ),
+    min_size=1, max_size=256,
+))
+@example(MANY_DOUBLES)
+def test_float_power_squares_like_python(xs):
+    # reconstruct_profile's edge weights are np.float_power(x, 2.0), which
+    # must round like Python's x ** 2 (libm pow), as the weights did when
+    # they were a list: np.square (x * x) differs in the last bit on about
+    # 0.1% of doubles, and a numpy build that sent float_power to a SIMD pow
+    # could too; either would reorder near-tied shot-mode edges and so move
+    # the forest without any other test noticing
+    got = np.float_power(np.array(xs), 2.0)
+    assert got.tobytes() == np.array([x**2 for x in xs]).tobytes()
