@@ -29,6 +29,7 @@ from .hamiltonian import (
     PenaltyConfig,
     SiteHamiltonian,
     chain_instance,
+    check_site_count,
     complex_ring_instance,
     ground_energy,
     is_real,
@@ -91,6 +92,8 @@ def _write_manifest(primary: Path, argv, outputs) -> Path:
 
 
 def cmd_gen(args, argv) -> int:
+    check_site_count(args.n_sites)
+    vqe.check_count("seed", args.seed, 0)
     meta = {"family": args.family, "seed": args.seed}
     if args.family == "chain":
         h = chain_instance(args.n_sites, args.hopping, args.disorder, args.seed)
@@ -129,17 +132,17 @@ def _parse_shots(value) -> int | None:
     return value
 
 
-def _parse_optimizer(value) -> tuple:
+def _parse_optimizer(value) -> str:
+    """A name, or an object holding only ``name``; null means the simplex."""
     if value is None:
-        return "simplex", {}
-    if isinstance(value, str):
-        return value, {}
+        return "simplex"
     if isinstance(value, dict):
-        if "name" not in value:
-            raise ConfigError("config key 'optimizer': missing 'name'")
-        opts = {k: v for k, v in value.items() if k != "name"}
-        return value["name"], opts
-    raise ConfigError(f"config key 'optimizer': expected a name or object, got {value!r}")
+        if set(value) != {"name"}:
+            raise ConfigError(f"config key 'optimizer': an object holds only 'name', got keys {sorted(value)}")
+        value = value["name"]
+    if not isinstance(value, str):
+        raise ConfigError(f"config key 'optimizer': expected a name or {{\"name\": ...}}, got {value!r}")
+    return value
 
 
 def _parse_penalty(value, h: SiteHamiltonian) -> PenaltyConfig | None:
@@ -153,26 +156,34 @@ def _parse_penalty(value, h: SiteHamiltonian) -> PenaltyConfig | None:
     raise ConfigError(f"config key 'penalty': expected \"default\" or {{\"c_p\": value}}, got {value!r}")
 
 
+# every key a solve configuration may hold
+SOLVE_CONFIG_KEYS = (
+    "hamiltonian", "ansatz", "protocol", "shots", "optimizer",
+    "max_evaluations", "seed", "penalty", "layers", "epsilon",
+)
+
+
 def load_solve_config(path: Path, overrides) -> vqe.VqeConfig:
     """Read a solve configuration file; an override that is not None replaces its key."""
     with open(path) as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
         raise ConfigError("config file must hold a JSON object")
+    unknown = sorted(set(doc) - set(SOLVE_CONFIG_KEYS))
+    if unknown:
+        raise ConfigError(f"unknown config key(s) {unknown}; known: {', '.join(SOLVE_CONFIG_KEYS)}")
     doc.update((key, value) for key, value in overrides.items() if value is not None)
     ham_ref = _config_get(doc, "hamiltonian", required=True)
     ham_path = Path(ham_ref)
     if not ham_path.is_absolute():
         ham_path = path.parent / ham_path
     h = load_hamiltonian(ham_path)
-    optimizer, opt_options = _parse_optimizer(_config_get(doc, "optimizer"))
     kwargs = {
         "hamiltonian": h,
         "ansatz": _config_get(doc, "ansatz", "one_hot_ses"),
         "protocol": _config_get(doc, "protocol", "exact_operator"),
         "shots": _parse_shots(_config_get(doc, "shots")),
-        "optimizer": optimizer,
-        "optimizer_options": opt_options,
+        "optimizer": _parse_optimizer(_config_get(doc, "optimizer")),
         "max_evaluations": _config_get(doc, "max_evaluations", 5000),
         "seed": _config_get(doc, "seed", 0),
         "penalty": _parse_penalty(_config_get(doc, "penalty"), h),
@@ -277,6 +288,7 @@ def _load_site_vector(args) -> tuple:
 
 
 def cmd_reconstruct(args, argv) -> int:
+    vqe.check_count("seed", args.seed, 0)
     h = load_hamiltonian(args.hamiltonian)
     alpha, source_label = _load_site_vector(args)
     if alpha.size != h.n_sites:

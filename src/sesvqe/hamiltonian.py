@@ -150,6 +150,9 @@ def chain_instance(
     With zero disorder the exact spectrum is 2*hopping*cos(k*pi/(N+1)),
     k = 1..N.
     """
+    half_max = sys.float_info.max / 2  # the draw's range, 2 x disorder, must be a finite float
+    if not 0 <= disorder <= half_max:
+        raise ValueError(f"disorder must be a number from 0 to {half_max:.6g}, got {disorder!r}")
     rng = np.random.default_rng(seed)
     onsite = rng.uniform(-disorder, disorder, size=n_sites) if disorder else np.zeros(n_sites)
     return SiteHamiltonian(n_sites, _chain_matrix(n_sites, hopping, onsite))
@@ -206,6 +209,12 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def check_site_count(n) -> None:
+    """Refuse a site count the dense spectrum cannot take, before any allocation."""
+    if not _is_int(n) or not 1 <= n <= _SPECTRUM_BUDGET:
+        raise ValueError(f"n_sites must be an integer from 1 to {_SPECTRUM_BUDGET}, got {n!r}")
+
+
 def is_real(value) -> bool:
     """A float, or an int that converts to one; a bool is no real number."""
     return isinstance(value, float) or _is_int(value) and abs(value) <= sys.float_info.max
@@ -227,8 +236,7 @@ def load_hamiltonian(path) -> SiteHamiltonian:
     if doc.get("format") != FORMAT_TAG:
         raise ValueError(f"unrecognized Hamiltonian format tag {doc.get('format')!r}")
     n = doc.get("n_sites")
-    if not _is_int(n) or not 1 <= n <= _SPECTRUM_BUDGET:
-        raise ValueError(f"n_sites must be an integer from 1 to {_SPECTRUM_BUDGET}, got {n!r}")
+    check_site_count(n)
     entries = doc.get("entries")
     if not isinstance(entries, list):
         raise ValueError(f"entries must be a list, got {entries!r}")

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import numbers
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import optimize as sp_optimize
@@ -52,28 +52,26 @@ PLATEAU_WINDOW_PER_DIM = 50
 # converged default-penalty runs reach 0.9998-0.999999 on chains of 3-6 sites
 MIN_PHYSICAL_WEIGHT = 0.99
 
-# every option each optimizer takes, with its default; the block-sweep simplex
-# defaults are tuned on disordered chains up to 16 sites, and SPSA's
-# "stability" of None means max(1, 0.1 * iterations)
-OPTIMIZER_OPTIONS = {
-    "simplex": {
-        "block": 8,
-        "visit_cap": 100,
-        "spread": 0.8,
-        "shrink": 0.63,
-        "max_sweeps": 16,
-        "kicks": (0.8, 0.5, 0.3),
-        "crawl_fraction": 0.005,
-    },
-    "spsa": {"a": 0.2, "c": 0.1, "alpha": 0.602, "gamma": 0.101, "stability": None},
-}
-OPTIMIZERS = tuple(OPTIMIZER_OPTIONS)
+# the block-sweep simplex's fixed settings, tuned on disordered chains up to 16 sites
+SIMPLEX_BLOCK = 8  # parameters per Nelder-Mead block
+SIMPLEX_VISIT_CAP = 100  # evaluations per block visit
+SIMPLEX_SPREAD = 0.8  # initial simplex spread
+SIMPLEX_SHRINK = 0.63  # spread factor per sweep
+SIMPLEX_MAX_SWEEPS = 16  # sweeps per restart
+SIMPLEX_KICKS = (0.8, 0.5, 0.3)  # escape kick magnitudes, in order
+SIMPLEX_CRAWL_FRACTION = 0.005  # relative sweep gain below which a sweep crawls
+
+# SPSA's fixed gains: step a / (k + 1 + max(1, 0.1 x iterations))^alpha and
+# perturbation c / (k + 1)^gamma at iteration k
+SPSA_A, SPSA_C, SPSA_ALPHA, SPSA_GAMMA = 0.2, 0.1, 0.602, 0.101
+
+OPTIMIZERS = ("simplex", "spsa")
 
 _MIN_SPREAD = 5e-4
 _SWEEP_STALL = 1e-10
 
 
-def _check_count(name: str, value, least: int) -> None:
+def check_count(name: str, value, least: int) -> None:
     """Refuse a value that is not an int >= ``least``; a bool is refused too."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
@@ -93,7 +91,6 @@ class VqeConfig:
     penalty: PenaltyConfig | None = None
     layers: int = 2
     epsilon: float | None = None
-    optimizer_options: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.ansatz not in ANSATZE:
@@ -112,17 +109,11 @@ class VqeConfig:
                 raise ValueError("the simplex optimizer requires exact mode; use spsa")
         if self.optimizer not in OPTIMIZERS:
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
-        known = OPTIMIZER_OPTIONS[self.optimizer]
-        unknown = sorted(set(self.optimizer_options) - set(known))
-        if unknown:
-            raise ValueError(
-                f"unknown {self.optimizer} option(s) {unknown}; known: {sorted(known)}"
-            )
-        _check_count("max_evaluations", self.max_evaluations, 1)
-        _check_count("seed", self.seed, 0)
+        check_count("max_evaluations", self.max_evaluations, 1)
+        check_count("seed", self.seed, 0)
         if self.penalty is not None and self.ansatz != "hardware_efficient":
             raise ValueError("penalty extension only applies to hardware_efficient")
-        _check_count("layers", self.layers, 1)
+        check_count("layers", self.layers, 1)
         measurement.check_epsilon(self.epsilon)
 
 
@@ -278,11 +269,7 @@ def _initial_point(config: VqeConfig, dim: int, restart: int) -> tuple:
     return np.pi - rng.uniform(0.0, 2.0 * np.pi, size=dim), rng
 
 
-def _options(config: VqeConfig) -> dict:
-    return {**OPTIMIZER_OPTIONS[config.optimizer], **config.optimizer_options}
-
-
-def _run_simplex(tracker: _Tracker, x0: np.ndarray, rng: np.random.Generator, opts: dict):
+def _run_simplex(tracker: _Tracker, x0: np.ndarray, rng: np.random.Generator):
     """Block-coordinate Nelder-Mead sweeps with a shrinking spread schedule.
 
     Parameters are visited in fixed contiguous blocks.  Each visit runs an
@@ -290,20 +277,13 @@ def _run_simplex(tracker: _Tracker, x0: np.ndarray, rng: np.random.Generator, op
     simplex of the scheduled spread around the incumbent point; the spread
     shrinks geometrically sweep over sweep.  Two escape triggers share a small
     budget of random kicks: a fully stalled sweep, and two crawling sweeps
-    (relative gain below ``crawl_fraction``) since the last kick.  A kick
+    (relative gain below SIMPLEX_CRAWL_FRACTION) since the last kick.  A kick
     re-widens the spread schedule and is kept only if it improves the
-    incumbent.  Returns when the kicks are spent or ``max_sweeps`` is reached;
-    the caller then starts the next restart.
+    incumbent.  Returns when the kicks are spent or SIMPLEX_MAX_SWEEPS is
+    reached; the caller then starts the next restart.
     """
     dim = x0.size
-    block = int(opts["block"])
-    cap = int(opts["visit_cap"])
-    spread0 = float(opts["spread"])
-    shrink = float(opts["shrink"])
-    max_sweeps = int(opts["max_sweeps"])
-    kicks = tuple(opts["kicks"])
-    crawl_fraction = float(opts["crawl_fraction"])
-    blocks = [list(range(lo, min(lo + block, dim))) for lo in range(0, dim, block)]
+    blocks = [list(range(lo, min(lo + SIMPLEX_BLOCK, dim))) for lo in range(0, dim, SIMPLEX_BLOCK)]
 
     incumbent = np.array(x0, dtype=float, copy=True)
     incumbent_energy = tracker.cost(incumbent)
@@ -332,7 +312,7 @@ def _run_simplex(tracker: _Tracker, x0: np.ndarray, rng: np.random.Generator, op
             method="Nelder-Mead",
             options={
                 "adaptive": True,
-                "maxfev": max(1, min(cap, tracker.budget - tracker.evals)),
+                "maxfev": max(1, min(SIMPLEX_VISIT_CAP, tracker.budget - tracker.evals)),
                 "initial_simplex": simplex,
                 "xatol": 1e-10,
                 "fatol": 1e-12,
@@ -343,8 +323,8 @@ def _run_simplex(tracker: _Tracker, x0: np.ndarray, rng: np.random.Generator, op
     kick_index = 0
     crawl_count = 0
     previous_gain = None
-    for sweep in range(max_sweeps):
-        spread = max(spread0 * shrink**schedule, _MIN_SPREAD)
+    for sweep in range(SIMPLEX_MAX_SWEEPS):
+        spread = max(SIMPLEX_SPREAD * SIMPLEX_SHRINK**schedule, _MIN_SPREAD)
         before = incumbent_energy
         for idx in blocks:
             visit(idx, spread)
@@ -353,7 +333,7 @@ def _run_simplex(tracker: _Tracker, x0: np.ndarray, rng: np.random.Generator, op
         # a crawl shows steady but tiny gains; a fresh drop in gain is normal
         crawling = (
             sweep >= 3
-            and gain < crawl_fraction * max(abs(incumbent_energy), 0.1)
+            and gain < SIMPLEX_CRAWL_FRACTION * max(abs(incumbent_energy), 0.1)
             and previous_gain is not None
             and gain > 0.3 * previous_gain
         )
@@ -361,9 +341,9 @@ def _run_simplex(tracker: _Tracker, x0: np.ndarray, rng: np.random.Generator, op
         if crawling:
             crawl_count += 1
         if gain < _SWEEP_STALL or crawl_count >= 2:
-            if kick_index >= len(kicks):
+            if kick_index >= len(SIMPLEX_KICKS):
                 return
-            magnitude = kicks[kick_index]
+            magnitude = SIMPLEX_KICKS[kick_index]
             kick_index += 1
             kicked = incumbent + rng.uniform(-magnitude, magnitude, size=dim)
             energy = tracker.cost(kicked)
@@ -375,19 +355,13 @@ def _run_simplex(tracker: _Tracker, x0: np.ndarray, rng: np.random.Generator, op
 
 
 def _run_spsa(tracker: _Tracker, x0: np.ndarray, config: VqeConfig, restart: int):
-    opts = _options(config)
-    a = float(opts["a"])
-    c = float(opts["c"])
-    alpha = float(opts["alpha"])
-    gamma = float(opts["gamma"])
     iterations = max(1, (tracker.budget - tracker.evals) // 2)
-    stability = opts["stability"]
-    stability = max(1.0, 0.1 * iterations) if stability is None else float(stability)
+    stability = max(1.0, 0.1 * iterations)
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, 2, restart]))
     theta = np.array(x0, dtype=float, copy=True)
     for k in range(iterations):
-        ak = a / (k + 1 + stability) ** alpha
-        ck = c / (k + 1) ** gamma
+        ak = SPSA_A / (k + 1 + stability) ** SPSA_ALPHA
+        ck = SPSA_C / (k + 1) ** SPSA_GAMMA
         delta = rng.choice([-1.0, 1.0], size=theta.size)
         y_plus = tracker.cost(theta + ck * delta)
         y_minus = tracker.cost(theta - ck * delta)
@@ -414,7 +388,7 @@ def optimize(config: VqeConfig) -> VqeResult:
             x0, rng = _initial_point(config, plan.dim, restarts_started)
             restarts_started += 1
             if config.optimizer == "simplex":
-                _run_simplex(tracker, x0, rng, _options(config))
+                _run_simplex(tracker, x0, rng)
             else:
                 _run_spsa(tracker, x0, config, restarts_started - 1)
             if tracker.evals >= tracker.budget:

@@ -122,6 +122,36 @@ class TestGen:
         assert (workdir / "hamiltonian.json").exists()
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["gen", "--n-sites", "4097"], "error: n_sites must be an integer from 1 to 4096, got 4097"),
+        (["gen", "--n-sites", "1000000"], "error: n_sites must be an integer from 1 to 4096, got 1000000"),
+        (["gen", "--n-sites", "4", "--disorder", "inf"], "error: disorder must be a number from 0 to"),
+        (["gen", "--n-sites", "4", "--disorder", "1e308"], "error: disorder must be a number from 0 to"),
+        (["gen", "--n-sites", "4", "--disorder", "-0.5"], "error: disorder must be a number from 0 to"),
+        (["gen", "--n-sites", "4", "--seed", "-1"], "seed must be an integer >= 0"),
+        (["reconstruct", "--shots", "100", "--seed", "-1"], "seed must be an integer >= 0"),
+    ],
+)
+def test_unrunnable_input_is_refused_before_writing(tmp_path, capsys, argv, message):
+    # each once wrote a file that cannot be loaded, or ended in a traceback
+    inputs = tmp_path / "in"
+    inputs.mkdir()
+    h_path = write_chain(inputs, 4)
+    (inputs / "amps.json").write_text(json.dumps({"amplitudes": [[0.5, 0.0]] * 4}))
+    source = {
+        "gen": ["--family", "chain"],
+        "reconstruct": ["--hamiltonian", str(h_path), "--protocol", "original",
+                        "--amplitudes", str(inputs / "amps.json")],
+    }
+    out = tmp_path / "out" / "result.json"
+    capsys.readouterr()
+    assert cli.main([argv[0], *source[argv[0]], *argv[1:], "--out", str(out)]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.parent.exists()
+
+
 class TestSolve:
     def make_config(self, tmp_path, n=2, name="solve.json", **extra):
         ham_path = write_chain(tmp_path, n)
@@ -271,26 +301,46 @@ class TestSolve:
         assert rc == 1
         assert "spsa" in capsys.readouterr().err
 
-    def test_optimizer_options_accepted(self, tmp_path):
-        cfg = self.make_config(
-            tmp_path,
-            name="opts.json",
-            optimizer={"name": "simplex", "visit_cap": 60},
-        )
-        rc = cli.main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o.json")])
-        assert rc == 0
-
-
     @pytest.mark.parametrize(
         "optimizer",
-        [{"name": "simplex", "visit_capp": 3}, {"name": "simplex", "a": 0.3}],
+        [{"name": "simplex", "visit_cap": 60}, {"name": "spsa", "a": 0.3}, {}, 3],
     )
     def test_unknown_optimizer_option_rejected(self, tmp_path, capsys, optimizer):
+        # the optimizers run at fixed settings: an object holds only the name
         cfg = self.make_config(tmp_path, name="opts.json", optimizer=optimizer)
         rc = cli.main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o.json")])
         assert rc == 1
-        assert "config error: unknown simplex option" in capsys.readouterr().err
+        assert "config error: config key 'optimizer'" in capsys.readouterr().err
         assert not (tmp_path / "o.json").exists()
+
+    def test_optimizer_object_runs_as_its_name(self, tmp_path):
+        traces = []
+        for name, optimizer in (("object", {"name": "spsa"}), ("name", "spsa")):
+            cfg = self.make_config(tmp_path, n=4, name=f"{name}.json", protocol="original", shots=100,
+                                   optimizer=optimizer, max_evaluations=60, seed=3)
+            trace = tmp_path / f"{name}.csv"
+            argv = ["solve", "--config", str(cfg), "--out", str(tmp_path / f"{name}.report.json")]
+            assert cli.main([*argv, "--trace-csv", str(trace)]) in (0, 2)
+            traces.append(trace.read_bytes())
+        assert traces[0] == traces[1]
+
+    def test_misspelled_keys_refused_before_the_hamiltonian_loads(self, tmp_path, capsys, monkeypatch):
+        # the misspellings once ran the default simplex under the default budget
+        monkeypatch.setattr(cli, "load_hamiltonian", None)  # any load would fail
+        cfg = tmp_path / "typo.json"
+        cfg.write_text(json.dumps({"hamiltonian": "h.json", "max_evaluation": 7, "optimiser": "spsa"}))
+        rc = cli.main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o.json")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "config error: unknown config key(s) ['max_evaluation', 'optimiser']" in err
+        assert "known: " + ", ".join(cli.SOLVE_CONFIG_KEYS) in err
+        assert not (tmp_path / "o.json").exists()
+
+    def test_known_keys_are_the_documented_ones(self):
+        text = (Path(__file__).resolve().parent.parent / "docs" / "formats.md").read_text()
+        section = text.split("## Solve configuration")[1].split("\n## ")[0]
+        rows = [line.split("|")[1].strip() for line in section.splitlines() if line.startswith("| `")]
+        assert tuple(row.strip("`") for row in rows) == cli.SOLVE_CONFIG_KEYS
 
     @pytest.mark.parametrize("key,value", [("seed", 1.5), ("max_evaluations", 10.5), ("layers", True)])
     def test_non_integer_count_rejected(self, tmp_path, capsys, key, value):

@@ -1,5 +1,6 @@
 """Driver behavior: configuration, cost routes, convergence, determinism."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -78,22 +79,6 @@ class TestConfigValidation:
     def test_epsilon_must_be_a_finite_number_at_least_zero(self, epsilon):
         with pytest.raises(ValueError, match="epsilon"):
             vqe.VqeConfig(self.h, protocol="original", epsilon=epsilon)
-
-    @pytest.mark.parametrize(
-        "optimizer,options",
-        [("simplex", {"visit_capp": 3}), ("simplex", {"a": 0.3}), ("spsa", {"block": 4})],
-    )
-    def test_unknown_optimizer_options_refused(self, optimizer, options):
-        with pytest.raises(ValueError, match=f"unknown {optimizer} option"):
-            vqe.VqeConfig(self.h, optimizer=optimizer, optimizer_options=options)
-
-    @pytest.mark.parametrize("optimizer", vqe.OPTIMIZERS)
-    def test_option_table_holds_the_defaults(self, optimizer):
-        def trace(options):
-            cfg = vqe.VqeConfig(self.h, optimizer=optimizer, max_evaluations=150, optimizer_options=options)
-            return vqe.optimize(cfg).trace
-
-        assert trace(dict(vqe.OPTIMIZER_OPTIONS[optimizer])) == trace({})
 
     def test_penalty_requires_hardware_efficient(self):
         pen = ham.PenaltyConfig(50.0, 2)
@@ -383,6 +368,44 @@ class TestOptimize:
         assert all(b2 <= b1 + 1e-15 for b1, b2 in zip(bests, bests[1:]))
         assert [row[0] for row in res.trace] == list(range(len(res.trace)))
         assert res.best_energy == bests[-1]
+
+    # (n_sites, ansatz, protocol, shots, layers, max_evaluations) per optimizer;
+    # the three-site simplex runs take an escape kick, and only the twelve-site
+    # runs at the default budget reach the sweep cap, the later kicks and a crawl
+    PINNED_RUNS = {
+        "simplex": [
+            (3, "one_hot_ses", "exact_operator", None, 2, 600),
+            (6, "one_hot_ses", "original", None, 2, 400),
+            (3, "binary_ses", "binary", None, 2, 300),
+            (6, "hardware_efficient", "exact_operator", None, 3, 500),
+            (12, "hardware_efficient", "exact_operator", None, 3, 5000),
+        ],
+        "spsa": [
+            (6, "one_hot_ses", "original", 200, 2, 300),
+            (6, "binary_ses", "binary", 200, 2, 200),
+            (6, "hardware_efficient", "exact_operator", None, 2, 600),
+        ],
+    }
+    PINNED_TRACES = {
+        "simplex": "7604f8a0d8db4bfc3617fbb22e93ce14ea22b229ccffd16b40bf5737194b9c0f",
+        "spsa": "800eb9fd2bb421278a9e808f0c7d43d73311cc8fbf7df101139cf7926640b218",
+    }
+
+    @pytest.mark.parametrize("optimizer", vqe.OPTIMIZERS)
+    def test_traces_are_pinned(self, optimizer):
+        # sha256 over fixed-seed runs on disordered chains, computed while each
+        # optimizer's settings could still be overridden; any change to a
+        # setting, a draw or the order of evaluations moves it
+        digest = hashlib.sha256()
+        for n, ansatz, protocol, shots, layers, budget in self.PINNED_RUNS[optimizer]:
+            for seed in (0, 1):
+                res = vqe.optimize(vqe.VqeConfig(
+                    ham.chain_instance(n, disorder=1.0, seed=seed), ansatz=ansatz, protocol=protocol,
+                    shots=shots, optimizer=optimizer, max_evaluations=budget, seed=seed, layers=layers,
+                ))
+                record = [res.trace, res.best_params.tolist(), res.best_energy, res.status, res.restarts_used]
+                digest.update(repr(record).encode())
+        assert digest.hexdigest() == self.PINNED_TRACES[optimizer]
 
     def test_seed_determinism(self):
         cfg = vqe.VqeConfig(ham.chain_instance(4, disorder=1.0, seed=5), seed=3, max_evaluations=600)
