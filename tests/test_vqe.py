@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import dense_register
-from sesvqe import circuits, encoding, measurement
+from sesvqe import circuits, cli, encoding, measurement
 from sesvqe import hamiltonian as ham
 from sesvqe import statevector as sv
 from sesvqe import vqe
@@ -79,6 +80,18 @@ class TestConfigValidation:
     def test_epsilon_must_be_a_finite_number_at_least_zero(self, epsilon):
         with pytest.raises(ValueError, match="epsilon"):
             vqe.VqeConfig(self.h, protocol="original", epsilon=epsilon)
+
+    @pytest.mark.parametrize(
+        "optimizer,options",
+        [("simplex", {"visit_capp": 3}), ("simplex", {"a": 0.3}), ("spsa", {"block": 4})],
+    )
+    def test_unknown_optimizer_options_refused(self, optimizer, options):
+        # the optimizers run at fixed settings: the driver config takes no
+        # options, and a solve config's optimizer object holds only the name
+        with pytest.raises(TypeError, match="optimizer_options"):
+            vqe.VqeConfig(self.h, optimizer=optimizer, optimizer_options=options)
+        with pytest.raises(cli.ConfigError, match=re.escape(f"got keys {sorted({'name', *options})}")):
+            cli._parse_optimizer({"name": optimizer, **options})
 
     def test_penalty_requires_hardware_efficient(self):
         pen = ham.PenaltyConfig(50.0, 2)
