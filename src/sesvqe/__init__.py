@@ -27,10 +27,10 @@ from .encoding import (
     register_width,
 )
 from .hamiltonian import (
-    PenaltyConfig,
     SiteHamiltonian,
     chain_instance,
     complex_ring_instance,
+    default_penalty,
     energy_from_profile,
     exact_spectrum,
     extend_with_penalty,
@@ -61,7 +61,6 @@ __all__ = [
     "EncodingMap",
     "GateOp",
     "MeasurementSetting",
-    "PenaltyConfig",
     "PhaseGraph",
     "RunPlan",
     "ShotHistogram",
@@ -79,6 +78,7 @@ __all__ = [
     "complex_ring_instance",
     "constants_free_ratios",
     "decompose",
+    "default_penalty",
     "diff_sets",
     "energy_from_profile",
     "estimate_energy",

@@ -17,14 +17,14 @@ constructions; simulation applies it as an exact permutation.
 
 Simulation runs a circuit's compiled program (``Circuit.program``), built once
 per circuit: each run of consecutive permutation gates is fused into one
-gather index, and each run of two or more RY/RZ gates (a hardware-efficient
-layer's 2n rotations) into rotation-layer steps: per qubit, its 2x2 matrices
-multiplied in gate order, and the qubits joined by kron into one matrix per
-``LAYER_WIDTH`` adjacent qubits.  An isolated RY or RZ and every A gate stay
-steps of their own.  Dense gates read their angles from a flat parameter
-vector, so one template circuit serves every parameter binding.  Every dense
-step, fused or not, is one matrix product with the register viewed as
-``(high, 2^m, 2^low)`` for its run of m qubits from ``low``.
+gather index, and each run of RY/RZ gates (a hardware-efficient layer's 2n
+rotations) into rotation-layer steps: per qubit, its 2x2 matrices multiplied
+in gate order, and the qubits joined by kron into one matrix per
+``LAYER_WIDTH`` adjacent qubits.  Every A gate stays a step of its own.
+Dense gates read their angles from a flat parameter vector, so one template
+circuit serves every parameter binding.  Every dense step, fused or not, is
+one matrix product with the register viewed as ``(high, 2^m, 2^low)`` for its
+run of m qubits from ``low``.
 """
 
 from __future__ import annotations
@@ -176,10 +176,10 @@ class Program:
     kron-built step of a rotation layer, all of width
     ``min(LAYER_WIDTH, num_qubits)``: ``layers[d, index, j]`` picks the d-th
     gate on its qubit ``low + j`` from the stack (identity, RY..., RZ...),
-    identity padding a qubit with fewer gates.  An isolated RY or RZ stays a
-    step of its own kind.  ``slots[kind]`` holds the offset of each
-    parametric gate's first angle in the flat parameter vector, in gate order,
-    for the kinds the circuit holds; ``params`` is the circuit's own vector.
+    identity padding a qubit with fewer gates.  ``slots[kind]`` holds the
+    offset of each parametric gate's first angle in the flat parameter vector,
+    in gate order, for the kinds the circuit holds; ``params`` is the
+    circuit's own vector.
     """
 
     num_qubits: int
@@ -288,7 +288,7 @@ def _compile(circuit: Circuit) -> Program:
             for g in group[1:]:
                 gather = gather[_gather_index(g, idx)]
             steps.append(gather)
-        elif kind == "rotation" and len(group) > 1:
+        elif kind == "rotation":
             # qubit q joins the step from the multiple of layer_width below it,
             # the last step moved down to fit the register; each step lists
             # the gates on each of its qubits in gate order
@@ -531,9 +531,9 @@ def simulate(circuit: Circuit, params=None) -> np.ndarray:
     GEMM of a dense matrix over its run of adjacent qubits.  A run of RY/RZ
     gates on an n-qubit register (a hardware-efficient layer's 2n rotations)
     is ``ceil(n / LAYER_WIDTH)`` such products, one when n <= LAYER_WIDTH,
-    and rounds as its kron-built matrices do; an isolated RY or RZ and every
-    A gate keep their own gate step.  Every applied matrix stack is checked
-    unitary, and the norm after every dense step, both to 1e-10.
+    and rounds as its kron-built matrices do; every A gate keeps its own gate
+    step.  Every applied matrix stack is checked unitary, and the norm after
+    every dense step, both to 1e-10.
     """
     program = circuit.program
     mats = program.matrices(program.bind(params))

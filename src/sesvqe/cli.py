@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import datetime
 import functools
 import json
@@ -24,10 +25,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, circuits, measurement, resources, vqe
-from .encoding import build_map, register_width
+from .encoding import build_map
 from .hamiltonian import (
-    PenaltyConfig,
-    SiteHamiltonian,
     chain_instance,
     check_site_count,
     complex_ring_instance,
@@ -124,18 +123,8 @@ def _config_get(doc: dict, key: str, default=None, required: bool = False):
     return default
 
 
-def _parse_shots(value) -> int | None:
-    if value in (None, "exact"):
-        return None
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"config key 'shots': expected an integer or \"exact\", got {value!r}")
-    return value
-
-
 def _parse_optimizer(value) -> str:
-    """A name, or an object holding only ``name``; null means the simplex."""
-    if value is None:
-        return "simplex"
+    """A name, or an object holding only ``name``."""
     if isinstance(value, dict):
         if set(value) != {"name"}:
             raise ConfigError(f"config key 'optimizer': an object holds only 'name', got keys {sorted(value)}")
@@ -145,26 +134,27 @@ def _parse_optimizer(value) -> str:
     return value
 
 
-def _parse_penalty(value, h: SiteHamiltonian) -> PenaltyConfig | None:
+def _parse_penalty(value) -> float | None:
+    """The c_p energy of ``{"c_p": x}``; ``"default"`` and null give None, the default."""
     if value in (None, "default"):
         return None
     if isinstance(value, dict) and "c_p" in value:
         c_p = value["c_p"]
         if not is_real(c_p):
             raise ConfigError(f"config key 'penalty': c_p must be a real number, got {c_p!r}")
-        return PenaltyConfig(float(c_p), register_width(h.n_sites))
+        return float(c_p)
     raise ConfigError(f"config key 'penalty': expected \"default\" or {{\"c_p\": value}}, got {value!r}")
 
 
-# every key a solve configuration may hold
-SOLVE_CONFIG_KEYS = (
-    "hamiltonian", "ansatz", "protocol", "shots", "optimizer",
-    "max_evaluations", "seed", "penalty", "layers", "epsilon",
-)
+# every key a solve configuration may hold: the VqeConfig fields, in order
+SOLVE_CONFIG_KEYS = tuple(f.name for f in dataclasses.fields(vqe.VqeConfig))
 
 
 def load_solve_config(path: Path, overrides) -> vqe.VqeConfig:
-    """Read a solve configuration file; an override that is not None replaces its key."""
+    """Read a solve configuration file; an override that is not None replaces its key.
+
+    VqeConfig gets only the keys the file holds, so its field defaults fill the rest.
+    """
     with open(path) as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
@@ -173,25 +163,20 @@ def load_solve_config(path: Path, overrides) -> vqe.VqeConfig:
     if unknown:
         raise ConfigError(f"unknown config key(s) {unknown}; known: {', '.join(SOLVE_CONFIG_KEYS)}")
     doc.update((key, value) for key, value in overrides.items() if value is not None)
-    ham_ref = _config_get(doc, "hamiltonian", required=True)
-    ham_path = Path(ham_ref)
+    ham_path = Path(_config_get(doc, "hamiltonian", required=True))
     if not ham_path.is_absolute():
         ham_path = path.parent / ham_path
-    h = load_hamiltonian(ham_path)
-    kwargs = {
-        "hamiltonian": h,
-        "ansatz": _config_get(doc, "ansatz", "one_hot_ses"),
-        "protocol": _config_get(doc, "protocol", "exact_operator"),
-        "shots": _parse_shots(_config_get(doc, "shots")),
-        "optimizer": _parse_optimizer(_config_get(doc, "optimizer")),
-        "max_evaluations": _config_get(doc, "max_evaluations", 5000),
-        "seed": _config_get(doc, "seed", 0),
-        "penalty": _parse_penalty(_config_get(doc, "penalty"), h),
-        "layers": _config_get(doc, "layers", 2),
-        "epsilon": _config_get(doc, "epsilon"),
-    }
+    doc["hamiltonian"] = load_hamiltonian(ham_path)
+    if doc.get("shots") == "exact":
+        doc["shots"] = None
+    if doc.get("optimizer") is not None:
+        doc["optimizer"] = _parse_optimizer(doc["optimizer"])
+    else:  # null, like no key, keeps the default
+        doc.pop("optimizer", None)
+    if "penalty" in doc:
+        doc["penalty"] = _parse_penalty(doc["penalty"])
     try:
-        return vqe.VqeConfig(**kwargs)
+        return vqe.VqeConfig(**doc)
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -284,7 +269,8 @@ def _load_site_vector(args) -> tuple:
     norm = float(np.linalg.norm(alpha))
     if not abs(norm - 1.0) <= 1e-6:
         raise ConfigError(f"amplitudes are not normalized (norm {norm!r})")
-    return alpha, "amplitudes"
+    # within the file's tolerance, scaled to the unit norm that shot sampling checks to 1e-10
+    return alpha / norm, "amplitudes"
 
 
 def cmd_reconstruct(args, argv) -> int:

@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .encoding import register_width
+
 _HERM_TOL = 1e-12
 _SPECTRUM_BUDGET = 4096
 
@@ -51,51 +53,40 @@ class SiteHamiltonian:
         return SiteHamiltonian(mat.shape[0], mat)
 
 
-@dataclass(frozen=True)
-class PenaltyConfig:
-    """Energy ``c_p`` assigned to every non-physical codeword of an n-qubit register."""
-
-    c_p: float
-    num_qubits: int
-
-    def __post_init__(self):
-        if not (self.c_p > 0 and np.isfinite(self.c_p)):
-            raise ValueError(f"penalty c_p must be positive and finite, got {self.c_p}")
-        if self.num_qubits < 1:
-            raise ValueError("num_qubits must be >= 1")
-
-    @staticmethod
-    def default_for(h: "SiteHamiltonian", num_qubits: int) -> "PenaltyConfig":
-        """A penalty above the whole spectrum of ``h``.
-
-        Ten times the spectral range (floored at 1.0) when that clears the
-        top eigenvalue E_max; otherwise E_max + max(range, 1.0), so a spectrum
-        sitting far above zero cannot put the penalty below its ground energy.
-        """
-        eigs = exact_spectrum(h)
-        spread = float(eigs[-1] - eigs[0])
-        c_p = max(10.0 * spread, 1.0)
-        if not c_p > eigs[-1]:
-            c_p = float(eigs[-1]) + max(spread, 1.0)
-        return PenaltyConfig(c_p, num_qubits)
+def check_penalty(c_p) -> None:
+    """Refuse a penalty energy ``c_p`` that is not positive and finite."""
+    if not (c_p > 0 and np.isfinite(c_p)):
+        raise ValueError(f"penalty c_p must be positive and finite, got {c_p}")
 
 
-def extend_with_penalty(h: SiteHamiltonian, penalty: PenaltyConfig) -> SiteHamiltonian:
-    """Embed ``h`` as the top-left block of a 2^n-site Hamiltonian.
+def default_penalty(h: SiteHamiltonian) -> float:
+    """A penalty energy above the whole spectrum of ``h``.
+
+    Ten times the spectral range (floored at 1.0) when that clears the top
+    eigenvalue E_max; otherwise E_max + max(range, 1.0), so a spectrum sitting
+    far above zero cannot put the penalty below its ground energy.
+    """
+    eigs = exact_spectrum(h)
+    spread = float(eigs[-1] - eigs[0])
+    c_p = max(10.0 * spread, 1.0)
+    if not c_p > eigs[-1]:
+        c_p = float(eigs[-1]) + max(spread, 1.0)
+    return c_p
+
+
+def extend_with_penalty(h: SiteHamiltonian, c_p: float) -> SiteHamiltonian:
+    """Embed ``h`` as the top-left block of a 2^n-site Hamiltonian, n = register_width(N).
 
     The added diagonal sites carry energy ``c_p`` and do not couple to the
     physical block, so for a large enough ``c_p`` the low spectrum is that of
     ``h`` unchanged.
     """
-    dim = 2**penalty.num_qubits
-    if dim < h.n_sites:
-        raise ValueError(
-            f"register of {penalty.num_qubits} qubits is smaller than n_sites={h.n_sites}"
-        )
+    check_penalty(c_p)
+    dim = 2 ** register_width(h.n_sites)
     mat = np.zeros((dim, dim), dtype=complex)
     mat[: h.n_sites, : h.n_sites] = h.matrix
     for k in range(h.n_sites, dim):
-        mat[k, k] = penalty.c_p
+        mat[k, k] = c_p
     return SiteHamiltonian(dim, mat)
 
 

@@ -9,10 +9,10 @@ Every route reads the ansatz state as one vector of site amplitudes
 register for the hardware-efficient one.
 
 Determinism contract: every random draw descends from the run seed through
-numpy SeedSequence spawn keys, namely [seed, 0, restart] for simplex starting
-points and in-restart kick directions, [seed, 1, eval_index, setting_index]
-for shot sampling and [seed, 2, restart] for SPSA perturbations.  Re-running
-a configuration reproduces the trace bit for bit.
+numpy SeedSequence spawn keys: [seed, 0, restart] for starting points and the
+simplex's in-restart kicks, [seed, 1, eval_index, setting_index] for shot
+sampling and [seed, 2, 0] for SPSA perturbations (SPSA runs from one start).
+Re-running a configuration reproduces the trace bit for bit.
 """
 
 from __future__ import annotations
@@ -28,8 +28,9 @@ from scipy import optimize as sp_optimize
 from . import circuits, measurement
 from .encoding import EncodingMap, build_map, register_width
 from .hamiltonian import (
-    PenaltyConfig,
     SiteHamiltonian,
+    check_penalty,
+    default_penalty,
     extend_with_penalty,
     ground_energy,
 )
@@ -88,7 +89,7 @@ class VqeConfig:
     optimizer: str = "simplex"
     max_evaluations: int = 5000
     seed: int = 0
-    penalty: PenaltyConfig | None = None
+    penalty: float | None = None  # c_p; None picks default_penalty(hamiltonian)
     layers: int = 2
     epsilon: float | None = None
 
@@ -111,8 +112,10 @@ class VqeConfig:
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
         check_count("max_evaluations", self.max_evaluations, 1)
         check_count("seed", self.seed, 0)
-        if self.penalty is not None and self.ansatz != "hardware_efficient":
-            raise ValueError("penalty extension only applies to hardware_efficient")
+        if self.penalty is not None:
+            check_penalty(self.penalty)
+            if self.ansatz != "hardware_efficient":
+                raise ValueError("penalty extension only applies to hardware_efficient")
         check_count("layers", self.layers, 1)
         measurement.check_epsilon(self.epsilon)
 
@@ -173,15 +176,10 @@ def prepare(config: VqeConfig) -> RunPlan:
             raise ValueError(f"packed register would need {width} qubits; limit is {MAX_SIM_WIDTH}")
         circuit = circuits.build_binary_ses_circuit(n, zeros, emap)
     else:
-        nq = register_width(n)
-        penalty = config.penalty or PenaltyConfig.default_for(h, nq)
-        if penalty.num_qubits != nq:
-            raise ValueError(
-                f"penalty register width {penalty.num_qubits} != required {nq}"
-            )
-        target = extend_with_penalty(h, penalty)
+        c_p = default_penalty(h) if config.penalty is None else config.penalty
+        target = extend_with_penalty(h, c_p)
         emap = build_map(target.n_sites, "plain")
-        circuit = circuits.build_hardware_efficient_circuit(nq, config.layers, zeros)
+        circuit = circuits.build_hardware_efficient_circuit(register_width(n), config.layers, zeros)
     return RunPlan(config, zeros.size, target, emap, ground_energy(h), circuit)
 
 
@@ -354,10 +352,10 @@ def _run_simplex(tracker: _Tracker, x0: np.ndarray, rng: np.random.Generator):
             crawl_count = 0
 
 
-def _run_spsa(tracker: _Tracker, x0: np.ndarray, config: VqeConfig, restart: int):
+def _run_spsa(tracker: _Tracker, x0: np.ndarray, config: VqeConfig):
     iterations = max(1, (tracker.budget - tracker.evals) // 2)
     stability = max(1.0, 0.1 * iterations)
-    rng = np.random.default_rng(np.random.SeedSequence([config.seed, 2, restart]))
+    rng = np.random.default_rng(np.random.SeedSequence([config.seed, 2, 0]))
     theta = np.array(x0, dtype=float, copy=True)
     for k in range(iterations):
         ak = SPSA_A / (k + 1 + stability) ** SPSA_ALPHA
@@ -387,10 +385,12 @@ def optimize(config: VqeConfig) -> VqeResult:
         while True:
             x0, rng = _initial_point(config, plan.dim, restarts_started)
             restarts_started += 1
-            if config.optimizer == "simplex":
-                _run_simplex(tracker, x0, rng)
-            else:
-                _run_spsa(tracker, x0, config, restarts_started - 1)
+            if config.optimizer == "spsa":
+                # SPSA spends the budget in pairs, so it returns with at most
+                # one evaluation left: too few for a step from a new start
+                _run_spsa(tracker, x0, config)
+                raise _BudgetExhausted
+            _run_simplex(tracker, x0, rng)
             if tracker.evals >= tracker.budget:
                 raise _BudgetExhausted
     except _Plateau:

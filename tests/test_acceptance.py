@@ -13,7 +13,7 @@ import numpy as np
 from conftest import record_acceptance
 from sesvqe import circuits, measurement, resources, vqe
 from sesvqe import hamiltonian as ham
-from sesvqe.encoding import build_map, register_width
+from sesvqe.encoding import build_map
 
 
 def random_site_vector(n: int, rng) -> np.ndarray:
@@ -142,8 +142,7 @@ def test_criterion_5_penalty_extension():
     for i in range(50):
         n = int(rng.choice(candidates))
         h = ham.random_hermitian_instance(n, seed=500 + i)
-        penalty = ham.PenaltyConfig.default_for(h, register_width(n))
-        extended = ham.extend_with_penalty(h, penalty)
+        extended = ham.extend_with_penalty(h, ham.default_penalty(h))
         worst = max(worst, abs(ham.ground_energy(extended) - ham.ground_energy(h)))
     ok = worst < 1e-10
     line = (

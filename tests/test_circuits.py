@@ -446,14 +446,15 @@ def circuits(draw):
 
 @st.composite
 def rotation_run_circuits(draw):
-    """Runs of RY/RZ gates between other gates: a run may repeat a qubit, touch
-    only some qubits, or span more than one layer step of LAYER_WIDTH qubits."""
+    """Runs of RY/RZ gates between other gates: a run may be a lone gate, repeat
+    a qubit, touch only some qubits, or span more than one layer step of
+    LAYER_WIDTH qubits."""
     width = draw(st.integers(1, 7))
     angle = st.floats(-math.pi, math.pi, allow_nan=False)
     out = []
     for _ in range(draw(st.integers(1, 3))):
         touched = draw(st.lists(st.integers(0, width - 1), min_size=1, max_size=width, unique=True))
-        for _ in range(draw(st.integers(2, 8))):
+        for _ in range(draw(st.integers(1, 8))):
             kind = draw(st.sampled_from(["RY", "RZ"]))
             out.append(qc.GateOp(kind, (draw(st.sampled_from(touched)),), (draw(angle),)))
         out.extend(draw(st.lists(gates(width), max_size=2)))
@@ -557,8 +558,8 @@ class TestCompiledSimulator:
         "builder, circ, match",
         [
             ("a_gate_matrix", qc.build_ses_circuit(3, np.zeros(4)), "A gate matrix"),
-            ("ry_matrix", qc.Circuit(2, (qc.GateOp("RY", (1,), (0.0,)),)), "RY gate matrix"),
-            ("rz_matrix", qc.Circuit(2, (qc.GateOp("RZ", (0,), (0.0,)),)), "RZ gate matrix"),
+            ("ry_matrix", qc.Circuit(2, (qc.GateOp("RY", (1,), (0.0,)),)), "rotation layer matrix"),
+            ("rz_matrix", qc.Circuit(2, (qc.GateOp("RZ", (0,), (0.0,)),)), "rotation layer matrix"),
             ("ry_matrix", qc.build_hardware_efficient_circuit(3, 2, np.zeros(12)), "rotation layer matrix"),
             ("rz_matrix", qc.build_hardware_efficient_circuit(3, 2, np.zeros(12)), "rotation layer matrix"),
         ],

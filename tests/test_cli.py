@@ -1,6 +1,7 @@
 """Command-line surface: exit codes, file artifacts, overrides, manifests."""
 
 import csv
+import dataclasses
 import json
 import shutil
 import subprocess
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import sesvqe
-from sesvqe import cli
+from sesvqe import cli, vqe
 from sesvqe import hamiltonian as ham
 
 
@@ -336,11 +337,53 @@ class TestSolve:
         assert "known: " + ", ".join(cli.SOLVE_CONFIG_KEYS) in err
         assert not (tmp_path / "o.json").exists()
 
-    def test_known_keys_are_the_documented_ones(self):
+    @staticmethod
+    def documented_rows():
+        """(key, default) cells of the solve-configuration table in docs/formats.md."""
         text = (Path(__file__).resolve().parent.parent / "docs" / "formats.md").read_text()
         section = text.split("## Solve configuration")[1].split("\n## ")[0]
-        rows = [line.split("|")[1].strip() for line in section.splitlines() if line.startswith("| `")]
-        assert tuple(row.strip("`") for row in rows) == cli.SOLVE_CONFIG_KEYS
+        rows = [line.split("|")[1:3] for line in section.splitlines() if line.startswith("| `")]
+        return [(key.strip().strip("`"), default.strip().strip("`")) for key, default in rows]
+
+    def test_known_keys_are_the_documented_ones(self):
+        assert tuple(key for key, _ in self.documented_rows()) == cli.SOLVE_CONFIG_KEYS
+
+    def test_documented_defaults_are_the_config_defaults(self):
+        fields = {f.name: f.default for f in dataclasses.fields(vqe.VqeConfig)}
+        assert fields["hamiltonian"] is dataclasses.MISSING
+        for key, default in self.documented_rows():
+            want = "required" if key == "hamiltonian" else json.dumps(fields[key])
+            assert default == want, key
+
+    def test_config_values_come_from_the_file_or_the_defaults(self, tmp_path):
+        write_chain(tmp_path, 4)
+
+        def loaded(doc):
+            (tmp_path / "c.json").write_text(json.dumps({"hamiltonian": "h.json", **doc}))
+            config = cli.load_solve_config(tmp_path / "c.json", {})
+            return {key: getattr(config, key) for key in cli.SOLVE_CONFIG_KEYS[1:]}
+
+        defaults = {f.name: f.default for f in dataclasses.fields(vqe.VqeConfig)[1:]}
+        assert loaded({}) == defaults
+        assert loaded({"shots": "exact", "optimizer": None, "penalty": "default"}) == defaults
+        full = {"ansatz": "hardware_efficient", "protocol": "binary", "shots": 50, "optimizer": {"name": "spsa"},
+                "max_evaluations": 9, "seed": 4, "penalty": {"c_p": 7}, "layers": 3, "epsilon": 0.25}
+        values = loaded(full)
+        assert values == {**full, "optimizer": "spsa", "penalty": 7.0}
+        assert type(values["penalty"]) is float
+
+    def test_non_integer_shots_refused(self, tmp_path, capsys):
+        cfg = self.make_config(tmp_path, name="shots.json", protocol="original", optimizer="spsa", shots=2.5)
+        assert cli.main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o.json")]) == 1
+        assert "config error: shots must be an integer >= 1 and <= 2^53, got 2.5" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("c_p", [0, -2.5, float("inf")])
+    def test_penalty_c_p_must_be_positive_and_finite(self, tmp_path, capsys, c_p):
+        # refused by VqeConfig before the solve starts, as a config error
+        cfg = self.make_config(tmp_path, n=4, name="pen.json", ansatz="hardware_efficient", penalty={"c_p": c_p})
+        assert cli.main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o.json")]) == 1
+        assert f"config error: penalty c_p must be positive and finite, got {float(c_p)}" in capsys.readouterr().err
+        assert not (tmp_path / "o.json").exists()
 
     @pytest.mark.parametrize("key,value", [("seed", 1.5), ("max_evaluations", 10.5), ("layers", True)])
     def test_non_integer_count_rejected(self, tmp_path, capsys, key, value):
@@ -579,6 +622,24 @@ class TestReconstruct:
         # 2 is a finished solve that did not converge: four evaluations are its budget
         assert cli.main(["solve", "--config", str(cfg), "--out", str(report)]) == 2
         assert read_json(report)["evaluations_used"] == 4
+
+    @pytest.mark.parametrize("shots", [None, 100])
+    def test_amplitudes_within_the_format_tolerance_run_in_both_modes(self, tmp_path, shots):
+        # a norm error of 2e-8 is inside the format's 1e-6, but shot sampling
+        # checks the norm to 1e-10 and once refused this file
+        doc = read_json(EXAMPLES / "amplitudes.json")
+        doc["amplitudes"] = [[re * (1 + 1e-8), im * (1 + 1e-8)] for re, im in doc["amplitudes"]]
+        amp_path = tmp_path / "scaled.json"
+        amp_path.write_text(json.dumps(doc))
+        reports = []
+        for path in (EXAMPLES / "amplitudes.json", amp_path):
+            out = tmp_path / f"{path.stem}.report.json"
+            argv = ["reconstruct", "--hamiltonian", str(EXAMPLES / "hamiltonian.json"), "--protocol", "original",
+                    "--amplitudes", str(path), "--out", str(out)]
+            assert cli.main(argv + ([] if shots is None else ["--shots", str(shots)])) == 0
+            reports.append(read_json(out))
+        assert reports[1]["energy"] == pytest.approx(reports[0]["energy"], abs=1e-12)
+        assert reports[1]["exact_energy_of_input"] == pytest.approx(reports[0]["exact_energy_of_input"], abs=1e-12)
 
     def test_unnormalized_amplitudes_rejected(self, tmp_path, capsys):
         ham_path = tmp_path / "h2.json"

@@ -107,7 +107,7 @@ class TestPauliDecompose:
 class TestPenaltyExtension:
     def test_padding_diagonal(self):
         h = ham.chain_instance(3)
-        ext = ham.extend_with_penalty(h, ham.PenaltyConfig(100.0, 2))
+        ext = ham.extend_with_penalty(h, 100.0)
         assert ext.n_sites == 4
         np.testing.assert_allclose(ext.matrix[:3, :3], h.matrix, atol=1e-15)
         assert ext.matrix[3, 3] == pytest.approx(100.0)
@@ -115,39 +115,28 @@ class TestPenaltyExtension:
 
     def test_ground_energy_preserved(self):
         h = ham.random_hermitian_instance(6, seed=2)
-        pen = ham.PenaltyConfig.default_for(h, 3)
-        ext = ham.extend_with_penalty(h, pen)
+        ext = ham.extend_with_penalty(h, ham.default_penalty(h))
+        assert ext.n_sites == 8
         assert ham.ground_energy(ext) == pytest.approx(ham.ground_energy(h), abs=1e-10)
 
-    def test_register_too_small(self):
-        h = ham.chain_instance(5)
-        with pytest.raises(ValueError, match="smaller"):
-            ham.extend_with_penalty(h, ham.PenaltyConfig(10.0, 2))
-
     def test_penalty_validation(self):
-        with pytest.raises(ValueError, match="positive"):
-            ham.PenaltyConfig(0.0, 2)
-        with pytest.raises(ValueError, match="positive"):
-            ham.PenaltyConfig(-3.0, 2)
-        with pytest.raises(ValueError, match="finite"):
-            ham.PenaltyConfig(float("inf"), 2)
-        with pytest.raises(ValueError):
-            ham.PenaltyConfig(1.0, 0)
+        for c_p in (0.0, -3.0, float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="positive and finite"):
+                ham.extend_with_penalty(ham.chain_instance(3), c_p)
 
     def test_default_penalty_value(self):
         h = ham.SiteHamiltonian.from_matrix([[0, 1], [1, 0]])
-        pen = ham.PenaltyConfig.default_for(h, 1)
-        assert pen.c_p == pytest.approx(20.0)
+        assert ham.default_penalty(h) == pytest.approx(20.0)
         tiny = ham.SiteHamiltonian.from_matrix([[0.01, 0], [0, 0.02]])
-        assert ham.PenaltyConfig.default_for(tiny, 1).c_p == pytest.approx(1.0)
+        assert ham.default_penalty(tiny) == pytest.approx(1.0)
 
     def test_default_penalty_clears_a_lifted_spectrum(self, lifted_chain):
         # ten times the range (10.39) sits below this spectrum, near 100
         h = lifted_chain
         eigs = ham.exact_spectrum(h)
-        pen = ham.PenaltyConfig.default_for(h, 2)
-        assert pen.c_p == pytest.approx(eigs[-1] + (eigs[-1] - eigs[0]))
-        extended = ham.extend_with_penalty(h, pen)
+        c_p = ham.default_penalty(h)
+        assert c_p == pytest.approx(eigs[-1] + (eigs[-1] - eigs[0]))
+        extended = ham.extend_with_penalty(h, c_p)
         assert ham.ground_energy(extended) == pytest.approx(eigs[0], abs=1e-12)
 
 
