@@ -2,13 +2,14 @@
 
 Registers are little-endian: basis state ``|i>`` gives qubit ``k`` the bit
 ``(i >> k) & 1``, so qubit 0 is the least significant bit of an amplitude
-index.  Gate vocabulary: X, RY, RZ, CNOT, SWAP, MCX, A and CPREP, the kinds the
-three builders and ``decompose`` emit.  The A gate is the excitation-preserving
+index.  Gate vocabulary: X, RY, RZ, CNOT, MCX and A, the kinds the three
+builders and ``decompose`` emit.  The A gate is the excitation-preserving
 two-qubit rotation A(beta, gamma) built from three CNOTs and four single-qubit
-rotations; CPREP is a fan-out of CNOTs from one flag qubit onto listed targets.
-The dense gates act on one ascending run of adjacent qubits: RY and RZ on one
-qubit, A on a pair ``(q, q + 1)``, the only placement the builders use, so
-``GateOp`` refuses an A gate anywhere else.
+rotations.  The packed builder's flag swap is three CNOTs and its codeword
+write one CNOT from the flag per set bit, so a circuit holds only gates that
+are both priced and simulated.  The dense gates act on one ascending run of
+adjacent qubits: RY and RZ on one qubit, A on a pair ``(q, q + 1)``, the only
+placement the builders use, so ``GateOp`` refuses an A gate anywhere else.
 
 CNOT accounting treats MCX as a costed unit: one control = 1 CNOT, two
 controls = 6 CNOTs, k >= 3 controls = (2k - 3) * 6 CNOTs using one clean
@@ -41,8 +42,8 @@ from . import statevector as sv
 from .encoding import EncodingMap, build_map
 
 _PARAM_COUNTS = {"RY": 1, "RZ": 1, "A": 2}
-_FIXED_ARITY = {"X": 1, "RY": 1, "RZ": 1, "CNOT": 2, "SWAP": 2, "A": 2}
-_PERMUTATIONS = frozenset(("X", "CNOT", "MCX", "SWAP", "CPREP"))
+_FIXED_ARITY = {"X": 1, "RY": 1, "RZ": 1, "CNOT": 2, "A": 2}
+_PERMUTATIONS = frozenset(("X", "CNOT", "MCX"))
 _ROTATIONS = frozenset(("RY", "RZ"))
 _UNITARY_TOL = 1e-10
 # widest kron-built step of a rotation layer: widths 2-4 time alike, 5 is
@@ -73,9 +74,8 @@ class GateOp:
     """One gate: kind, qubit tuple and its angles.
 
     Qubit order is semantic: CNOT/MCX list controls first and the target
-    last; CPREP lists the flag first and the fan-out targets after it; the A
-    gate lists its adjacent pair ``(q, q + 1)``, the first qubit being the low
-    bit of its matrix.
+    last; the A gate lists its adjacent pair ``(q, q + 1)``, the first qubit
+    being the low bit of its matrix.
     """
 
     kind: str
@@ -94,9 +94,6 @@ class GateOp:
         elif kind == "MCX":
             if len(self.qubits) < 2:
                 raise ValueError("MCX needs at least one control and a target")
-        elif kind == "CPREP":
-            if len(self.qubits) < 1:
-                raise ValueError("CPREP needs a flag qubit")
         else:
             raise ValueError(f"unknown gate kind {kind!r}")
         if len(set(self.qubits)) != len(self.qubits):
@@ -112,13 +109,9 @@ class GateOp:
         kind = self.kind
         if kind in ("X", "RY", "RZ"):
             return 0
-        if kind == "CNOT":
-            return 1
-        if kind in ("SWAP", "A"):
+        if kind == "A":
             return 3
-        if kind == "CPREP":
-            return len(self.qubits) - 1
-        k = len(self.qubits) - 1  # MCX controls
+        k = len(self.qubits) - 1  # CNOT and MCX controls
         if k == 1:
             return 1
         if k == 2:
@@ -188,11 +181,6 @@ class Program:
     params: np.ndarray
     layers: np.ndarray
 
-    @cached_property
-    def applied(self) -> tuple:
-        """The matrix kinds that steps apply, in first-use order."""
-        return tuple(dict.fromkeys(s[2] for s in self.steps if isinstance(s, tuple)))
-
     def bind(self, params) -> np.ndarray:
         """Flat parameter vector for one run; refuses a wrong count or non-finite angles."""
         if params is None:
@@ -206,22 +194,25 @@ class Program:
         return values
 
     def matrices(self, values: np.ndarray) -> dict:
-        """Dense matrices of the kinds the circuit holds; each applied stack checked unitary once."""
+        """The stacks the steps apply, each checked unitary once.
+
+        ``"A"`` holds one matrix per A gate and ``"layer"`` one per
+        rotation-layer step, built from the RY and RZ stacks; a circuit
+        without such steps has no entry for them.
+        """
         slots = self.slots
         mats = {}
         if "A" in slots:
             mats["A"] = a_gate_matrix(values[slots["A"]], values[slots["A"] + 1])
-        if "RY" in slots:
-            mats["RY"] = ry_matrix(values[slots["RY"]])
-        if "RZ" in slots:
-            mats["RZ"] = rz_matrix(values[slots["RZ"]])
         if self.layers.size:
-            factors = np.concatenate(
-                [np.eye(2, dtype=complex)[None]] + [mats[k] for k in ("RY", "RZ") if k in mats]
-            )
-            mats["layer"] = _layer_matrices(self.layers, factors)
-        for kind in self.applied:
-            _check_unitary(mats[kind], f"{_step_name(kind)} matrix")
+            factors = [np.eye(2, dtype=complex)[None]]
+            if "RY" in slots:
+                factors.append(ry_matrix(values[slots["RY"]]))
+            if "RZ" in slots:
+                factors.append(rz_matrix(values[slots["RZ"]]))
+            mats["layer"] = _layer_matrices(self.layers, np.concatenate(factors))
+        for kind, stack in mats.items():
+            _check_unitary(stack, f"{_step_name(kind)} matrix")
         return mats
 
 
@@ -247,18 +238,10 @@ def _layer_matrices(layers: np.ndarray, factors: np.ndarray) -> np.ndarray:
 
 
 def _gather_index(gate: GateOp, idx: np.ndarray) -> np.ndarray:
-    """Gather index of one permutation gate over the basis indices ``idx``."""
-    qubits = gate.qubits
-    if gate.kind == "SWAP":
-        a, b = qubits
-        differ = ((idx >> a) ^ (idx >> b)) & 1
-        return idx ^ (differ * ((1 << a) | (1 << b)))
-    if gate.kind == "CPREP":
-        controls, flip = qubits[:1], sum(1 << t for t in qubits[1:])
-    else:  # X, CNOT, MCX: controls first, target last
-        controls, flip = qubits[:-1], 1 << qubits[-1]
+    """Gather index of one X, CNOT or MCX gate over the basis indices ``idx``."""
+    *controls, target = gate.qubits  # controls first, target last
     mask = sum(1 << c for c in controls)
-    return np.where(idx & mask == mask, idx ^ flip, idx)
+    return np.where(idx & mask == mask, idx ^ (1 << target), idx)
 
 
 def _compile(circuit: Circuit) -> Program:
@@ -421,8 +404,9 @@ def binary_register_layout(emap: EncodingMap) -> dict:
 def _prep_and_unflag(gates, emap, layout, site, flag):
     """Controlled write of a codeword followed by the matching unflag."""
     word = emap.codeword(site)
-    targets = [b for b in range(emap.num_qubits) if word >> b & 1]
-    gates.append(GateOp("CPREP", (flag, *targets)))
+    for b in range(emap.num_qubits):
+        if word >> b & 1:
+            gates.append(GateOp("CNOT", (flag, b)))
     frame = [b for b in range(emap.num_qubits) if not (word >> b) & 1]
     for b in frame:
         gates.append(GateOp("X", (b,)))
@@ -435,12 +419,16 @@ def build_binary_ses_circuit(n_sites: int, params, emap: EncodingMap | None = No
     """Packed-register equivalent of the one-hot ansatz.
 
     One module per site: an A gate on the two workspace ancillas splits off
-    the amplitude for that site, a SWAP moves the split branch onto the write
-    flag, a controlled preparation writes the site's codeword into the data
-    register, and a pattern-controlled MCX clears the flag.  The final site
-    receives the residual amplitude through a prep/unflag pair without a new
-    A gate.  Produces the same site amplitudes as build_ses_circuit with the
-    same parameters.
+    the amplitude for that site, three CNOTs swap the split branch onto the
+    write flag, one CNOT from the flag per set bit writes the site's codeword
+    into the data register, and a pattern-controlled MCX clears the flag.
+    The final site receives the residual amplitude through a write/unflag
+    pair without a new A gate.  Produces the same site amplitudes as
+    build_ses_circuit with the same parameters.
+
+    Codeword 0 is also the pattern of a data register not yet written, so
+    an unflag for it would fire on the travelling branch too: a map that
+    gives codeword 0 to any site but the last is refused.
     """
     if n_sites < 1:
         raise ValueError("n_sites must be >= 1")
@@ -449,13 +437,18 @@ def build_binary_ses_circuit(n_sites: int, params, emap: EncodingMap | None = No
         raise ValueError(
             f"encoding map covers {emap.n_sites} sites, circuit wants {n_sites}"
         )
+    if 0 in emap.codewords[:-1]:
+        raise ValueError(
+            f"codeword 0 marks an unwritten data register, so only the last site may "
+            f"hold it; this map gives it to site {emap.codewords.index(0)} of {n_sites}"
+        )
     pairs = _as_pair_params(params, n_sites - 1)
     layout = binary_register_layout(emap)
     a0, a1 = layout["flag_a"], layout["flag_b"]
     gates = [GateOp("X", (a0,))]
     for i in range(n_sites - 1):
         gates.append(GateOp("A", (a0, a1), (pairs[i, 0], pairs[i, 1])))
-        gates.append(GateOp("SWAP", (a0, a1)))
+        gates.extend(GateOp("CNOT", pair) for pair in ((a0, a1), (a1, a0), (a0, a1)))
         _prep_and_unflag(gates, emap, layout, i, a1)
     # terminal transfer: the residual branch still carries its flag on a0
     _prep_and_unflag(gates, emap, layout, n_sites - 1, a0)
@@ -490,10 +483,10 @@ def build_hardware_efficient_circuit(num_qubits: int, layers: int, params) -> Ci
 
 
 def decompose(circuit: Circuit) -> Circuit:
-    """Expand A, SWAP and CPREP gates into X/rotation/CNOT primitives.
+    """Expand each A gate into its three CNOTs and four single-qubit rotations.
 
-    MCX is retained as a costed unit; its CNOT total follows the documented
-    model rather than an inline synthesis.
+    Every other gate is left as it is.  MCX is retained as a costed unit; its
+    CNOT total follows the documented model rather than an inline synthesis.
     """
     out = []
     for g in circuit.gates:
@@ -507,15 +500,6 @@ def decompose(circuit: Circuit) -> Circuit:
             out.append(GateOp("RY", (qa,), (beta + math.pi / 2.0,)))
             out.append(GateOp("RZ", (qa,), (gamma + math.pi,)))
             out.append(GateOp("CNOT", (qa, qb)))
-        elif g.kind == "SWAP":
-            qa, qb = g.qubits
-            out.append(GateOp("CNOT", (qa, qb)))
-            out.append(GateOp("CNOT", (qb, qa)))
-            out.append(GateOp("CNOT", (qa, qb)))
-        elif g.kind == "CPREP":
-            flag = g.qubits[0]
-            for t in g.qubits[1:]:
-                out.append(GateOp("CNOT", (flag, t)))
         else:
             out.append(g)
     return Circuit(circuit.num_qubits, tuple(out), circuit.label)

@@ -39,7 +39,7 @@ from .hamiltonian import (
 
 MANIFEST_TAG = "sesvqe-manifest/1"
 SOLVE_REPORT_TAG = "sesvqe-solve-report/1"
-RECONSTRUCTION_TAG = "sesvqe-reconstruction/1"
+RECONSTRUCTION_TAG = "sesvqe-reconstruction/2"
 RESOURCES_TAG = "sesvqe-resources/1"
 
 
@@ -163,7 +163,10 @@ def load_solve_config(path: Path, overrides) -> vqe.VqeConfig:
     if unknown:
         raise ConfigError(f"unknown config key(s) {unknown}; known: {', '.join(SOLVE_CONFIG_KEYS)}")
     doc.update((key, value) for key, value in overrides.items() if value is not None)
-    ham_path = Path(_config_get(doc, "hamiltonian", required=True))
+    ham_value = _config_get(doc, "hamiltonian", required=True)
+    if not isinstance(ham_value, str):
+        raise ConfigError(f"config key 'hamiltonian': expected a file path string, got {ham_value!r}")
+    ham_path = Path(ham_value)
     if not ham_path.is_absolute():
         ham_path = path.parent / ham_path
     doc["hamiltonian"] = load_hamiltonian(ham_path)

@@ -569,7 +569,7 @@ def estimate_energy(
         return energy, None
     # the packed sampler puts probability exactly 0 off the codewords
     # (``_packed_distribution`` writes only ``register[positions]``), so a
-    # record drawn here has no shot on an unknown codeword and no unencoded mass
+    # record drawn here has no unencoded mass
     exact_binary = protocol == "binary" and shots is None
     unencoded_mass = max(0.0, float(1.0 - probs.sum())) if exact_binary else 0.0
     inactive_terms, unresolved = _unmeasured_terms(h, profile, pgraph)
@@ -583,7 +583,6 @@ def estimate_energy(
         "cross_component_terms": unresolved,
         "inactive_terms": inactive_terms,
         "unencoded_mass": unencoded_mass,
-        "unknown_codeword_count": 0,
         "warnings": ["unresolved-phase"] if unresolved else [],
         "profile": profile_summary(profile),
         "phase_graph": phase_graph_summary(pgraph),

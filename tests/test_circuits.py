@@ -199,6 +199,31 @@ class TestBinaryAnsatz:
         with pytest.raises(ValueError):
             qc.build_binary_ses_circuit(0, [])
 
+    @pytest.mark.parametrize(
+        "words, site",
+        [*((tuple(range(n)), 0) for n in (2, 3, 4, 5, 6, 7, 8, 12)),
+         ((1, 0, 2, 3), 1), ((3, 0, 1), 1), ((1, 2, 0, 3, 4), 2)],
+    )
+    def test_codeword_zero_off_the_last_site_is_refused(self, words, site):
+        # codeword 0 is also the unwritten register, so its unflag would fire
+        # on the travelling branch and the output would be silently wrong
+        n = len(words)
+        emap = encoding.EncodingMap(n, encoding.register_width(n), words)
+        with pytest.raises(ValueError, match=f"codeword 0 .* site {site} of {n}"):
+            qc.build_binary_ses_circuit(n, np.zeros(2 * (n - 1)), emap)
+
+    def test_maps_with_codeword_zero_last_or_unused_build_the_cascade(self):
+        maps = [encoding.build_map(1, "plain"), encoding.EncodingMap(4, 2, (2, 1, 3, 0)),
+                encoding.EncodingMap(6, 3, (5, 3, 1, 7, 2, 0))]
+        maps += [encoding.build_map(n, "shifted") for n in range(1, 65)]
+        for emap in maps:
+            n = emap.n_sites
+            params = np.random.default_rng(n).uniform(-np.pi, np.pi, size=2 * (n - 1))
+            state = qc.simulate(qc.build_binary_ses_circuit(n, params, emap))
+            alpha, leak = qc.binary_data_amplitudes(state, emap)
+            assert leak < 1e-12, emap.codewords
+            np.testing.assert_allclose(np.abs(alpha), np.abs(qc.ses_site_amplitudes(n, params)), atol=1e-12)
+
 
 class TestHardwareEfficientAnsatz:
     def test_zero_layers_is_identity(self):
@@ -236,7 +261,6 @@ class TestHardwareEfficientAnsatz:
 class TestCostModel:
     def test_unit_costs(self):
         assert qc.GateOp("A", (0, 1), (0.1, 0.2)).cnot_cost() == 3
-        assert qc.GateOp("SWAP", (0, 1)).cnot_cost() == 3
         assert qc.GateOp("CNOT", (0, 1)).cnot_cost() == 1
         assert qc.GateOp("X", (0,)).cnot_cost() == 0
         assert qc.GateOp("RY", (0,), (0.3,)).cnot_cost() == 0
@@ -249,10 +273,6 @@ class TestCostModel:
             gate = qc.GateOp("MCX", tuple(range(k + 1)))
             costs[k] = gate.cnot_cost()
         assert costs == {1: 1, 2: 6, 3: 18, 4: 30, 5: 42}
-
-    def test_cprep_cost_is_target_count(self):
-        assert qc.GateOp("CPREP", (3, 0, 1, 2)).cnot_cost() == 3
-        assert qc.GateOp("CPREP", (3,)).cnot_cost() == 0
 
     def test_binary_ansatz_totals(self):
         got = {
@@ -280,7 +300,7 @@ class TestDecompose:
         circ = qc.build_binary_ses_circuit(8, params)
         flat = qc.decompose(circ)
         assert flat.cnot_count == circ.cnot_count
-        assert all(g.kind not in ("A", "SWAP", "CPREP") for g in flat.gates)
+        assert all(g.kind != "A" for g in flat.gates)
 
     @pytest.mark.parametrize("n_sites", [2, 4, 8])
     def test_state_is_preserved(self, n_sites):
@@ -301,6 +321,23 @@ class TestDecompose:
     def test_mcx_is_retained(self):
         gate = qc.GateOp("MCX", (0, 1, 2))
         assert qc.decompose(qc.Circuit(3, (gate,))).gates == (gate,)
+
+    def test_packed_circuit_is_pinned_at_the_cnot_level(self):
+        # sha256 of the decomposed gate list and each circuit's CNOT count,
+        # computed when the flag swap and the codeword write were SWAP and
+        # CPREP macros; the packed builder now emits their CNOTs itself
+        digest, cnots = hashlib.sha256(), []
+        for n in range(1, 33):
+            params = np.random.default_rng(n).uniform(-np.pi, np.pi, size=2 * (n - 1))
+            circ = qc.build_binary_ses_circuit(n, params, encoding.build_map(n))
+            assert {g.kind for g in circ.gates} <= {"X", "A", "CNOT", "MCX"}
+            digest.update(repr([(g.kind, g.qubits, g.params) for g in qc.decompose(circ).gates]).encode())
+            cnots.append(circ.cnot_count)
+        assert digest.hexdigest() == "a2812dde3e8132354871a2ae2c77c30b1e099b97dc9f624c9fdb7244efea98a8"
+        assert cnots == [
+            2, 9, 34, 46, 121, 147, 174, 198, 333, 371, 410, 448, 487, 526, 566, 602,
+            845, 895, 946, 996, 1047, 1098, 1150, 1200, 1251, 1302, 1354, 1405, 1457, 1509, 1562, 1610,
+        ]
 
 
 class TestGateOpValidation:
@@ -323,7 +360,7 @@ class TestGateOpValidation:
     def test_unknown_kind(self):
         # only the kinds the builders and decompose emit exist
         for kind, qubits in (("TOFFOLI", (0, 1, 2)), ("CCX", (0, 1, 2)), ("H", (0,)),
-                             ("SDG", (0,))):
+                             ("SDG", (0,)), ("SWAP", (0, 1)), ("CPREP", (2, 0, 1))):
             with pytest.raises(ValueError, match="unknown gate kind"):
                 qc.GateOp(kind, qubits)
 
@@ -377,11 +414,6 @@ def local_matrix(gate):
     if kind in ("X", "CNOT", "MCX"):
         controls = (1 << (m - 1)) - 1
         return local_permutation(m, lambda i: i ^ (1 << (m - 1)) if i & controls == controls else i)
-    if kind == "SWAP":
-        return local_permutation(2, lambda i: ((i & 1) << 1) | (i >> 1))
-    if kind == "CPREP":
-        targets = (1 << m) - 2
-        return local_permutation(m, lambda i: i ^ targets if i & 1 else i)
     if kind == "RY":
         return expm_hermitian(PAULI["Y"], gate.params[0] / 2)
     if kind == "RZ":
@@ -415,18 +447,16 @@ def oracle_state(circuit):
 
 @st.composite
 def gates(draw, width):
-    """One of the eight gate kinds; MCX takes up to three controls, A a pair (q, q + 1)."""
-    kinds = ["X", "RY", "RZ", "CPREP"]
+    """One of the six gate kinds; MCX takes up to three controls, A a pair (q, q + 1)."""
+    kinds = ["X", "RY", "RZ"]
     if width >= 2:
-        kinds += ["CNOT", "SWAP", "A", "MCX"]
+        kinds += ["CNOT", "A", "MCX"]
     kind = draw(st.sampled_from(kinds))
-    arity = {"X": 1, "RY": 1, "RZ": 1, "CNOT": 2, "SWAP": 2, "A": 2}
+    arity = {"X": 1, "RY": 1, "RZ": 1, "CNOT": 2, "A": 2}
     if kind in arity:
         m = arity[kind]
-    elif kind == "MCX":
+    else:  # MCX
         m = 1 + draw(st.integers(1, min(3, width - 1)))
-    else:  # CPREP
-        m = 1 + draw(st.integers(0, width - 1))
     if kind == "A":
         low = draw(st.integers(0, width - 2))
         qubits = (low, low + 1)
@@ -473,7 +503,7 @@ class TestCompiledSimulator:
     @settings(max_examples=60)
     @given(rotation_run_circuits())
     def test_rotation_layers_match_per_gate_kron_oracle(self, circ):
-        assert "layer" in circ.program.applied
+        assert any(isinstance(s, tuple) and s[2] == "layer" for s in circ.program.steps)
         got = qc.simulate(circ)
         np.testing.assert_allclose(got, oracle_state(circ), atol=1e-10)
         np.testing.assert_array_equal(qc.simulate(circ, circ.program.params), got)
@@ -525,8 +555,8 @@ class TestCompiledSimulator:
     def test_program_is_built_once_and_fuses_permutations(self):
         circ = qc.build_binary_ses_circuit(8, np.zeros(14))
         assert circ.program is circ.program
-        # 48 of the 55 gates are permutations: X, then one gather after each A
-        assert len(circ.gates) == 55
+        # 66 of the 73 gates are permutations: X, then one gather after each A
+        assert len(circ.gates) == 73
         assert len(circ.program.steps) == 15
         assert sum(isinstance(s, np.ndarray) for s in circ.program.steps) == 8
 
@@ -545,6 +575,19 @@ class TestCompiledSimulator:
         assert sum(isinstance(s, np.ndarray) for s in steps) == layers
         if n <= qc.LAYER_WIDTH:
             assert [isinstance(s, tuple) for s in steps] == [True, False] * layers
+
+    def test_matrices_are_the_stacks_the_steps_apply(self):
+        # the RY and RZ stacks go straight into the layer factors
+        cases = (
+            (qc.build_ses_circuit(4, np.zeros(6)), {"A"}),
+            (qc.build_hardware_efficient_circuit(3, 2, np.zeros(12)), {"layer"}),
+            (qc.Circuit(2, (qc.GateOp("RZ", (1,), (0.1,)), qc.GateOp("A", (0, 1), (0.2, 0.3)))),
+             {"A", "layer"}),
+            (qc.build_binary_ses_circuit(1, []), set()),
+        )
+        for circ, want in cases:
+            program = circ.program
+            assert set(program.matrices(program.params)) == want
 
     def test_parameter_count_and_finiteness_refused(self):
         template = qc.build_ses_circuit(3, np.zeros(4))

@@ -337,6 +337,18 @@ class TestSolve:
         assert "known: " + ", ".join(cli.SOLVE_CONFIG_KEYS) in err
         assert not (tmp_path / "o.json").exists()
 
+    @pytest.mark.parametrize("value", [5, None, ["a"]])
+    def test_non_string_hamiltonian_refused_before_the_hamiltonian_loads(self, tmp_path, capsys, monkeypatch, value):
+        # these once ended in a TypeError traceback from Path(...)
+        monkeypatch.setattr(cli, "load_hamiltonian", None)  # any load would fail
+        cfg = tmp_path / "ham.json"
+        cfg.write_text(json.dumps({"hamiltonian": value}))
+        rc = cli.main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o.json")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"config error: config key 'hamiltonian': expected a file path string, got {value!r}" in err
+        assert not (tmp_path / "o.json").exists()
+
     @staticmethod
     def documented_rows():
         """(key, default) cells of the solve-configuration table in docs/formats.md."""
@@ -519,7 +531,7 @@ class TestReconstruct:
         )
         assert rc == 0
         report = read_json(out)
-        assert report["format"] == "sesvqe-reconstruction/1"
+        assert report["format"] == "sesvqe-reconstruction/2"
         assert report["energy"] == pytest.approx(h.matrix[2, 2].real, abs=1e-10)
         assert report["energy_error"] == pytest.approx(0.0, abs=1e-10)
         profile = report["diagnostics"]["profile"]
