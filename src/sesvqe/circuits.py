@@ -103,7 +103,8 @@ class GateOp:
         want = _PARAM_COUNTS.get(kind, 0)
         if len(self.params) != want:
             raise ValueError(f"{kind} expects {want} parameter(s), got {self.params}")
-        _check_finite(self.params, f"{kind} gate parameters")
+        if self.params:
+            _check_finite(self.params, f"{kind} gate parameters")
 
     def cnot_cost(self) -> int:
         kind = self.kind

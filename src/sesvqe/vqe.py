@@ -23,7 +23,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize as sp_optimize
 
 from . import circuits, measurement
 from .encoding import EncodingMap, build_map, register_width
@@ -267,18 +266,89 @@ def _initial_point(config: VqeConfig, dim: int, restart: int) -> tuple:
     return np.pi - rng.uniform(0.0, 2.0 * np.pi, size=dim), rng
 
 
+class _VisitCap(Exception):
+    pass
+
+
+def _nelder_mead(func, simplex: np.ndarray, maxfev: int) -> None:
+    """Adaptive Nelder-Mead (Gao & Han, Comput. Optim. Appl. 51, 259 (2012)).
+
+    scipy 1.17.1's ``optimize._minimize_neldermead`` with ``adaptive``,
+    ``initial_simplex``, ``maxfev``, ``xatol=1e-10`` and ``fatol=1e-12``,
+    copied operation for operation, so ``func`` is called on the same points,
+    bit for bit.  Stops after ``maxfev`` calls or within both tolerances;
+    exceptions from ``func`` propagate, and results reach the caller only
+    through ``func``.
+    """
+    sim = np.array(simplex, dtype=float)
+    N = sim.shape[1]
+    dim = float(N)
+    rho, chi, psi, sigma = 1, 1 + 2 / dim, 0.75 - 1 / (2 * dim), 1 - 1 / dim
+    calls = 0
+
+    def f(x):
+        nonlocal calls
+        if calls >= maxfev:
+            raise _VisitCap
+        calls += 1
+        return func(x)
+
+    fsim = np.full((N + 1,), np.inf, dtype=float)
+    try:
+        for k in range(N + 1):
+            fsim[k] = f(sim[k])
+        ind = np.argsort(fsim)  # scipy sorts twice before its first step
+        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+        while True:
+            ind = np.argsort(fsim)
+            sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+            xspan = np.max(np.ravel(np.abs(sim[1:] - sim[0])))
+            if xspan <= 1e-10 and np.max(np.abs(fsim[0] - fsim[1:])) <= 1e-12:
+                return
+            xbar = np.add.reduce(sim[:-1], 0) / N
+            xr = (1 + rho) * xbar - rho * sim[-1]
+            fxr = f(xr)
+            if fxr < fsim[0]:
+                xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
+                fxe = f(xe)
+                if fxe < fxr:
+                    sim[-1], fsim[-1] = xe, fxe
+                else:
+                    sim[-1], fsim[-1] = xr, fxr
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            else:
+                if fxr < fsim[-1]:  # outside contraction
+                    xc = (1 + psi * rho) * xbar - psi * rho * sim[-1]
+                    fxc = f(xc)
+                    accept = fxc <= fxr
+                else:  # inside contraction
+                    xc = (1 - psi) * xbar + psi * sim[-1]
+                    fxc = f(xc)
+                    accept = fxc < fsim[-1]
+                if accept:
+                    sim[-1], fsim[-1] = xc, fxc
+                else:  # shrink towards the best vertex
+                    for j in range(1, N + 1):
+                        sim[j] = sim[0] + sigma * (sim[j] - sim[0])
+                        fsim[j] = f(sim[j])
+    except _VisitCap:
+        pass
+
+
 def _run_simplex(tracker: _Tracker, x0: np.ndarray, rng: np.random.Generator):
     """Block-coordinate Nelder-Mead sweeps with a shrinking spread schedule.
 
     Parameters are visited in fixed contiguous blocks.  Each visit runs an
-    adaptive Nelder-Mead sub-search over one block, seeded with an axis-aligned
-    simplex of the scheduled spread around the incumbent point; the spread
-    shrinks geometrically sweep over sweep.  Two escape triggers share a small
-    budget of random kicks: a fully stalled sweep, and two crawling sweeps
-    (relative gain below SIMPLEX_CRAWL_FRACTION) since the last kick.  A kick
-    re-widens the spread schedule and is kept only if it improves the
-    incumbent.  Returns when the kicks are spent or SIMPLEX_MAX_SWEEPS is
-    reached; the caller then starts the next restart.
+    adaptive Nelder-Mead sub-search over one block (``_nelder_mead``, a port
+    of scipy 1.17.1's ``minimize(method="Nelder-Mead")``), seeded with an
+    axis-aligned simplex of the scheduled spread around the incumbent point;
+    the spread shrinks geometrically sweep over sweep.  Two escape triggers
+    share a small budget of random kicks: a fully stalled sweep, and two
+    crawling sweeps (relative gain below SIMPLEX_CRAWL_FRACTION) since the
+    last kick.  A kick re-widens the spread schedule and is kept only if it
+    improves the incumbent.  Returns when the kicks are spent or
+    SIMPLEX_MAX_SWEEPS is reached; the caller then starts the next restart.
     """
     dim = x0.size
     blocks = [list(range(lo, min(lo + SIMPLEX_BLOCK, dim))) for lo in range(0, dim, SIMPLEX_BLOCK)]
@@ -304,18 +374,7 @@ def _run_simplex(tracker: _Tracker, x0: np.ndarray, rng: np.random.Generator):
 
         start = center[idx]
         simplex = np.vstack([start, start + spread * np.eye(len(idx))])
-        sp_optimize.minimize(
-            sub,
-            start,
-            method="Nelder-Mead",
-            options={
-                "adaptive": True,
-                "maxfev": max(1, min(SIMPLEX_VISIT_CAP, tracker.budget - tracker.evals)),
-                "initial_simplex": simplex,
-                "xatol": 1e-10,
-                "fatol": 1e-12,
-            },
-        )
+        _nelder_mead(sub, simplex, max(1, min(SIMPLEX_VISIT_CAP, tracker.budget - tracker.evals)))
 
     schedule = 0
     kick_index = 0

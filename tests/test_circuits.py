@@ -383,8 +383,10 @@ class TestGateOpValidation:
             qc.Circuit(1, (qc.GateOp("CNOT", (0, 1)),))
 
     def test_non_finite_angles_refused(self):
-        with pytest.raises(ValueError, match="finite"):
-            qc.GateOp("RY", (0,), (float("nan"),))
+        for kind, qubits, params in [("RY", (0,), (np.nan,)), ("RZ", (0,), (np.inf,)),
+                                     ("A", (0, 1), (0.1, -np.inf))]:
+            with pytest.raises(ValueError, match="finite"):
+                qc.GateOp(kind, qubits, params)
         with pytest.raises(ValueError, match="finite"):
             qc.build_binary_ses_circuit(4, [0.1, np.nan, 0.2, 0.3, 0.4, 0.5])
         with pytest.raises(ValueError, match="finite"):

@@ -6,8 +6,9 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import optimize
 
 from conftest import dense_register
 from sesvqe import circuits, cli, encoding, measurement
@@ -522,6 +523,81 @@ class TestOptimize:
         np.testing.assert_array_equal(
             vqe._initial_point(cfg, 4, 5)[0], vqe._initial_point(cfg, 4, 5)[0]
         )
+
+
+def scipy_nelder_mead(func, simplex, maxfev):
+    """Oracle: the scipy call that ``vqe._nelder_mead`` ports."""
+    optimize.minimize(func, simplex[0], method="Nelder-Mead", options={
+        "adaptive": True, "initial_simplex": simplex, "maxfev": maxfev,
+        "xatol": 1e-10, "fatol": 1e-12,
+    })
+
+
+def nelder_mead_calls(minimizer, simplex, maxfev, quantum, fail_at=None, error=None):
+    """The points ``minimizer`` evaluates, as bytes, and the error it raised.
+
+    The objective is rounded down to multiples of ``quantum`` (None: left
+    exact), which makes ties, failed contractions and collapsed simplices
+    common; it raises ``error`` on call ``fail_at``.
+    """
+    calls = []
+
+    def objective(x):
+        calls.append(np.array(x, dtype=float).tobytes())
+        if len(calls) == fail_at:
+            raise error
+        value = float(np.sum(np.sin(3.0 * x) + (x - 0.3) ** 2))
+        return value if quantum is None else math.floor(value / quantum) * quantum
+
+    try:
+        minimizer(objective, simplex, maxfev)
+    except (vqe._BudgetExhausted, vqe._Plateau) as exc:
+        return calls, type(exc)
+    return calls, None
+
+
+class TestNelderMeadPort:
+    @settings(max_examples=300)
+    @given(
+        n=st.integers(1, 8),
+        maxfev=st.integers(1, 120),
+        seed=st.integers(0, 2**32 - 1),
+        log_spread=st.floats(-14.0, 1.0),
+        quantum=st.sampled_from([None, 1e-3, 0.25, 1e6]),
+    )
+    # a simplex inside xatol whose values still differ by more than fatol
+    @example(n=2, maxfev=120, seed=0, log_spread=-12.0, quantum=None)
+    def test_calls_match_scipy(self, n, maxfev, seed, log_spread, quantum):
+        start = np.random.default_rng(seed).uniform(-np.pi, np.pi, size=n)
+        simplex = np.vstack([start, start + 10.0**log_spread * np.eye(n)])
+        ours = nelder_mead_calls(vqe._nelder_mead, simplex, maxfev, quantum)
+        assert ours == nelder_mead_calls(scipy_nelder_mead, simplex, maxfev, quantum)
+        assert ours[1] is None
+        assert len(ours[0]) <= maxfev
+
+    @given(
+        n=st.integers(1, 8),
+        seed=st.integers(0, 2**32 - 1),
+        fail_at=st.integers(1, 60),
+        error=st.sampled_from([vqe._BudgetExhausted, vqe._Plateau]),
+    )
+    def test_an_objective_error_propagates_after_the_same_calls(self, n, seed, fail_at, error):
+        start = np.random.default_rng(seed).uniform(-np.pi, np.pi, size=n)
+        simplex = np.vstack([start, start + 0.8 * np.eye(n)])
+        ours = nelder_mead_calls(vqe._nelder_mead, simplex, 100, 1e-3, fail_at, error)
+        assert ours == nelder_mead_calls(scipy_nelder_mead, simplex, 100, 1e-3, fail_at, error)
+        # the search may also end within the tolerances before call fail_at
+        assert len(ours[0]) <= fail_at
+        assert ours[1] is (error if len(ours[0]) == fail_at else None)
+
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_a_flat_objective_stops_within_the_tolerances(self, n):
+        # every step fails, so each iteration shrinks until the simplex spans
+        # less than xatol, well inside the call cap
+        simplex = np.vstack([np.zeros(n), 1e-9 * np.eye(n)])
+        ours, _ = nelder_mead_calls(vqe._nelder_mead, simplex, 120, 1e6)
+        assert ours == nelder_mead_calls(scipy_nelder_mead, simplex, 120, 1e6)[0]
+        assert len(ours) < 120
 
 
 class TestFinalReport:
