@@ -32,7 +32,6 @@ from .hamiltonian import (
     complex_ring_instance,
     default_penalty,
     energy_from_profile,
-    exact_spectrum,
     extend_with_penalty,
     ground_energy,
     load_hamiltonian,
@@ -84,7 +83,6 @@ __all__ = [
     "estimate_energy",
     "estimate_setting",
     "evaluate_cost",
-    "exact_spectrum",
     "extend_with_penalty",
     "gate_counts",
     "gray_sequence",

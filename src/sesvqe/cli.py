@@ -294,7 +294,7 @@ def cmd_reconstruct(args, argv) -> int:
         emap=emap,
         epsilon=args.epsilon,
     )
-    exact_energy = float((alpha.conj() @ h.matrix @ alpha).real)
+    exact_energy = h.energy(alpha)
     report = {
         "format": RECONSTRUCTION_TAG,
         "protocol": args.protocol,

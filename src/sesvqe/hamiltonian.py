@@ -10,8 +10,10 @@ measurement module for the one-hot and packed binary registers).
 from __future__ import annotations
 
 import json
+import numbers
 import sys
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -23,7 +25,11 @@ _SPECTRUM_BUDGET = 4096
 
 @dataclass(frozen=True)
 class SiteHamiltonian:
-    """Hermitian single-particle Hamiltonian over ``n_sites`` lattice sites."""
+    """Hermitian single-particle Hamiltonian over ``n_sites`` lattice sites.
+
+    Other modules read its numbers through ``energy``, ``couplings`` and
+    ``spectrum`` alone, so how ``matrix`` is stored is known in this module.
+    """
 
     n_sites: int
     matrix: np.ndarray = field(repr=False)
@@ -52,10 +58,29 @@ class SiteHamiltonian:
             raise ValueError(f"expected a square matrix, got shape {mat.shape}")
         return SiteHamiltonian(mat.shape[0], mat)
 
+    def energy(self, alpha) -> float:
+        """The quadratic form alpha^H h alpha of a site vector."""
+        return float((alpha.conj() @ self.matrix @ alpha).real)
+
+    def couplings(self) -> tuple:
+        """The coupled pairs (j, k), j < k and h_jk != 0, as two arrays in row-major order."""
+        return np.nonzero(np.triu(self.matrix != 0, 1))
+
+    @cached_property
+    def spectrum(self) -> np.ndarray:
+        """Ascending eigenvalues by dense Hermitian diagonalization, computed once."""
+        if self.n_sites > _SPECTRUM_BUDGET:
+            raise ValueError(
+                f"dense spectrum limited to {_SPECTRUM_BUDGET} sites, got {self.n_sites}"
+            )
+        eigs = np.linalg.eigvalsh(self.matrix)
+        eigs.setflags(write=False)
+        return eigs
+
 
 def check_penalty(c_p) -> None:
-    """Refuse a penalty energy ``c_p`` that is not positive and finite."""
-    if not (c_p > 0 and np.isfinite(c_p)):
+    """Refuse a penalty energy ``c_p`` that is not a positive, finite real; a bool is refused too."""
+    if isinstance(c_p, bool) or not isinstance(c_p, numbers.Real) or not (c_p > 0 and np.isfinite(c_p)):
         raise ValueError(f"penalty c_p must be positive and finite, got {c_p}")
 
 
@@ -66,7 +91,7 @@ def default_penalty(h: SiteHamiltonian) -> float:
     eigenvalue E_max; otherwise E_max + max(range, 1.0), so a spectrum sitting
     far above zero cannot put the penalty below its ground energy.
     """
-    eigs = exact_spectrum(h)
+    eigs = h.spectrum
     spread = float(eigs[-1] - eigs[0])
     c_p = max(10.0 * spread, 1.0)
     if not c_p > eigs[-1]:
@@ -85,22 +110,12 @@ def extend_with_penalty(h: SiteHamiltonian, c_p: float) -> SiteHamiltonian:
     dim = 2 ** register_width(h.n_sites)
     mat = np.zeros((dim, dim), dtype=complex)
     mat[: h.n_sites, : h.n_sites] = h.matrix
-    for k in range(h.n_sites, dim):
-        mat[k, k] = c_p
+    np.fill_diagonal(mat[h.n_sites :, h.n_sites :], c_p)
     return SiteHamiltonian(dim, mat)
 
 
-def exact_spectrum(h: SiteHamiltonian) -> np.ndarray:
-    """Ascending eigenvalues by dense Hermitian diagonalization."""
-    if h.n_sites > _SPECTRUM_BUDGET:
-        raise ValueError(
-            f"dense spectrum limited to {_SPECTRUM_BUDGET} sites, got {h.n_sites}"
-        )
-    return np.linalg.eigvalsh(h.matrix)
-
-
 def ground_energy(h: SiteHamiltonian) -> float:
-    return float(exact_spectrum(h)[0])
+    return float(h.spectrum[0])
 
 
 def energy_from_profile(h: SiteHamiltonian, profile) -> float:
@@ -120,7 +135,7 @@ def energy_from_profile(h: SiteHamiltonian, profile) -> float:
     if inactive.any():
         r = np.asarray(profile.magnitudes, dtype=float)
         inactive_energy = float(np.sum(np.diag(h.matrix).real[inactive] * r[inactive] ** 2))
-    return float((a.conj() @ h.matrix @ a).real) + inactive_energy
+    return h.energy(a) + inactive_energy
 
 
 def _chain_matrix(n_sites, hopping, onsite):
@@ -182,12 +197,9 @@ FORMAT_TAG = "sesvqe-hamiltonian/1"
 
 def save_hamiltonian(h: SiteHamiltonian, path, meta: dict | None = None) -> None:
     """Write the upper triangle (diagonal included) as structured text."""
-    entries = []
-    for j in range(h.n_sites):
-        for k in range(j, h.n_sites):
-            v = h.matrix[j, k]
-            if v != 0:
-                entries.append([j, k, float(v.real), float(v.imag)])
+    rows, cols = np.nonzero(np.triu(h.matrix != 0))
+    values = h.matrix[rows, cols]
+    entries = [list(e) for e in zip(rows.tolist(), cols.tolist(), values.real.tolist(), values.imag.tolist())]
     doc = {"format": FORMAT_TAG, "n_sites": h.n_sites, "entries": entries}
     if meta:
         doc["meta"] = meta

@@ -501,23 +501,15 @@ def reconstruct_profile(probs, pair_j, pair_k, cos, sin, epsilon: float | None =
     return profile, pgraph
 
 
-def _pairs_of(mask: np.ndarray) -> list:
-    j, k = np.nonzero(mask)
-    return list(zip(j.tolist(), k.tolist()))
-
-
 def _unmeasured_terms(h: SiteHamiltonian, profile: AmplitudeProfile, pgraph: PhaseGraph) -> tuple:
     """Coupled pairs (j < k, h_jk != 0) with an inactive site, and across components."""
     active = profile.active
     if active.all() and pgraph.n_components == 1:
         return [], []
-    coupled = np.triu(h.matrix != 0, 1)
-    both = np.outer(active, active)
-    inactive = _pairs_of(coupled & ~both)
-    if pgraph.n_components < 2:
-        return inactive, []
-    component = pgraph.component
-    return inactive, _pairs_of(coupled & both & (component[:, None] != component[None, :]))
+    j, k = h.couplings()
+    both = active[j] & active[k]
+    cross = both & (pgraph.component[j] != pgraph.component[k])
+    return tuple(list(zip(j[m].tolist(), k[m].tolist())) for m in (~both, cross))
 
 
 def estimate_energy(

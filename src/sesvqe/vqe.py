@@ -203,7 +203,7 @@ def evaluate_cost(plan: RunPlan, params, eval_index: int = 0) -> float:
     config = plan.config
     alpha = site_vector(plan, params)
     if config.protocol == "exact_operator":
-        return float((alpha.conj() @ plan.target.matrix @ alpha).real)
+        return plan.target.energy(alpha)
     energy, _ = measurement.estimate_energy(
         plan.target,
         alpha,
@@ -501,13 +501,9 @@ def final_report(plan: RunPlan, params) -> dict:
         weight = float(np.sum(np.abs(physical) ** 2))
         report["physical_weight"] = weight
         if weight > 1e-12:
-            restricted = physical / math.sqrt(weight)
-            report["physical_energy"] = float(
-                (restricted.conj() @ h.matrix @ restricted).real
-            )
+            report["physical_energy"] = h.energy(physical / math.sqrt(weight))
     profile = measurement.AmplitudeProfile.from_amplitudes(alpha)
     report["active_sites"] = int(np.count_nonzero(profile.active))
     report["site_magnitudes"] = [float(r) for r in profile.magnitudes]
-    target_energy = float((alpha.conj() @ plan.target.matrix @ alpha).real)
-    report["exact_energy_of_state"] = target_energy
+    report["exact_energy_of_state"] = plan.target.energy(alpha)
     return report

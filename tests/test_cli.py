@@ -49,7 +49,7 @@ class TestGen:
         assert rc == 0
         h = ham.load_hamiltonian(out)
         want = sorted(2.0 * np.cos(k * np.pi / 5.0) for k in range(1, 5))
-        np.testing.assert_allclose(ham.exact_spectrum(h), want, atol=1e-12)
+        np.testing.assert_allclose(h.spectrum, want, atol=1e-12)
 
         stdout = capsys.readouterr().out
         assert "wrote" in stdout

@@ -12,6 +12,7 @@ from conftest import PAULI, kron_qubits
 from sesvqe import cli
 from sesvqe import hamiltonian as ham
 from sesvqe.measurement import AmplitudeProfile, estimate_energy
+from sesvqe.vqe import VqeConfig
 
 
 def one_hot_operator(h: ham.SiteHamiltonian) -> np.ndarray:
@@ -124,6 +125,14 @@ class TestPenaltyExtension:
             with pytest.raises(ValueError, match="positive and finite"):
                 ham.extend_with_penalty(ham.chain_instance(3), c_p)
 
+    @pytest.mark.parametrize("c_p", [True, np.True_, "5", None])
+    def test_penalty_must_be_a_real_number(self, c_p):
+        with pytest.raises(ValueError, match="positive and finite"):
+            ham.check_penalty(c_p)
+        if c_p is not None:  # a config's None picks the default penalty
+            with pytest.raises(ValueError, match="positive and finite"):
+                VqeConfig(ham.chain_instance(3), ansatz="hardware_efficient", penalty=c_p)
+
     def test_default_penalty_value(self):
         h = ham.SiteHamiltonian.from_matrix([[0, 1], [1, 0]])
         assert ham.default_penalty(h) == pytest.approx(20.0)
@@ -133,7 +142,7 @@ class TestPenaltyExtension:
     def test_default_penalty_clears_a_lifted_spectrum(self, lifted_chain):
         # ten times the range (10.39) sits below this spectrum, near 100
         h = lifted_chain
-        eigs = ham.exact_spectrum(h)
+        eigs = h.spectrum
         c_p = ham.default_penalty(h)
         assert c_p == pytest.approx(eigs[-1] + (eigs[-1] - eigs[0]))
         extended = ham.extend_with_penalty(h, c_p)
@@ -143,35 +152,46 @@ class TestPenaltyExtension:
 class TestSpectrum:
     def test_symmetric_hopping_pair(self):
         h = ham.SiteHamiltonian.from_matrix([[0, 1], [1, 0]])
-        np.testing.assert_allclose(ham.exact_spectrum(h), [-1.0, 1.0], atol=1e-14)
+        np.testing.assert_allclose(h.spectrum, [-1.0, 1.0], atol=1e-14)
         assert ham.ground_energy(h) == pytest.approx(-1.0)
 
     def test_four_site_chain_closed_form(self):
         h = ham.chain_instance(4, hopping=1.0)
         want = sorted(2.0 * np.cos(k * np.pi / 5.0) for k in range(1, 5))
-        np.testing.assert_allclose(ham.exact_spectrum(h), want, atol=1e-12)
+        np.testing.assert_allclose(h.spectrum, want, atol=1e-12)
         # golden-ratio pair
         np.testing.assert_allclose(
-            ham.exact_spectrum(h),
+            h.spectrum,
             [-1.618033988749895, -0.6180339887498949, 0.6180339887498949, 1.618033988749895],
             atol=1e-12,
         )
 
     def test_single_site(self):
         h = ham.SiteHamiltonian.from_matrix([[0.25]])
-        np.testing.assert_allclose(ham.exact_spectrum(h), [0.25])
+        np.testing.assert_allclose(h.spectrum, [0.25])
 
     def test_permutation_invariance(self):
         h = ham.random_hermitian_instance(5, seed=3)
         perm = np.random.default_rng(0).permutation(5)
         p = np.eye(5)[perm]
         h2 = ham.SiteHamiltonian(5, p @ h.matrix @ p.T)
-        np.testing.assert_allclose(ham.exact_spectrum(h2), ham.exact_spectrum(h), atol=1e-12)
+        np.testing.assert_allclose(h2.spectrum, h.spectrum, atol=1e-12)
+
+    def test_computed_once_and_read_only(self, monkeypatch):
+        h = ham.chain_instance(4)
+        calls, eigvalsh = [], np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda mat: calls.append(1) or eigvalsh(mat))
+        assert h.spectrum is h.spectrum
+        assert ham.default_penalty(h) == pytest.approx(10 * (h.spectrum[-1] - h.spectrum[0]))
+        assert ham.ground_energy(h) == h.spectrum[0]
+        assert calls == [1]
+        with pytest.raises(ValueError, match="read-only"):
+            h.spectrum[0] = 0.0
 
     def test_budget_guard(self):
         big = ham.SiteHamiltonian(5000, np.zeros((5000, 5000)))
         with pytest.raises(ValueError, match="dense spectrum"):
-            ham.exact_spectrum(big)
+            big.spectrum
 
 
 def profile_of(alpha) -> AmplitudeProfile:
@@ -278,7 +298,41 @@ class TestInstances:
             np.testing.assert_allclose(ham.load_hamiltonian(out).matrix, build(5, seed=3).matrix, atol=1e-15)
 
 
+def save_by_loop(h, path, meta=None):
+    """The writer's former per-entry loop, kept as the oracle for its file bytes."""
+    entries = []
+    for j in range(h.n_sites):
+        for k in range(j, h.n_sites):
+            v = h.matrix[j, k]
+            if v != 0:
+                entries.append([j, k, float(v.real), float(v.imag)])
+    doc = {"format": ham.FORMAT_TAG, "n_sites": h.n_sites, "entries": entries}
+    if meta:
+        doc["meta"] = meta
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=1)
+        fh.write("\n")
+
+
 class TestSaveLoad:
+    @pytest.mark.parametrize("n", [1, 2, 5, 16, 33])
+    def test_file_bytes_match_the_entry_loop(self, tmp_path, n):
+        rng = np.random.default_rng(n)
+        dense = ham.random_hermitian_instance(n, seed=n).matrix.copy()
+        dense[rng.random(n) < 0.5, :] *= rng.random(n) < 0.5  # exact zeros, some on the diagonal
+        cases = {
+            "chain": ham.chain_instance(n),  # a zero diagonal
+            "disordered": ham.chain_instance(n, disorder=0.5, seed=n),
+            "ring": ham.complex_ring_instance(n, seed=n),
+            "random": ham.random_hermitian_instance(n, seed=n),
+            "sparse": ham.SiteHamiltonian(n, np.triu(dense) + np.triu(dense, 1).conj().T),
+        }
+        for name, h in cases.items():
+            meta = {"family": name, "n_sites": n} if n % 2 else None
+            ham.save_hamiltonian(h, tmp_path / "new.json", meta=meta)
+            save_by_loop(h, tmp_path / "old.json", meta=meta)
+            assert (tmp_path / "new.json").read_bytes() == (tmp_path / "old.json").read_bytes(), name
+
     def test_round_trip(self, tmp_path):
         for n in (1, 3, 6):
             h = ham.random_hermitian_instance(n, seed=n)

@@ -3,7 +3,9 @@
 Exact mode: on random Hermitian h and random states (some sites zeroed), both
 protocols return |alpha| as magnitudes, the quadratic form of the state each
 measured component reconstructs (alpha^H h alpha when no coupling crosses
-components), and the unmeasured coupling lists of a plain double loop.
+components), and the unmeasured coupling lists of a plain double loop.  On
+random activity masks and component labels those lists equal the N x N mask
+form they were once built from, pair for pair and in order.
 
 Shot mode: on random outcome counts, every histogram estimate equals the
 per-bitstring sum it stands for, bit for bit.
@@ -109,6 +111,48 @@ def test_exact_mode_matches_brute_force(n, seed, zeroed, density, protocol, mode
     assert energy == pytest.approx(float((anchored.conj() @ h.matrix @ anchored).real), abs=1e-10)
     if not cross:
         assert energy == pytest.approx(float((alpha.conj() @ h.matrix @ alpha).real), abs=1e-10)
+
+
+def unmeasured_terms_by_masks(h, profile, pgraph):
+    """The N x N mask form of the unmeasured coupling lists, kept as the oracle of
+    the coupling-list filter that replaced it."""
+    def pairs_of(mask):
+        j, k = np.nonzero(mask)
+        return list(zip(j.tolist(), k.tolist()))
+
+    active = profile.active
+    if active.all() and pgraph.n_components == 1:
+        return [], []
+    coupled = np.triu(h.matrix != 0, 1)
+    both = np.outer(active, active)
+    inactive = pairs_of(coupled & ~both)
+    if pgraph.n_components < 2:
+        return inactive, []
+    component = pgraph.component
+    return inactive, pairs_of(coupled & both & (component[:, None] != component[None, :]))
+
+
+@given(
+    n=st.integers(1, 24),
+    seed=st.integers(0, 2**32 - 1),
+    density=st.sampled_from([0.0, 0.2, 0.6, 1.0]),
+    one_component=st.booleans(),
+    data=st.data(),
+)
+def test_unmeasured_terms_match_the_mask_form(n, seed, density, one_component, data):
+    h = sparse_hermitian(n, density, np.random.default_rng(seed))
+    if one_component:  # every site active in one component: the early return
+        active, labels = [True] * n, [0] * n
+    else:
+        active = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        labels = data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    active = np.array(active)
+    component = np.where(active, labels, -1)
+    empty = np.zeros(0)
+    profile = meas.AmplitudeProfile(n, np.zeros(n), np.zeros(n), active, 0.0, None)
+    pgraph = meas.PhaseGraph(empty, empty, empty, empty, empty, component, len(set(component[active].tolist())))
+    got = meas._unmeasured_terms(h, profile, pgraph)
+    assert list(got) == list(unmeasured_terms_by_masks(h, profile, pgraph))
 
 
 def bit(index, qubit):

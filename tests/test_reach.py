@@ -9,6 +9,10 @@ identifier, which covers the harness's wrap table of ``(module, attribute)``
 strings.  A field is read through an attribute or a ``getattr`` string, so
 only those name it; a bare local of the same name does not.  An unread field
 is reported as ``Class.field``.
+
+A second guard keeps the dense matrix of a ``SiteHamiltonian`` behind its own
+methods: no module of ``src/sesvqe`` but ``hamiltonian.py`` reads a
+``.matrix`` attribute, so a change of how ``h`` is stored touches one module.
 """
 
 import ast
@@ -124,3 +128,27 @@ def test_guard_sees_an_unread_dataclass_field(tmp_path):
     # so reading ``size`` covers both fields of that name; a plain class's
     # annotations are no fields
     assert unreached([pkg / "mod.py"]) == [("Record.note", "mod.py:7")]
+
+
+def matrix_reads(files):
+    """``file:line`` of each ``.matrix`` attribute read outside ``hamiltonian.py``."""
+    return sorted(
+        f"{path.name}:{node.lineno}"
+        for path in files
+        if path.name != "hamiltonian.py"
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Attribute) and node.attr == "matrix"
+    )
+
+
+def test_only_the_hamiltonian_module_reads_the_dense_matrix():
+    assert matrix_reads(sorted((ROOT / "src" / "sesvqe").glob("*.py"))) == []
+
+
+def test_guard_sees_a_planted_matrix_read(tmp_path):
+    pkg = tmp_path / "sesvqe"
+    pkg.mkdir()
+    (pkg / "hamiltonian.py").write_text("def energy(h, a):\n    return a @ h.matrix @ a\n")
+    (pkg / "vqe.py").write_text("def cost(plan, a):\n    return plan.target.energy(a)\n\n\n"
+                                "def report(plan, a):\n    return a @ plan.target.matrix @ a\n")
+    assert matrix_reads([pkg / "hamiltonian.py", pkg / "vqe.py"]) == ["vqe.py:6"]

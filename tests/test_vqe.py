@@ -185,13 +185,18 @@ class TestPrepare:
         cfg = vqe.VqeConfig(h, ansatz="hardware_efficient", protocol="exact_operator")
         plan = vqe.prepare(cfg)
         assert plan.target.n_sites == 4
-        spread = float(
-            ham.exact_spectrum(h)[-1] - ham.exact_spectrum(h)[0]
-        )
+        spread = float(h.spectrum[-1] - h.spectrum[0])
         assert plan.target.matrix[3, 3].real == pytest.approx(max(10 * spread, 1.0))
         assert plan.emap.codewords == encoding.build_map(4, "plain").codewords
         # ground energy of the extension matches the raw problem
         assert plan.exact_ground == pytest.approx(ham.ground_energy(h), abs=1e-12)
+
+    def test_hardware_efficient_diagonalises_h_once(self, monkeypatch):
+        # default_penalty and ground_energy read the one spectrum of h
+        shapes, eigvalsh = [], np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda mat: shapes.append(mat.shape) or eigvalsh(mat))
+        vqe.prepare(vqe.VqeConfig(ham.chain_instance(5), ansatz="hardware_efficient"))
+        assert shapes == [(5, 5)]
 
     def test_one_hot_shot_mode_has_no_width_cap(self):
         # 23 sites: one past the widest register a run may allocate, which
