@@ -236,6 +236,9 @@ def _check_histogram(hist: sv.ShotHistogram, setting: MeasurementSetting):
         )
     if hist.num_qubits != len(setting.bases):
         raise ValueError(f"histogram width {hist.num_qubits} != setting width {len(setting.bases)}")
+    if (hist.rows is None) != (setting.protocol == "binary"):
+        want = "2^width outcome counts" if setting.protocol == "binary" else "outcome rows"
+        raise ValueError(f"{setting.protocol} setting {setting.label!r} reads a record of {want}")
 
 
 def _site_vector(alpha, n_sites: int) -> np.ndarray:
@@ -274,16 +277,15 @@ def _bit_sums(hist: sv.ShotHistogram, adjacent: bool = False) -> np.ndarray:
     rows = hist.rows
     if adjacent:
         rows = rows[:, :-1] ^ rows[:, 1:]
-    return np.einsum("k,kq->q", np.asarray(hist.counts, dtype=np.int64), rows)
+    return np.einsum("k,kq->q", hist.counts, rows)
 
 
 def _estimate_histogram(hist: sv.ShotHistogram, setting, layout: _Layout) -> np.ndarray:
     """Estimates from integer outcome counts; each mean is an exact integer over the shots."""
     shots = hist.total_shots
     if setting.protocol == "binary":
-        # shots per outcome index; float64 holds these integers exactly
-        counts = np.bincount(hist.outcome_index(), weights=hist.counts, minlength=1 << hist.num_qubits)
-        positions = layout.positions
+        # a packed record holds the shots of every outcome index
+        counts, positions = hist.counts, layout.positions
         if setting.kind == "prob":
             return counts[positions] / shots
         group = layout.groups[setting.axis]
@@ -301,8 +303,9 @@ def estimate_setting(source, setting: MeasurementSetting, emap: EncodingMap | No
     """Evaluate one measurement setting on a site vector or a shot record.
 
     ``source`` is a site-amplitude vector (numpy array) or a ShotHistogram
-    recorded for this setting.  Binary-protocol settings need the encoding
-    map.
+    recorded for this setting, in its register's form: outcome rows for
+    ``original``, the 2^n outcome counts for ``binary`` (the other form is
+    refused).  Binary-protocol settings need the encoding map.
 
     A ``prob`` setting returns one value per site, estimating |a_j|^2.  A
     ``cos`` or ``sin`` setting returns one value per pair (j < k) it
@@ -453,7 +456,8 @@ def reconstruct_profile(probs, pair_j, pair_k, cos, sin, epsilon: float | None =
     zero before the square root); relative phases from atan2 of each pair's
     sine/cosine estimates, spread from each component's lowest active site
     over a maximum-weight spanning forest.  ``epsilon`` must be a finite
-    number >= 0 and defaults to ``pick_epsilon(shots)``.
+    number >= 0 and defaults to ``pick_epsilon(shots)``; ``shots`` is None
+    (exact mode) or a shot count that ``statevector.check_shots`` accepts.
 
     ``probs`` is 1-D; ``pair_j``, ``pair_k``, ``cos`` and ``sin`` are 1-D
     of one length, with ``0 <= j < k < N`` for every pair (refused
@@ -474,6 +478,8 @@ def reconstruct_profile(probs, pair_j, pair_k, cos, sin, epsilon: float | None =
         raise ValueError(f"pair_j, pair_k, cos and sin must be 1-D of one length, got shapes "
                          f"{j.shape}, {k.shape}, {c.shape}, {s.shape}")
     path = _pair_route(j.tobytes(), k.tobytes(), n_sites)
+    if shots is not None:
+        sv.check_shots(shots)
     check_epsilon(epsilon)
     if epsilon is None:
         epsilon = pick_epsilon(shots)

@@ -21,7 +21,7 @@ and runs one kernel per register:
   and Z elsewhere has the 2^n outcome probabilities |a_lo +- phi a_hi|^2 / 2
   for each codeword pair (lo, hi = lo | 2^a), an unpaired codeword giving
   |a|^2 / 2 on both outcomes; all-Z gives |alpha|^2 at the codewords.  One
-  multinomial draws the counts.
+  multinomial draws the counts, and its 2^n counts are the record.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ MAX_SIM_WIDTH = 22  # widest dense register a run may allocate
 # memory of the widest register, 2^22 complex amplitudes (64 MiB)
 MAX_RECORD_ENTRIES = 16 << MAX_SIM_WIDTH
 _DRAW_BLOCK = 1 << 20  # uniforms drawn at once by the one-hot X/Y kernel
-_BIT_WEIGHTS = 1 << np.arange(63)  # 2^k for qubit k of an outcome index
 
 # rows: the outcomes with the flipped bit 0 and 1, from the pair (a_lo, a_hi)
 _PAIR_CHANGE = {
@@ -72,59 +71,49 @@ class SiteState:
 
 @dataclass(frozen=True)
 class ShotHistogram:
-    """Measurement record for one setting.
+    """Measurement record for one setting, in one of two forms.
 
-    ``rows[i]`` is an observed outcome, one bit per qubit (``rows[i, k]`` is
-    qubit ``k``), seen ``counts[i]`` times.  Rows need not be distinct.
-    ``index`` holds each row's basis index when ``from_counts`` drew the rows
-    from it, so ``outcome_index`` does not recompute it.
+    With ``rows``, ``rows[i]`` is an observed outcome, one bit per qubit
+    (``rows[i, k]`` is qubit ``k``), seen ``counts[i]`` times; rows need not
+    be distinct.  With ``rows`` None, ``counts[i]`` is the number of shots
+    with outcome index ``i`` (qubit k is bit k), 2^width entries: the form a
+    packed register's multinomial draws.
     """
 
     setting_label: str
-    rows: np.ndarray = field(repr=False)
+    rows: np.ndarray | None = field(repr=False)
     counts: np.ndarray = field(repr=False)
     total_shots: int
-    index: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        rows, counts = np.asarray(self.rows), np.asarray(self.counts)
-        if self.total_shots <= 0:
-            raise ValueError("total_shots must be positive")
-        if rows.ndim != 2 or rows.shape[1] < 1 or counts.shape != rows.shape[:1]:
-            raise ValueError(f"histogram needs one count per outcome row, got rows {rows.shape}"
-                             f" and counts {counts.shape}")
+        counts = np.asarray(self.counts)
+        check_shots(self.total_shots)
+        if self.rows is None:
+            if counts.ndim != 1 or counts.size < 2 or counts.size & (counts.size - 1):
+                raise ValueError(f"histogram needs 2^width outcome counts, got shape {counts.shape}")
+        else:
+            rows = np.asarray(self.rows)
+            if rows.ndim != 2 or rows.shape[1] < 1 or counts.shape != rows.shape[:1]:
+                raise ValueError(f"histogram needs one count per outcome row, got rows {rows.shape}"
+                                 f" and counts {counts.shape}")
         if counts.dtype.kind not in "iu":
             raise ValueError("histogram counts must be non-negative integers")
         if int(counts.sum(dtype=np.int64)) != self.total_shots:
             raise ValueError("histogram counts do not sum to total_shots")
         if counts.min() < 0:  # not empty: the counts sum to a positive total
             raise ValueError("histogram counts must be non-negative integers")
-        if rows.dtype.kind not in "biu" or rows.max() > 1 or rows.min() < 0:
-            raise ValueError("outcome rows must hold bits")
-        object.__setattr__(self, "rows", rows.astype(np.uint8, copy=False))
-        object.__setattr__(self, "counts", counts)
-
-    @classmethod
-    def from_counts(cls, label: str, dense_counts) -> "ShotHistogram":
-        """Histogram from ``dense_counts[i]``, the shots with outcome index ``i``."""
-        dense = np.asarray(dense_counts)
-        if dense.ndim != 1 or dense.size < 2 or dense.size & (dense.size - 1):
-            raise ValueError(f"histogram needs 2^width outcome counts, got shape {dense.shape}")
-        seen = np.flatnonzero(dense)
-        rows = (seen[:, None] >> np.arange(dense.size.bit_length() - 1)) & 1
-        hist = cls(label, rows.astype(np.uint8), dense[seen], int(dense.sum()))
-        object.__setattr__(hist, "index", seen)
-        return hist
+        if self.rows is not None:
+            if rows.dtype.kind not in "biu" or rows.max() > 1 or rows.min() < 0:
+                raise ValueError("outcome rows must hold bits")
+            object.__setattr__(self, "rows", rows.astype(np.uint8, copy=False))
+        # signed, so a difference of two counts cannot wrap
+        object.__setattr__(self, "counts", counts.astype(np.int64, copy=False))
 
     @property
     def num_qubits(self) -> int:
+        if self.rows is None:
+            return self.counts.size.bit_length() - 1
         return self.rows.shape[1]
-
-    def outcome_index(self) -> np.ndarray:
-        """Basis index of each row (qubit k is bit k), the inverse of ``from_counts``."""
-        if self.index is not None:
-            return self.index
-        return self.rows @ _BIT_WEIGHTS[: self.num_qubits]
 
 
 def check_shots(shots) -> None:
@@ -207,7 +196,7 @@ def sample_bitstrings(state: SiteState, bases: str, shots: int, seed, label: str
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     if state.positions is not None:
         counts = rng.multinomial(shots, _packed_distribution(state, bases))
-        return ShotHistogram.from_counts(label or bases, counts)
+        return ShotHistogram(label or bases, None, counts, shots)
     if shots * state.num_qubits > MAX_RECORD_ENTRIES:
         raise ValueError(
             f"a record of {shots} shots on {state.num_qubits} qubits is too large;"

@@ -358,8 +358,6 @@ def _run_simplex(tracker: _Tracker, x0: np.ndarray, rng: np.random.Generator):
 
     def visit(idx, spread):
         nonlocal incumbent, incumbent_energy
-        if tracker.evals >= tracker.budget:
-            raise _BudgetExhausted
         center = incumbent.copy()
 
         def sub(x):
@@ -374,7 +372,7 @@ def _run_simplex(tracker: _Tracker, x0: np.ndarray, rng: np.random.Generator):
 
         start = center[idx]
         simplex = np.vstack([start, start + spread * np.eye(len(idx))])
-        _nelder_mead(sub, simplex, max(1, min(SIMPLEX_VISIT_CAP, tracker.budget - tracker.evals)))
+        _nelder_mead(sub, simplex, SIMPLEX_VISIT_CAP)
 
     schedule = 0
     kick_index = 0

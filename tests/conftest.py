@@ -82,8 +82,21 @@ def ses_cascade_loop(n_sites: int, params) -> np.ndarray:
 
 
 def outcome_counts(hist: sv.ShotHistogram) -> np.ndarray:
-    """Shots per outcome index (qubit k = bit k), 2^width entries."""
-    return np.bincount(hist.outcome_index(), weights=hist.counts, minlength=2**hist.num_qubits).astype(np.int64)
+    """Shots per outcome index (qubit k = bit k), 2^width entries: a packed
+    record's own counts, or a one-hot record's rows read as indices."""
+    if hist.rows is None:
+        return hist.counts
+    index = hist.rows.astype(np.int64) @ (1 << np.arange(hist.num_qubits))
+    return np.bincount(index, weights=hist.counts, minlength=2**hist.num_qubits).astype(np.int64)
+
+
+def rows_histogram(label: str, dense) -> sv.ShotHistogram:
+    """Oracle: a record in the rows form from ``dense[i]``, the shots with
+    outcome index ``i``: one row per outcome seen."""
+    dense = np.asarray(dense)
+    seen = np.flatnonzero(dense)
+    rows = (seen[:, None] >> np.arange(dense.size.bit_length() - 1)) & 1
+    return sv.ShotHistogram(label, rows.astype(np.uint8), dense[seen], int(dense.sum()))
 
 
 _lines = []

@@ -188,10 +188,13 @@ class TestSpectrum:
         with pytest.raises(ValueError, match="read-only"):
             h.spectrum[0] = 0.0
 
-    def test_budget_guard(self):
-        big = ham.SiteHamiltonian(5000, np.zeros((5000, 5000)))
-        with pytest.raises(ValueError, match="dense spectrum"):
-            big.spectrum
+    def test_budget_guard(self, monkeypatch):
+        # the refusal at a small budget; the CLI tests refuse 4097 sites end to end
+        assert ham._SPECTRUM_BUDGET == 4096
+        monkeypatch.setattr(ham, "_SPECTRUM_BUDGET", 8)
+        assert ham.chain_instance(8).spectrum.size == 8
+        with pytest.raises(ValueError, match="dense spectrum limited to 8 sites, got 9"):
+            ham.chain_instance(9).spectrum
 
 
 def profile_of(alpha) -> AmplitudeProfile:

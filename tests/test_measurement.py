@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import dense_register, measurement_distribution
+from conftest import dense_register, measurement_distribution, rows_histogram
 from sesvqe import encoding, measurement as meas
 from sesvqe import hamiltonian as ham
 from sesvqe import statevector as sv
@@ -36,7 +36,7 @@ def packed_state(alpha, emap) -> sv.SiteState:
 def exact_histogram(state, setting, shots=10**12) -> sv.ShotHistogram:
     """Outcome counts proportional to the exact distribution (dense oracle), to one part in ``shots``."""
     p = measurement_distribution(dense_register(state), setting.bases)
-    return sv.ShotHistogram.from_counts(setting.label, np.rint(p * shots).astype(np.int64))
+    return rows_histogram(setting.label, np.rint(p * shots).astype(np.int64))
 
 
 def random_site_vector(n, seed):
@@ -151,6 +151,12 @@ class TestOriginalEstimates:
         with pytest.raises(ValueError, match="width"):
             meas.estimate_setting(hist, meas.settings_original(2)[0])
 
+    def test_counts_form_record_refused(self):
+        # the one-hot estimators read outcome rows; a packed record has none
+        hist = sv.ShotHistogram("MZ", None, np.array([10, 90, 0, 0]), 100)
+        with pytest.raises(ValueError, match="original setting 'MZ' reads a record of outcome rows"):
+            meas.estimate_setting(hist, meas.settings_original(2)[0])
+
 
 def estimate_pairs(alpha, setting, emap) -> dict:
     """(j, k) -> value for one packed X/Y setting's estimates, read in their
@@ -230,6 +236,16 @@ class TestBinaryEstimates:
         hist = sv.sample_bitstrings(state, "ZZZ", 1000, 0, "BZ")
         out = meas.estimate_setting(hist, meas.settings_binary(3)[0], emap)
         assert out.tolist() == [0.0] * 5
+
+    def test_rows_form_record_refused(self):
+        # the packed estimators index the 2^n outcome counts; a record of
+        # outcome rows is not converted
+        emap = encoding.build_map(4)
+        bz, bx0 = meas.settings_binary(2)[:2]
+        for setting in (bz, bx0):
+            hist = rows_histogram(setting.label, np.array([10, 20, 30, 40]))
+            with pytest.raises(ValueError, match="binary setting .* reads a record of 2\\^width outcome counts"):
+                meas.estimate_setting(hist, setting, emap)
 
     def test_requires_encoding_map(self):
         with pytest.raises(ValueError, match="encoding map"):
@@ -380,6 +396,13 @@ class TestReconstructProfile:
     def test_epsilon_must_be_a_finite_number_at_least_zero(self, epsilon):
         with pytest.raises(ValueError, match="epsilon must be a finite number >= 0"):
             meas.reconstruct_profile([1.0], [], [], [], [], epsilon=epsilon)
+
+    @pytest.mark.parametrize("shots", [0, -5, True, 2.5, 2**53 + 1])
+    def test_shot_count_is_checked(self, shots):
+        # the default threshold is 3 / sqrt(shots): without the check 0 gives
+        # inf (every site inactive) and -5, True and 2.5 a silent threshold
+        with pytest.raises(ValueError, match="shots must be an integer >= 1"):
+            meas.reconstruct_profile([1.0], [], [], [], [], shots=shots)
 
     @pytest.mark.parametrize("probs,pair_j,pair_k,cos,sin,message", [
         ([[0.5, 0.5]], [0], [1], [0.0], [1.0], "probs must be 1-D"),

@@ -22,6 +22,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import rows_histogram
 from sesvqe import encoding
 from sesvqe import hamiltonian as ham
 from sesvqe import measurement as meas
@@ -181,7 +182,7 @@ def histograms(draw):
 def test_one_hot_histogram_estimates_equal_bitstring_sums(data):
     width, counts = data
     for setting in meas.settings_original(width):
-        est = meas.estimate_setting(sv.ShotHistogram.from_counts(setting.label, counts), setting)
+        est = meas.estimate_setting(rows_histogram(setting.label, counts), setting)
         if setting.label == "MZ":
             want = [brute_mean(counts, lambda i, j=j: bit(i, j)) for j in range(width)]
         else:
@@ -202,8 +203,11 @@ def test_packed_histogram_estimates_equal_bitstring_sums(data, choose):
     emap = encoding.build_map(
         choose.draw(st.integers(low, 2**width)), choose.draw(st.sampled_from(["shifted", "plain"]))
     )
+    # unsigned counts too: an X/Y estimate is a difference of two counts
+    dtype = choose.draw(st.sampled_from([np.int64, np.uint64, np.uint8]))
     for setting in meas.settings_binary(width):
-        est = meas.estimate_setting(sv.ShotHistogram.from_counts(setting.label, counts), setting, emap)
+        record = sv.ShotHistogram(setting.label, None, counts.astype(dtype), shots)
+        est = meas.estimate_setting(record, setting, emap)
         if setting.label == "BZ":
             found = [int(counts[emap.codeword(s)]) for s in range(emap.n_sites)]
             assert est.tolist() == [c / shots for c in found]
