@@ -123,16 +123,21 @@ def energy_from_profile(h: SiteHamiltonian, profile) -> float:
 
     E = a^H h a + sum_{k inactive} h_kk r_k^2, where a is the profile's site
     vector with its inactive sites set to zero.  So pairs with an inactive
-    endpoint contribute only through the surviving diagonal terms.
+    endpoint contribute only through the surviving diagonal terms.  With
+    every site active, ``a`` is ``r * exp(i * phases)`` as it stands: the
+    same numbers as the masked form, without its two ``np.where`` passes.
     """
     if profile.n_sites != h.n_sites:
         raise ValueError(
             f"profile has {profile.n_sites} sites, Hamiltonian has {h.n_sites}"
         )
-    a = profile.site_amplitudes()
-    inactive = ~np.asarray(profile.active, dtype=bool)
+    active = np.asarray(profile.active, dtype=bool)
     inactive_energy = 0.0
-    if inactive.any():
+    if np.count_nonzero(active) == active.size:
+        a = profile.magnitudes * np.exp(1j * np.asarray(profile.phases))
+    else:
+        a = profile.site_amplitudes()
+        inactive = ~active
         r = np.asarray(profile.magnitudes, dtype=float)
         inactive_energy = float(np.sum(np.diag(h.matrix).real[inactive] * r[inactive] ** 2))
     return h.energy(a) + inactive_energy

@@ -19,6 +19,11 @@ Pairs are read in site order (j < k) as cos: 2 r_j r_k cos(t_k - t_j) and
 sin: 2 r_j r_k sin(t_k - t_j).  Relative phases come from a maximum-weight
 spanning forest over the measured pairs, so a state is reconstructed up to
 one global phase per connected component.
+
+``estimate_energy`` is ``_measure`` -> ``reconstruct_profile`` ->
+``energy_from_profile``.  ``_measure`` runs each of a layout's settings once,
+through ``estimate_setting``, on a source bound to that layout: the site
+vector and the layout are checked once per estimate, not once per setting.
 """
 
 from __future__ import annotations
@@ -74,7 +79,7 @@ class AmplitudeProfile:
 
     def __post_init__(self):
         r = np.asarray(self.magnitudes, dtype=float)
-        if (r < 0).any():
+        if np.count_nonzero(r < 0):
             raise ValueError("magnitudes must be non-negative")
         norm_sq = float((r**2).sum())
         if norm_sq > 1.0 + 1e-6:
@@ -242,21 +247,25 @@ def _check_histogram(hist: sv.ShotHistogram, setting: MeasurementSetting):
 
 
 def _site_vector(alpha, n_sites: int) -> np.ndarray:
-    """``alpha`` as complex site amplitudes; refused unless a finite array of ``n_sites``."""
+    """``alpha`` as complex site amplitudes; refused unless a finite 1-D array of ``n_sites``."""
     if not isinstance(alpha, np.ndarray):
         raise TypeError(f"unsupported source type {type(alpha).__name__}")
     alpha = np.asarray(alpha, dtype=complex)
     if alpha.size != n_sites:
         raise ValueError(f"site vector length {alpha.size} != {n_sites} sites")
-    if not np.isfinite(alpha).all():
+    if alpha.ndim != 1:
+        raise ValueError(f"site vector has shape {alpha.shape}, expected ({n_sites},)")
+    if np.count_nonzero(np.isfinite(alpha)) < n_sites:
         raise ValueError("site vector has non-finite entries")
     return alpha
 
 
-class _CheckedSites(NamedTuple):
-    """A site vector ``estimate_energy`` has checked once for all its settings."""
+class _Bound(NamedTuple):
+    """What ``_measure`` hands ``estimate_setting``: the checked site vector or
+    a record sampled for the setting, with the layout the setting belongs to."""
 
-    amplitudes: np.ndarray
+    data: np.ndarray | sv.ShotHistogram
+    layout: _Layout
 
 
 def _estimate_exact(alpha: np.ndarray, setting, layout: _Layout) -> np.ndarray:
@@ -313,18 +322,25 @@ def estimate_setting(source, setting: MeasurementSetting, emap: EncodingMap | No
     in a fixed order: on the one-hot register pair (j, j + 1) is at index j;
     on the packed register the pairs come in ``hypercube_edges(emap)`` order,
     restricted to the edges whose flip position is the setting's axis.
+
+    ``_measure`` passes a source already resolved against its layout (see
+    ``_Bound``); any other source is checked here first: the layout, the
+    setting's width and the site vector or the record's form.
     """
-    width = len(setting.bases)
-    layout = _layout(setting.protocol, width, emap)
-    register = len(layout.settings[0].bases)
-    if width != register:
-        raise ValueError(f"setting width {width} != register width {register}")
+    if isinstance(source, _Bound):
+        source, layout = source
+    else:
+        width = len(setting.bases)
+        layout = _layout(setting.protocol, width, emap)
+        register = len(layout.settings[0].bases)
+        if width != register:
+            raise ValueError(f"setting width {width} != register width {register}")
+        if not isinstance(source, sv.ShotHistogram):
+            source = _site_vector(source, layout.n_sites)
     if isinstance(source, sv.ShotHistogram):
         _check_histogram(source, setting)
         return _estimate_histogram(source, setting, layout)
-    if isinstance(source, _CheckedSites):
-        return _estimate_exact(source.amplitudes, setting, layout)
-    return _estimate_exact(_site_vector(source, layout.n_sites), setting, layout)
+    return _estimate_exact(source, setting, layout)
 
 
 def check_epsilon(epsilon) -> None:
@@ -342,22 +358,34 @@ def pick_epsilon(shots: int | None) -> float:
     return max(1e-6, 3.0 / np.sqrt(shots))
 
 
-def _chain_forest(active: list, ks: list, deltas: list) -> tuple:
+def _chain_forest(active: np.ndarray, k: np.ndarray, delta: np.ndarray) -> tuple:
     """The forest of pairs that form a path in site order, each pair ``(k - 1, k)``.
 
-    A path has no cycle, so every pair is a tree edge; each linked run of
+    A path has no cycle, so every pair is a tree edge; each run of linked
     active sites is one component, rooted at its lowest site.  From there the
     walk in ``_spanning_forest`` adds each delta to the previous site's phase,
-    one site after the next; this running sum makes the same adds in the same
-    order, so its phases round the same, bit for bit.  Returns what
-    ``_spanning_forest`` returns.
+    one site after the next; these running sums make the same adds in the
+    same order, so their phases round the same, bit for bit (``0.0 + -0.0``
+    is 0.0 in both).  Returns what ``_spanning_forest`` returns.
     """
-    phases = [0.0 if a else np.nan for a in active]
-    for k, step in zip(ks, deltas):
-        phases[k] = phases[k - 1] + step
+    in_tree = np.ones(k.size, dtype=bool)
+    if 0 < k.size == active.size - 1:
+        # every site linked, one run from site 0 (nearly every exact
+        # estimate): one cumulative sum (np.cumsum's ufunc) over 0.0 and the deltas
+        phases = np.empty(active.size)
+        phases[0] = 0.0
+        phases[1:] = delta
+        np.add.accumulate(phases, out=phases)
+        return in_tree, np.zeros(active.size, dtype=np.int64), 1, phases
+    # some site unlinked (shot mode, mostly): a walk over lists, which at
+    # N = 12 costs half what a numpy call per run does
+    sites, ks = active.tolist(), k.tolist()
+    phases = [0.0 if a else np.nan for a in sites]
+    for site, step in zip(ks, delta.tolist()):
+        phases[site] = phases[site - 1] + step
     linked = set(ks)
     component, n_components = [], 0
-    for site, a in enumerate(active):
+    for site, a in enumerate(sites):
         if not a:
             component.append(-1)
         elif site in linked:
@@ -365,7 +393,7 @@ def _chain_forest(active: list, ks: list, deltas: list) -> tuple:
         else:
             component.append(n_components)
             n_components += 1
-    return np.ones(len(ks), dtype=bool), component, n_components, phases
+    return in_tree, np.array(component), n_components, np.array(phases)
 
 
 def _spanning_forest(active: list, js: list, ks: list, deltas: list, weights: list) -> tuple:
@@ -375,9 +403,9 @@ def _spanning_forest(active: list, js: list, ks: list, deltas: list, weights: li
     (a stable sort), stopping once the tree spans every active site.  Each
     component's root is its lowest site, where its phase is 0; phases spread
     from there along tree edges.  Returns ``(in_tree, component,
-    n_components, phases)``: a bool array, a list, an int and a list.  Pairs
-    that form a path in site order take ``_chain_forest``, which returns the
-    same.
+    n_components, phases)``: a bool array, an int array (-1 on inactive
+    sites), an int and a float array (NaN on inactive sites).  Pairs that
+    form a path in site order take ``_chain_forest``, which returns the same.
     """
     n_sites = len(active)
     root = list(range(n_sites))
@@ -426,7 +454,15 @@ def _spanning_forest(active: list, js: list, ks: list, deltas: list, weights: li
         n_components += 1
     in_tree = np.zeros(len(js), dtype=bool)
     in_tree[tree] = True
-    return in_tree, component, n_components, phases
+    return in_tree, np.array(component), n_components, np.array(phases)
+
+
+def _pair_indices(pairs) -> np.ndarray:
+    """Pair indices as int64; refused unless of an integer dtype (bool is not) or empty."""
+    idx = np.asarray(pairs)
+    if idx.dtype.kind not in "iu" and idx.size:
+        raise ValueError(f"pair indices must be integers, got dtype {idx.dtype}")
+    return idx.astype(np.int64, copy=False)
 
 
 @functools.lru_cache(maxsize=64)
@@ -460,16 +496,17 @@ def reconstruct_profile(probs, pair_j, pair_k, cos, sin, epsilon: float | None =
     (exact mode) or a shot count that ``statevector.check_shots`` accepts.
 
     ``probs`` is 1-D; ``pair_j``, ``pair_k``, ``cos`` and ``sin`` are 1-D
-    of one length, with ``0 <= j < k < N`` for every pair (refused
-    otherwise).  Pairs that form a path in site order, each ``(j, j + 1)``
-    with ``j`` strictly increasing (the one-hot chain), take a running sum
-    along the path; any other pairs take Kruskal and a walk over its tree.
-    Both give the same forest and phases, bit for bit: on a path the walk
-    adds each pair's delta to the previous site's phase in site order, and
-    the running sum makes those adds in that order (``_chain_forest``).
+    of one length, the pair indices of an integer dtype (bool is not), with
+    ``0 <= j < k < N`` for every pair (refused otherwise).  Pairs that form a
+    path in site order, each ``(j, j + 1)`` with ``j`` strictly increasing
+    (the one-hot chain), take a running sum along the path; any other pairs
+    take Kruskal and a walk over its tree.  Both give the same forest and
+    phases, bit for bit: on a path the walk adds each pair's delta to the
+    previous site's phase in site order, and the running sum makes those
+    adds in that order (``_chain_forest``).
     """
     probs = np.asarray(probs, dtype=float)
-    j, k = np.asarray(pair_j, dtype=np.int64), np.asarray(pair_k, dtype=np.int64)
+    j, k = _pair_indices(pair_j), _pair_indices(pair_k)
     c, s = np.asarray(cos, dtype=float), np.asarray(sin, dtype=float)
     n_sites = probs.size
     if probs.ndim != 1:
@@ -486,24 +523,23 @@ def reconstruct_profile(probs, pair_j, pair_k, cos, sin, epsilon: float | None =
     magnitudes = np.sqrt(np.maximum(probs, 0.0))
     active = magnitudes > epsilon
 
-    keep = active[j] & active[k]
-    if not keep.all():
+    if np.count_nonzero(active) < n_sites:
+        keep = active[j] & active[k]
         j, k, c, s = j[keep], k[keep], c[keep], s[keep]
     delta = np.arctan2(s, c)
     # squares through libm pow, as Python's ``x ** 2`` computes them: np.square
     # (x * x) differs in the last bit for about 0.1% of inputs, enough to
     # reorder near-tied shot-mode edges and so change which tree is used
     weight = np.float_power(s, 2.0) + np.float_power(c, 2.0)
-    active_sites = active.tolist()
     if path:
-        forest = _chain_forest(active_sites, k.tolist(), delta.tolist())
+        forest = _chain_forest(active, k, delta)
     else:
-        forest = _spanning_forest(active_sites, j.tolist(), k.tolist(), delta.tolist(), weight.tolist())
+        forest = _spanning_forest(active.tolist(), j.tolist(), k.tolist(), delta.tolist(), weight.tolist())
     in_tree, component, n_components, phases = forest
 
-    reference = active_sites.index(True) if True in active_sites else None
-    profile = AmplitudeProfile(n_sites, magnitudes, np.array(phases), active, float(epsilon), reference)
-    pgraph = PhaseGraph(j, k, delta, weight, in_tree, np.array(component), n_components)
+    reference = int(active.argmax()) if n_components else None
+    profile = AmplitudeProfile(n_sites, magnitudes, phases, active, float(epsilon), reference)
+    pgraph = PhaseGraph(j, k, delta, weight, in_tree, component, n_components)
     return profile, pgraph
 
 
@@ -516,6 +552,38 @@ def _unmeasured_terms(h: SiteHamiltonian, profile: AmplitudeProfile, pgraph: Pha
     both = active[j] & active[k]
     cross = both & (pgraph.component[j] != pgraph.component[k])
     return tuple(list(zip(j[m].tolist(), k[m].tolist())) for m in (~both, cross))
+
+
+def _measure(layout: _Layout, alpha: np.ndarray, shots: int | None = None, seed=0) -> tuple:
+    """Run every setting of ``layout`` on the site vector ``alpha``: ``(probs, cos, sin)``.
+
+    ``alpha`` is a site vector as ``estimate_energy`` has checked it (complex,
+    1-D, finite, one entry per site) and ``shots`` None or a checked count.
+    Each setting is estimated by one ``estimate_setting`` call, from ``alpha``
+    in exact mode or from a record sampled on the layout's register; the
+    source carries the layout, so the call neither resolves it nor checks the
+    width or the site vector again.  In shot mode each setting draws from its
+    own generator, seeded by ``seed`` (an int or tuple of ints) and the
+    setting's index, so results do not depend on evaluation order.  ``probs``
+    has one entry per site; ``cos`` and ``sin`` one per pair of
+    ``layout.pair_j``/``pair_k``.  Private: it does no checks of its own, so
+    ``estimate_energy`` is its one caller.
+    """
+    if shots is not None:
+        state = sv.SiteState(len(layout.settings[0].bases), layout.positions, alpha)
+        seed_root = list(seed) if isinstance(seed, (tuple, list)) else [seed]
+    cos, sin = np.empty(layout.pair_j.size), np.empty(layout.pair_j.size)
+    source = _Bound(alpha, layout)
+    for idx, setting in enumerate(layout.settings):
+        if shots is not None:
+            rng = np.random.default_rng(np.random.SeedSequence(seed_root + [idx]))
+            source = _Bound(sv.sample_bitstrings(state, setting.bases, shots, rng, setting.label), layout)
+        values = estimate_setting(source, setting)
+        if setting.kind == "prob":
+            probs = values
+        else:
+            (cos if setting.kind == "cos" else sin)[layout.groups[setting.axis].index] = values
+    return probs, cos, sin
 
 
 def estimate_energy(
@@ -531,12 +599,11 @@ def estimate_energy(
 ):
     """Full protocol run: settings -> estimates -> profile -> energy.
 
-    ``alpha`` is the state's site-amplitude vector.  In shot mode each
-    setting is sampled from it, on the protocol's register, with its own
-    generator derived from ``seed`` (an int or tuple of ints), so results do
-    not depend on evaluation order.  Returns ``(energy, diagnostics)``; with
-    ``diagnostics=False`` (the cost loop, which reads the energy alone) the
-    report is not built and the second item is None.
+    ``alpha`` is the state's site-amplitude vector, checked once here, with
+    ``epsilon`` and ``shots``, before ``_measure`` runs any setting.  Returns
+    ``(energy, diagnostics)``; with ``diagnostics=False`` (the cost loop,
+    which reads the energy alone) the report is not built and the second
+    item is None.
     """
     layout = _layout(protocol, h.n_sites, emap)
     if layout.n_sites != h.n_sites:
@@ -545,22 +612,7 @@ def estimate_energy(
     check_epsilon(epsilon)
     if shots is not None:
         sv.check_shots(shots)
-        state = sv.SiteState(len(layout.settings[0].bases), layout.positions, alpha)
-        seed_root = list(seed) if isinstance(seed, (tuple, list)) else [seed]
-
-    cos, sin = np.empty(layout.pair_j.size), np.empty(layout.pair_j.size)
-    checked = _CheckedSites(alpha)
-    for idx, setting in enumerate(layout.settings):
-        source = checked
-        if shots is not None:
-            rng = np.random.default_rng(np.random.SeedSequence(seed_root + [idx]))
-            source = sv.sample_bitstrings(state, setting.bases, shots, rng, setting.label)
-        values = estimate_setting(source, setting, emap)
-        if setting.kind == "prob":
-            probs = values
-        else:
-            (cos if setting.kind == "cos" else sin)[layout.groups[setting.axis].index] = values
-
+    probs, cos, sin = _measure(layout, alpha, shots, seed)
     profile, pgraph = reconstruct_profile(probs, layout.pair_j, layout.pair_k, cos, sin, epsilon, shots)
     energy = energy_from_profile(h, profile)
     if not diagnostics:

@@ -222,6 +222,19 @@ class TestEnergyFromProfile:
         got = ham.energy_from_profile(h, profile_of(alpha))
         assert got == pytest.approx(want, abs=1e-12)
 
+    @pytest.mark.parametrize("n", [1, 2, 7, 16, 64])
+    def test_all_active_profile_rounds_as_the_masked_form(self, n):
+        # with every site active the energy skips site_amplitudes' masks; the
+        # numbers, and so the rounding, must be the masked form's
+        h = ham.random_hermitian_instance(n, seed=n)
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            alpha = rng.normal(size=n) + 1j * rng.normal(size=n)
+            profile = profile_of(alpha / np.linalg.norm(alpha))
+            assert profile.active.all()
+            want = h.energy(profile.site_amplitudes()) + 0.0
+            assert repr(ham.energy_from_profile(h, profile)) == repr(want)
+
     def test_inactive_sites_drop_their_couplings(self):
         h = ham.random_hermitian_instance(4, seed=7)
         alpha = np.array([0.0, 0.8, 0.6, 0.0], dtype=complex)

@@ -422,6 +422,30 @@ class TestReconstructProfile:
             with pytest.raises(ValueError, match=message):
                 meas.reconstruct_profile(probs, pair_j, pair_k, cos, sin)
 
+    @pytest.mark.parametrize("pair_j,pair_k", [
+        ([0.5], [1]),
+        ([0], [1.0]),
+        ([0.5, 1.7], [1, 2]),
+        (np.array([0, 1], dtype=float), np.array([1, 2])),
+        ([False, True], [1, 2]),
+        (np.array(["0", "1"]), [1, 2]),
+    ])
+    def test_non_integer_pair_indices_refused(self, pair_j, pair_k):
+        # read as int64 they would be truncated silently: 0.5 as site 0
+        with pytest.raises(ValueError, match="pair indices must be integers, got dtype"):
+            meas.reconstruct_profile([0.3, 0.3, 0.4], pair_j, pair_k, [0.1] * len(pair_j), [0.1] * len(pair_j))
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int32, np.uint16, np.int64])
+    def test_integer_pair_indices_of_any_width_are_read_alike(self, dtype):
+        want, _ = meas.reconstruct_profile([0.5, 0.5], [0], [1], [0.3], [0.4])
+        got, _ = meas.reconstruct_profile([0.5, 0.5], np.array([0], dtype), np.array([1], dtype), [0.3], [0.4])
+        assert got.phases.tobytes() == want.phases.tobytes()
+
+    def test_empty_pair_lists_are_accepted(self):
+        profile, pgraph = meas.reconstruct_profile([0.25, 0.75], [], [], [], [])
+        assert pgraph.n_components == 2
+        assert pgraph.edge_j.dtype == pgraph.edge_k.dtype == np.int64
+
     def test_zero_epsilon_is_accepted(self):
         profile, _ = meas.reconstruct_profile([0.0, 1.0], [0], [1], [0.0], [0.0], epsilon=0)
         assert profile.active.tolist() == [False, True]
@@ -568,6 +592,27 @@ class TestEstimateEnergy:
             protocol, emap = "binary", encoding.build_map(5)
         with pytest.raises(error, match=match):
             meas.estimate_energy(h, alpha, protocol, shots=shots, emap=emap, epsilon=epsilon)
+
+    @pytest.mark.parametrize("shots", [None, 100])
+    @pytest.mark.parametrize("protocol", ["original", "binary"])
+    @pytest.mark.parametrize("shape", [(2, 2), (1, 4), (4, 1)])
+    def test_site_vector_of_four_entries_not_1d_refused(self, monkeypatch, shots, protocol, shape):
+        def not_reached(*args, **kwargs):
+            raise AssertionError("a setting ran or a state was built or sampled before the check")
+
+        monkeypatch.setattr(meas, "estimate_setting", not_reached)
+        monkeypatch.setattr(meas.sv, "SiteState", not_reached)
+        monkeypatch.setattr(meas.sv, "sample_bitstrings", not_reached)
+        emap = encoding.build_map(4) if protocol == "binary" else None
+        alpha = random_site_vector(4, 6).reshape(shape)
+        with pytest.raises(ValueError, match=rf"site vector has shape \({shape[0]}, {shape[1]}\), expected \(4,\)"):
+            meas.estimate_energy(ham.chain_instance(4), alpha, protocol, shots=shots, emap=emap)
+
+    @pytest.mark.parametrize("shape", [(2, 2), (1, 4), (4, 1)])
+    def test_estimate_setting_refuses_a_site_vector_not_1d(self, shape):
+        setting = meas.settings_original(4)[1]
+        with pytest.raises(ValueError, match=r"site vector has shape .*, expected \(4,\)"):
+            meas.estimate_setting(random_site_vector(4, 6).reshape(shape), setting)
 
     def test_shot_mode_one_hot_at_1024_sites(self):
         h = ham.chain_instance(1024, 1.0, disorder=1.0, seed=6)

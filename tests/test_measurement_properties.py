@@ -300,7 +300,8 @@ def parent_spanning_forest(active, js, ks, deltas, weights):
 TIED = [0.0, -0.0, 0.25, -0.25, 0.5, -1.0]
 
 
-@settings(max_examples=300)
+# noise 0.0 doubles the draws, so about 300 still carry noisy probabilities
+@settings(max_examples=600)
 @given(
     n=st.integers(1, 64),
     seed=st.integers(0, 2**32 - 1),
@@ -310,13 +311,21 @@ TIED = [0.0, -0.0, 0.25, -0.25, 0.5, -1.0]
     epsilon=st.sampled_from([None, 0.0, 0.05]),
     shots=st.sampled_from([None, 1000]),
     order=st.sampled_from(["path", "path", "reversed", "repeated"]),
+    noise=st.sampled_from([0.002, 0.0]),
 )
-def test_path_route_equals_the_kruskal_walk(n, seed, dropped, inactive, tied, epsilon, shots, order):
+# the running sum starts from the root's 0.0: a first delta of -0.0 (sin -0.0,
+# cos 0.5) must give site 1 the phase 0.0 + -0.0 = 0.0, as the walk does
+@example(n=8, seed=22, dropped=0.0, inactive=[], tied=1.0, epsilon=None, shots=None, order="path", noise=0.002)
+# two runs split by the inactive site 3
+@example(n=8, seed=3, dropped=0.0, inactive=[(3, 1)], tied=0.0, epsilon=None, shots=None, order="path", noise=0.002)
+# every site active at reconstruct_sweep's size
+@example(n=256, seed=5, dropped=0.0, inactive=[], tied=0.0, epsilon=None, shots=None, order="path", noise=0.0)
+def test_path_route_equals_the_kruskal_walk(n, seed, dropped, inactive, tied, epsilon, shots, order, noise):
     rng = np.random.default_rng(seed)
-    # noisy, sub-normalised probabilities (some negative), with runs of zeros
+    # sub-normalised probabilities, noisy (some negative) or not, with runs of zeros
     probs = rng.random(n)
     probs *= rng.uniform(0.5, 0.9) / probs.sum()
-    probs += rng.normal(scale=0.002, size=n)
+    probs += rng.normal(scale=noise, size=n)
     for start, length in inactive:
         probs[start % n:start % n + length] = 0.0
     # pairs (j, j + 1), j strictly increasing, some of the chain's left out;

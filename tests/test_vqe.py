@@ -308,17 +308,25 @@ class TestCostLoopCalls:
 
     @pytest.mark.parametrize("ansatz,protocol", [("one_hot_ses", "original"), ("binary_ses", "binary")])
     def test_each_evaluation_reaches_the_traced_names(self, monkeypatch, ansatz, protocol):
-        calls = dict.fromkeys(self.TRACED + self.REPORT_ONLY, 0)
+        self.check_calls(monkeypatch, ansatz, protocol, shots=None)
+
+    @pytest.mark.parametrize("ansatz,protocol", [("one_hot_ses", "original"), ("binary_ses", "binary")])
+    def test_each_shot_evaluation_samples_once_per_setting(self, monkeypatch, ansatz, protocol):
+        # perfbench's settings_per_estimate and sample_us.p50 read these calls
+        self.check_calls(monkeypatch, ansatz, protocol, shots=100)
+
+    def check_calls(self, monkeypatch, ansatz, protocol, shots):
+        calls = dict.fromkeys(self.TRACED + self.REPORT_ONLY + ("sample_bitstrings",), 0)
         inside = []  # non-empty while an evaluate_cost runs
 
-        def count(name):
-            real = getattr(measurement, name)
+        def count(name, module=measurement):
+            real = getattr(module, name)
 
             def wrapper(*args, **kwargs):
                 calls[name] += bool(inside)
                 return real(*args, **kwargs)
 
-            monkeypatch.setattr(measurement, name, wrapper)
+            monkeypatch.setattr(module, name, wrapper)
 
         def cost(*args, **kwargs):
             inside.append(args)
@@ -331,13 +339,17 @@ class TestCostLoopCalls:
         monkeypatch.setattr(vqe, "evaluate_cost", cost)
         for name in self.TRACED + self.REPORT_ONLY:
             count(name)
+        count("sample_bitstrings", measurement.sv)
         h = ham.chain_instance(6, 0.8, disorder=0.5, seed=2)
-        result = vqe.optimize(vqe.VqeConfig(h, ansatz=ansatz, protocol=protocol, max_evaluations=40))
+        optimizer = "simplex" if shots is None else "spsa"
+        result = vqe.optimize(vqe.VqeConfig(h, ansatz=ansatz, protocol=protocol, shots=shots,
+                                            optimizer=optimizer, max_evaluations=40))
         evals = len(evaluations)
         n_settings = 3 if protocol == "original" else 2 * encoding.build_map(6, "shifted").num_qubits + 1
         assert evals == result.evaluations_used > 0
         assert calls["estimate_energy"] == calls["reconstruct_profile"] == calls["energy_from_profile"] == evals
         assert calls["estimate_setting"] == n_settings * evals
+        assert calls["sample_bitstrings"] == (0 if shots is None else n_settings * evals)
         assert all(calls[name] == 0 for name in self.REPORT_ONLY), calls
 
 
