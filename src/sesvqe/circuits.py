@@ -20,12 +20,17 @@ Simulation runs a circuit's compiled program (``Circuit.program``), built once
 per circuit: each run of consecutive permutation gates is fused into one
 gather index, and each run of RY/RZ gates (a hardware-efficient layer's 2n
 rotations) into rotation-layer steps: per qubit, its 2x2 matrices multiplied
-in gate order, and the qubits joined by kron into one matrix per
-``LAYER_WIDTH`` adjacent qubits.  Every A gate stays a step of its own.
-Dense gates read their angles from a flat parameter vector, so one template
-circuit serves every parameter binding.  Every dense step, fused or not, is
-one matrix product with the register viewed as ``(high, 2^m, 2^low)`` for its
-run of m qubits from ``low``.
+in gate order (``Program.factors``), and the qubits joined by kron into one
+matrix per ``LAYER_WIDTH`` adjacent qubits.  Every A gate stays a step of its
+own.  Dense gates read their angles from a flat parameter vector, so one
+template circuit serves every parameter binding.  Every dense step, fused or
+not, is one matrix product with the register viewed as ``(high, 2^m, 2^low)``
+for its run of m qubits from ``low``.
+
+Each run checks what it applies: every A matrix unitary to 1e-10, every
+per-qubit layer factor unitary to 1e-11 (a kron of LAYER_WIDTH such factors
+is then unitary to 8e-11), and the register's norm after every dense step to
+1e-10.
 """
 
 from __future__ import annotations
@@ -46,6 +51,11 @@ _FIXED_ARITY = {"X": 1, "RY": 1, "RZ": 1, "CNOT": 2, "A": 2}
 _PERMUTATIONS = frozenset(("X", "CNOT", "MCX"))
 _ROTATIONS = frozenset(("RY", "RZ"))
 _UNITARY_TOL = 1e-10
+# a kron of w factors each within delta of unitary is within
+# (1 + delta)^(2w) - 1 ~ 2 w delta; at w = LAYER_WIDTH = 4 this delta keeps a
+# layer step's matrix within 8e-11, inside _UNITARY_TOL
+_FACTOR_TOL = 1e-11
+_NO_SLOTS = np.zeros(0, dtype=np.intp)
 # widest kron-built step of a rotation layer: widths 2-4 time alike, 5 is
 # slower from n = 6 on and 6 slower than the per-gate steps from n = 7 on
 # (timeit sweep in BENCH_packed.json); 4 keeps registers up to 4 qubits at
@@ -58,14 +68,11 @@ def _check_finite(values, what: str) -> None:
         raise ValueError(f"{what} must be finite, got {values!r}")
 
 
-def _check_unitary(matrices, what: str) -> None:
-    """Refuse any matrix of a stack (..., d, d) that is not unitary to 1e-10."""
-    mats = np.asarray(matrices)
-    if mats.size == 0:
-        return
+def _check_unitary(mats: np.ndarray, what: str, tol: float) -> None:
+    """Refuse any matrix of a stack (..., d, d) whose M^H M is not the identity to ``tol``."""
     eye = np.eye(mats.shape[-1])
     dev = np.max(np.abs(mats.conj().swapaxes(-1, -2) @ mats - eye))
-    if not dev <= _UNITARY_TOL:
+    if not dev <= tol:
         raise ValueError(f"{what} is not unitary (deviation {dev:.3e})")
 
 
@@ -170,10 +177,12 @@ class Program:
     kron-built step of a rotation layer, all of width
     ``min(LAYER_WIDTH, num_qubits)``: ``layers[d, index, j]`` picks the d-th
     gate on its qubit ``low + j`` from the stack (identity, RY..., RZ...),
-    identity padding a qubit with fewer gates.  ``slots[kind]`` holds the
-    offset of each parametric gate's first angle in the flat parameter vector,
-    in gate order, for the kinds the circuit holds; ``params`` is the
-    circuit's own vector.
+    identity padding a qubit with fewer gates; the step's matrix is the kron
+    of its ``factors``.  ``matrices`` checks the A stack unitary to 1e-10 and
+    the layer factors to 1e-11.  ``slots[kind]`` holds the offset of each
+    parametric gate's first angle in the flat parameter vector, in gate
+    order, for the kinds the circuit holds; ``params`` is the circuit's own
+    vector.
     """
 
     num_qubits: int
@@ -184,8 +193,6 @@ class Program:
 
     def bind(self, params) -> np.ndarray:
         """Flat parameter vector for one run; refuses a wrong count or non-finite angles."""
-        if params is None:
-            return self.params
         values = np.asarray(params, dtype=float).reshape(-1)
         if values.size != self.params.size:
             raise ValueError(
@@ -194,26 +201,37 @@ class Program:
         _check_finite(values, "circuit parameters")
         return values
 
+    def factors(self, values: np.ndarray) -> np.ndarray:
+        """Each layer step's per-qubit 2x2 products, a stack (steps, width, 2, 2),
+        for a program with layer steps.
+
+        Entry ``[index, j]`` is the product, in gate order, of the RY/RZ
+        matrices on qubit ``low + j`` of layer step ``index`` (the identity
+        for a qubit without one); the step's matrix is their kron.
+        """
+        gates = _rotation_gates(values, self.slots)
+        prods = gates[self.layers[0]]
+        for seq in self.layers[1:]:
+            prods = gates[seq] @ prods
+        return prods
+
     def matrices(self, values: np.ndarray) -> dict:
         """The stacks the steps apply, each checked unitary once.
 
-        ``"A"`` holds one matrix per A gate and ``"layer"`` one per
-        rotation-layer step, built from the RY and RZ stacks; a circuit
-        without such steps has no entry for them.
+        ``"A"`` holds one matrix per A gate, checked to 1e-10, and ``"layer"``
+        one per rotation-layer step, the kron of its ``factors``, which are
+        checked instead, to 1e-11.  A circuit without such steps has no entry
+        for them.
         """
         slots = self.slots
         mats = {}
         if "A" in slots:
             mats["A"] = a_gate_matrix(values[slots["A"]], values[slots["A"] + 1])
+            _check_unitary(mats["A"], "A gate matrix", _UNITARY_TOL)
         if self.layers.size:
-            factors = [np.eye(2, dtype=complex)[None]]
-            if "RY" in slots:
-                factors.append(ry_matrix(values[slots["RY"]]))
-            if "RZ" in slots:
-                factors.append(rz_matrix(values[slots["RZ"]]))
-            mats["layer"] = _layer_matrices(self.layers, np.concatenate(factors))
-        for kind, stack in mats.items():
-            _check_unitary(stack, f"{_step_name(kind)} matrix")
+            factors = self.factors(values)
+            _check_unitary(factors, "rotation layer factor", _FACTOR_TOL)
+            mats["layer"] = _kron(factors)
         return mats
 
 
@@ -221,20 +239,36 @@ def _step_name(kind: str) -> str:
     return "rotation layer" if kind == "layer" else f"{kind} gate"
 
 
-def _layer_matrices(layers: np.ndarray, factors: np.ndarray) -> np.ndarray:
-    """Kron-built layer-step matrices from their qubit-wise gate sequences.
+def _rotation_gates(values: np.ndarray, slots: dict) -> np.ndarray:
+    """The stack (identity, RY..., RZ...) of 2x2 gate matrices that
+    ``Program.layers`` indexes, filled in place: RY(t) = [[c, -s], [s, c]]
+    with c, s = cos(t / 2), sin(t / 2), and RZ(t) = diag(exp(-i t / 2),
+    exp(i t / 2))."""
+    ry = values[slots.get("RY", _NO_SLOTS)]
+    rz = values[slots.get("RZ", _NO_SLOTS)]
+    gates = np.zeros((1 + ry.size + rz.size, 2, 2), dtype=complex)
+    gates[0, 0, 0] = gates[0, 1, 1] = 1.0
+    y, z = gates[1 : 1 + ry.size], gates[1 + ry.size :]
+    half = ry / 2.0
+    c, s = np.cos(half), np.sin(half)
+    y[:, 0, 0] = y[:, 1, 1] = c
+    y[:, 0, 1] = -s
+    y[:, 1, 0] = s
+    z[:, 0, 0] = np.exp(-1j * rz / 2.0)
+    z[:, 1, 1] = np.exp(1j * rz / 2.0)
+    return gates
 
-    Each qubit's 2x2 matrices are multiplied in gate order; the qubit ``low +
-    j`` is bit ``j`` of the step's matrix, so higher qubits are the outer
-    kron factors.
+
+def _kron(factors: np.ndarray) -> np.ndarray:
+    """Layer-step matrices from their per-qubit factors (steps, width, 2, 2).
+
+    The qubit ``low + j`` is bit ``j`` of the step's matrix, so higher qubits
+    are the outer kron factors.
     """
-    prods = factors[layers[0]]
-    for seq in layers[1:]:
-        prods = factors[seq] @ prods
-    mats = prods[:, 0]
-    for j in range(1, prods.shape[1]):
+    mats = factors[:, 0]
+    for j in range(1, factors.shape[1]):
         dim = 2 * mats.shape[-1]
-        mats = (prods[:, j, :, None, :, None] * mats[:, None, :, None, :]).reshape(-1, dim, dim)
+        mats = (factors[:, j, :, None, :, None] * mats[:, None, :, None, :]).reshape(-1, dim, dim)
     return mats
 
 
@@ -331,26 +365,6 @@ def a_gate_matrix(beta, gamma) -> np.ndarray:
     mat[..., 2, 2] = -c
     mat[..., 1, 2] = phase * s
     mat[..., 2, 1] = phase.conj() * s
-    return mat
-
-
-def ry_matrix(theta) -> np.ndarray:
-    """Rotation exp(-i*theta*Y/2); an angle array gives a stack (..., 2, 2)."""
-    theta = np.asarray(theta, dtype=float)
-    c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
-    mat = np.empty(theta.shape + (2, 2), dtype=complex)
-    mat[..., 0, 0] = mat[..., 1, 1] = c
-    mat[..., 0, 1] = -s
-    mat[..., 1, 0] = s
-    return mat
-
-
-def rz_matrix(theta) -> np.ndarray:
-    """Rotation exp(-i*theta*Z/2); an angle array gives a stack (..., 2, 2)."""
-    theta = np.asarray(theta, dtype=float)
-    mat = np.zeros(theta.shape + (2, 2), dtype=complex)
-    mat[..., 0, 0] = np.exp(-1j * theta / 2.0)
-    mat[..., 1, 1] = np.exp(1j * theta / 2.0)
     return mat
 
 
@@ -506,19 +520,20 @@ def decompose(circuit: Circuit) -> Circuit:
     return Circuit(circuit.num_qubits, tuple(out), circuit.label)
 
 
-def simulate(circuit: Circuit, params=None) -> np.ndarray:
+def simulate(circuit: Circuit, params) -> np.ndarray:
     """Amplitudes of the circuit's compiled program run from |0...0>.
 
     ``params`` binds a flat angle vector to the parametric gates (RY, RZ, A)
     in gate order, which is the order every ansatz builder takes, so a
-    template circuit built once serves every evaluation; the default is the
-    circuit's own angles.  Every step runs the same kernel: a gather, or one
-    GEMM of a dense matrix over its run of adjacent qubits.  A run of RY/RZ
-    gates on an n-qubit register (a hardware-efficient layer's 2n rotations)
-    is ``ceil(n / LAYER_WIDTH)`` such products, one when n <= LAYER_WIDTH,
-    and rounds as its kron-built matrices do; every A gate keeps its own gate
-    step.  Every applied matrix stack is checked unitary, and the norm after
-    every dense step, both to 1e-10.
+    template circuit built once serves every evaluation; a circuit's own
+    angles are ``circuit.program.params``.  Every step runs the same kernel:
+    a gather, or one GEMM of a dense matrix over its run of adjacent qubits.
+    A run of RY/RZ gates on an n-qubit register (a hardware-efficient layer's
+    2n rotations) is ``ceil(n / LAYER_WIDTH)`` such products, one when
+    n <= LAYER_WIDTH, and rounds as its kron-built matrices do; every A gate
+    keeps its own gate step.  Each A matrix is checked unitary to 1e-10 and
+    each layer step's per-qubit factors to 1e-11 (``Program.matrices``), and
+    the norm after every dense step to 1e-10.
     """
     program = circuit.program
     mats = program.matrices(program.bind(params))
@@ -529,13 +544,19 @@ def simulate(circuit: Circuit, params=None) -> np.ndarray:
             amps = amps[step]
             continue
         low, width, kind, index = step
-        dim, stride = 1 << width, 1 << low
-        # one transposing copy puts the gate's qubits on the rows of a single
-        # GEMM operand; this layout fixes the rounding that the pinned outputs
-        # and fixed-seed traces rely on
-        blocks = amps.reshape(-1, dim, stride).transpose(1, 0, 2).reshape(dim, -1)
-        out = mats[kind][index] @ blocks
-        amps = out.reshape(dim, -1, stride).transpose(1, 0, 2).reshape(-1)
+        dim = 1 << width
+        mat = mats[kind][index]
+        if dim == amps.size:
+            # the whole register is already the (dim, 1) operand below
+            amps = (mat @ amps.reshape(dim, 1)).reshape(-1)
+        else:
+            # one transposing copy puts the gate's qubits on the rows of a
+            # single GEMM operand; this layout fixes the rounding that the
+            # pinned outputs and fixed-seed traces rely on
+            stride = 1 << low
+            blocks = amps.reshape(-1, dim, stride).transpose(1, 0, 2).reshape(dim, -1)
+            out = mat @ blocks
+            amps = out.reshape(dim, -1, stride).transpose(1, 0, 2).reshape(-1)
         norm = float(np.vdot(amps, amps).real)
         if not abs(norm - 1.0) <= sv._NORM_TOL:
             qubits = tuple(range(low, low + width))

@@ -335,6 +335,10 @@ def estimate_setting(source, setting: MeasurementSetting, emap: EncodingMap | No
         register = len(layout.settings[0].bases)
         if width != register:
             raise ValueError(f"setting width {width} != register width {register}")
+        if setting.kind != "prob" and setting.axis not in layout.groups:
+            raise ValueError(
+                f"setting {setting.label!r} flips axis {setting.axis!r}, which its register does not have"
+            )
         if not isinstance(source, sv.ShotHistogram):
             source = _site_vector(source, layout.n_sites)
     if isinstance(source, sv.ShotHistogram):

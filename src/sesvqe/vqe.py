@@ -275,15 +275,19 @@ def _nelder_mead(func, simplex: np.ndarray, maxfev: int) -> None:
 
     scipy 1.17.1's ``optimize._minimize_neldermead`` with ``adaptive``,
     ``initial_simplex``, ``maxfev``, ``xatol=1e-10`` and ``fatol=1e-12``,
-    copied operation for operation, so ``func`` is called on the same points,
-    bit for bit.  Stops after ``maxfev`` calls or within both tolerances;
-    exceptions from ``func`` propagate, and results reach the caller only
-    through ``func``.
+    so ``func`` is called on the same points, bit for bit.  The arithmetic of
+    every point is scipy's with its reflection coefficient rho = 1 multiplied
+    out, which is exact.  The tolerance test checks the value spread first, on
+    Python floats, and the vertex span only when that half holds: the same
+    ``and`` of both halves, and with the values sorted the largest
+    ``|f[0] - f[i]|`` is ``f[-1] - f[0]``, since rounding keeps the order.
+    Stops after ``maxfev`` calls or within both tolerances; exceptions from
+    ``func`` propagate, and results reach the caller only through ``func``.
     """
     sim = np.array(simplex, dtype=float)
     N = sim.shape[1]
     dim = float(N)
-    rho, chi, psi, sigma = 1, 1 + 2 / dim, 0.75 - 1 / (2 * dim), 1 - 1 / dim
+    chi, psi, sigma = 1 + 2 / dim, 0.75 - 1 / (2 * dim), 1 - 1 / dim
     calls = 0
 
     def f(x):
@@ -298,18 +302,17 @@ def _nelder_mead(func, simplex: np.ndarray, maxfev: int) -> None:
         for k in range(N + 1):
             fsim[k] = f(sim[k])
         ind = np.argsort(fsim)  # scipy sorts twice before its first step
-        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+        sim, fsim = sim[ind], fsim[ind]
         while True:
             ind = np.argsort(fsim)
-            sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
-            xspan = np.max(np.ravel(np.abs(sim[1:] - sim[0])))
-            if xspan <= 1e-10 and np.max(np.abs(fsim[0] - fsim[1:])) <= 1e-12:
+            sim, fsim = sim[ind], fsim[ind]
+            if float(fsim[-1]) - float(fsim[0]) <= 1e-12 and np.max(np.abs(sim[1:] - sim[0])) <= 1e-10:
                 return
             xbar = np.add.reduce(sim[:-1], 0) / N
-            xr = (1 + rho) * xbar - rho * sim[-1]
+            xr = 2 * xbar - sim[-1]
             fxr = f(xr)
             if fxr < fsim[0]:
-                xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
+                xe = (1 + chi) * xbar - chi * sim[-1]
                 fxe = f(xe)
                 if fxe < fxr:
                     sim[-1], fsim[-1] = xe, fxe
@@ -319,7 +322,7 @@ def _nelder_mead(func, simplex: np.ndarray, maxfev: int) -> None:
                 sim[-1], fsim[-1] = xr, fxr
             else:
                 if fxr < fsim[-1]:  # outside contraction
-                    xc = (1 + psi * rho) * xbar - psi * rho * sim[-1]
+                    xc = (1 + psi) * xbar - psi * sim[-1]
                     fxc = f(xc)
                     accept = fxc <= fxr
                 else:  # inside contraction
@@ -351,7 +354,7 @@ def _run_simplex(tracker: _Tracker, x0: np.ndarray, rng: np.random.Generator):
     SIMPLEX_MAX_SWEEPS is reached; the caller then starts the next restart.
     """
     dim = x0.size
-    blocks = [list(range(lo, min(lo + SIMPLEX_BLOCK, dim))) for lo in range(0, dim, SIMPLEX_BLOCK)]
+    blocks = [slice(lo, min(lo + SIMPLEX_BLOCK, dim)) for lo in range(0, dim, SIMPLEX_BLOCK)]
 
     incumbent = np.array(x0, dtype=float, copy=True)
     incumbent_energy = tracker.cost(incumbent)
@@ -371,7 +374,7 @@ def _run_simplex(tracker: _Tracker, x0: np.ndarray, rng: np.random.Generator):
             return energy
 
         start = center[idx]
-        simplex = np.vstack([start, start + spread * np.eye(len(idx))])
+        simplex = np.vstack([start, start + spread * np.eye(start.size)])
         _nelder_mead(sub, simplex, SIMPLEX_VISIT_CAP)
 
     schedule = 0

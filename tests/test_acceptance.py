@@ -76,9 +76,7 @@ def test_criterion_3_ansatz_equivalence():
         for _ in range(100):
             params = rng.uniform(-np.pi, np.pi, size=2 * (n - 1))
             want = circuits.ses_site_amplitudes(n, params)
-            state = circuits.simulate(
-                circuits.build_binary_ses_circuit(n, params, emap)
-            )
+            state = circuits.simulate(circuits.build_binary_ses_circuit(n, params, emap), params)
             got, leak = circuits.binary_data_amplitudes(state, emap)
             assert leak < 1e-10
             worst_mag = max(worst_mag, float(np.max(np.abs(np.abs(got) - np.abs(want)))))

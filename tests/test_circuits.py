@@ -1,6 +1,7 @@
 """Circuit builders: the pair-rotation gate, the ansatz forms, the CNOT cost
 model, and the compiled simulator against a per-gate dense kron oracle."""
 
+import functools
 import hashlib
 import math
 
@@ -82,7 +83,7 @@ class TestAGate:
         beta, gamma = 0.9, 1.7
         # X prepares |01>: the excitation sits on the first qubit
         circ = qc.Circuit(2, (qc.GateOp("X", (0,)), qc.GateOp("A", (0, 1), (beta, gamma))))
-        out = qc.simulate(circ)
+        out = qc.simulate(circ, circ.program.params)
         assert out[1] == pytest.approx(math.cos(beta), abs=1e-14)
         assert out[2] == pytest.approx(
             np.exp(-1j * gamma) * math.sin(beta), abs=1e-14
@@ -92,12 +93,12 @@ class TestAGate:
 class TestOneHotAnsatz:
     def test_single_site(self):
         circ = qc.build_ses_circuit(1, [])
-        state = qc.simulate(circ)
+        state = qc.simulate(circ, circ.program.params)
         np.testing.assert_allclose(state, [0.0, 1.0], atol=1e-15)
 
     def test_two_sites(self):
         beta, gamma = 0.6, -1.2
-        state = qc.simulate(qc.build_ses_circuit(2, [beta, gamma]))
+        state = qc.simulate(qc.build_ses_circuit(2, [beta, gamma]), [beta, gamma])
         alpha = state[[1, 2]]
         assert alpha[0] == pytest.approx(math.cos(beta), abs=1e-14)
         assert alpha[1] == pytest.approx(np.exp(-1j * gamma) * math.sin(beta), abs=1e-14)
@@ -106,7 +107,7 @@ class TestOneHotAnsatz:
     def test_cascade_matches_dense_simulation(self, n_sites):
         rng = np.random.default_rng(100 + n_sites)
         params = rng.uniform(-np.pi, np.pi, size=2 * (n_sites - 1))
-        state = qc.simulate(qc.build_ses_circuit(n_sites, params))
+        state = qc.simulate(qc.build_ses_circuit(n_sites, params), params)
         alpha = state[1 << np.arange(n_sites)]
         want = qc.ses_site_amplitudes(n_sites, params)
         np.testing.assert_allclose(alpha, want, atol=1e-12)
@@ -153,7 +154,7 @@ class TestBinaryAnsatz:
     def test_zero_parameters_prepare_first_site(self):
         # all-zero angles leave the full amplitude on site 0
         circ = qc.build_binary_ses_circuit(4, np.zeros(6))
-        state = qc.simulate(circ)
+        state = qc.simulate(circ, circ.program.params)
         alpha, leak = qc.binary_data_amplitudes(state, encoding.build_map(4))
         np.testing.assert_allclose(alpha, [1, 0, 0, 0], atol=1e-12)
         assert leak < 1e-12
@@ -161,7 +162,7 @@ class TestBinaryAnsatz:
     def test_two_sites(self):
         beta, gamma = 1.1, 0.4
         circ = qc.build_binary_ses_circuit(2, [beta, gamma])
-        state = qc.simulate(circ)
+        state = qc.simulate(circ, circ.program.params)
         alpha, leak = qc.binary_data_amplitudes(state, encoding.build_map(2))
         want = qc.ses_site_amplitudes(2, [beta, gamma])
         assert leak < 1e-12
@@ -174,7 +175,7 @@ class TestBinaryAnsatz:
         rng = np.random.default_rng(40 + n_sites)
         params = rng.uniform(-np.pi, np.pi, size=2 * (n_sites - 1))
         emap = encoding.build_map(n_sites)
-        state = qc.simulate(qc.build_binary_ses_circuit(n_sites, params, emap))
+        state = qc.simulate(qc.build_binary_ses_circuit(n_sites, params, emap), params)
         alpha, leak = qc.binary_data_amplitudes(state, emap)
         want = qc.ses_site_amplitudes(n_sites, params)
         assert leak < 1e-10
@@ -188,7 +189,7 @@ class TestBinaryAnsatz:
     def test_ancillas_return_to_zero(self):
         params = np.random.default_rng(5).uniform(-np.pi, np.pi, size=14)
         emap = encoding.build_map(8)
-        state = qc.simulate(qc.build_binary_ses_circuit(8, params, emap))
+        state = qc.simulate(qc.build_binary_ses_circuit(8, params, emap), params)
         # ancilla qubits 3..5 clear: the weight on basis indices below 2^3
         weight = np.sum(np.abs(state[:8]) ** 2)
         assert weight == pytest.approx(1.0, abs=1e-10)
@@ -219,7 +220,7 @@ class TestBinaryAnsatz:
         for emap in maps:
             n = emap.n_sites
             params = np.random.default_rng(n).uniform(-np.pi, np.pi, size=2 * (n - 1))
-            state = qc.simulate(qc.build_binary_ses_circuit(n, params, emap))
+            state = qc.simulate(qc.build_binary_ses_circuit(n, params, emap), params)
             alpha, leak = qc.binary_data_amplitudes(state, emap)
             assert leak < 1e-12, emap.codewords
             np.testing.assert_allclose(np.abs(alpha), np.abs(qc.ses_site_amplitudes(n, params)), atol=1e-12)
@@ -229,12 +230,12 @@ class TestHardwareEfficientAnsatz:
     def test_zero_layers_is_identity(self):
         circ = qc.build_hardware_efficient_circuit(3, 0, [])
         assert circ.gates == ()
-        state = qc.simulate(circ)
+        state = qc.simulate(circ, circ.program.params)
         np.testing.assert_allclose(state[0], 1.0)
 
     def test_zero_angles_fix_the_vacuum(self):
         circ = qc.build_hardware_efficient_circuit(2, 1, np.zeros(4))
-        state = qc.simulate(circ)
+        state = qc.simulate(circ, circ.program.params)
         assert abs(state[0]) == pytest.approx(1.0, abs=1e-12)
 
     def test_cnot_ring_count(self):
@@ -254,7 +255,7 @@ class TestHardwareEfficientAnsatz:
     def test_reaches_generic_states(self):
         rng = np.random.default_rng(8)
         circ = qc.build_hardware_efficient_circuit(2, 2, rng.uniform(-2, 2, size=8))
-        state = qc.simulate(circ)
+        state = qc.simulate(circ, circ.program.params)
         assert np.count_nonzero(np.abs(state) > 1e-3) > 1
 
 
@@ -307,15 +308,17 @@ class TestDecompose:
         rng = np.random.default_rng(60 + n_sites)
         params = rng.uniform(-np.pi, np.pi, size=2 * (n_sites - 1))
         circ = qc.build_binary_ses_circuit(n_sites, params)
-        a = qc.simulate(circ)
-        b = qc.simulate(qc.decompose(circ))
+        a = qc.simulate(circ, circ.program.params)
+        flat = qc.decompose(circ)
+        b = qc.simulate(flat, flat.program.params)
         np.testing.assert_allclose(a, b, atol=1e-10)
 
     def test_one_hot_decomposition_preserved(self):
         params = [0.7, -0.3, 1.9, 0.2]
         circ = qc.build_ses_circuit(3, params)
-        a = qc.simulate(circ)
-        b = qc.simulate(qc.decompose(circ))
+        a = qc.simulate(circ, circ.program.params)
+        flat = qc.decompose(circ)
+        b = qc.simulate(flat, flat.program.params)
         np.testing.assert_allclose(a, b, atol=1e-12)
 
     def test_mcx_is_retained(self):
@@ -497,7 +500,7 @@ class TestCompiledSimulator:
     @settings(max_examples=60)
     @given(circuits())
     def test_matches_per_gate_kron_oracle(self, circ):
-        got = qc.simulate(circ)
+        got = qc.simulate(circ, circ.program.params)
         np.testing.assert_allclose(got, oracle_state(circ), atol=1e-10)
         # binding the circuit's own angles is the same run
         np.testing.assert_array_equal(qc.simulate(circ, circ.program.params), got)
@@ -506,7 +509,7 @@ class TestCompiledSimulator:
     @given(rotation_run_circuits())
     def test_rotation_layers_match_per_gate_kron_oracle(self, circ):
         assert any(isinstance(s, tuple) and s[2] == "layer" for s in circ.program.steps)
-        got = qc.simulate(circ)
+        got = qc.simulate(circ, circ.program.params)
         np.testing.assert_allclose(got, oracle_state(circ), atol=1e-10)
         np.testing.assert_array_equal(qc.simulate(circ, circ.program.params), got)
 
@@ -533,7 +536,7 @@ class TestCompiledSimulator:
         ]
         for template, built, params in cases:
             np.testing.assert_array_equal(
-                qc.simulate(template, params), qc.simulate(built)
+                qc.simulate(template, params), qc.simulate(built, built.program.params)
             )
 
     def test_output_bytes_are_pinned(self):
@@ -541,16 +544,23 @@ class TestCompiledSimulator:
         # applied dense gates through a general axis-permuting kernel, the
         # hardware-efficient case since its rotation layers became one
         # kron-built step each; the simulator must keep its rounding to the
-        # last bit, so fixed-seed traces do not move
+        # last bit, so fixed-seed traces do not move.  The 4-qubit case runs
+        # one whole-register step per layer and the 5-qubit case two
+        # overlapping steps, both pinned before the layers were built from
+        # per-qubit factors
         emap = encoding.build_map(5, "shifted")
         cases = (
             (qc.build_hardware_efficient_circuit(3, 3, np.linspace(-2.9, 3.1, 18)),
              "ae996746d88a00cfccf62eaf0123aa3b1dcdb5096bafad5cc9b57d7c0cbb73c7"),
+            (qc.build_hardware_efficient_circuit(4, 4, np.linspace(-2.9, 3.1, 32)),
+             "8a7b088ceb2be2569ae6f9124dca852e7dfed5924b5bdaf3372499416822236f"),
+            (qc.build_hardware_efficient_circuit(5, 2, np.linspace(-2.9, 3.1, 20)),
+             "8edd512a54b4c643fc789f6178b1ee164dd6e03c3a0cd12fe75fd139c7fc00dc"),
             (qc.build_binary_ses_circuit(5, np.linspace(-1.0, 2.0, 8), emap),
              "74edae78d6af29412c2bc7ec066e66edb94f14e4820ac6a85d0a150f8d8144c5"),
         )
         for circ, want in cases:
-            got = qc.simulate(circ)
+            got = qc.simulate(circ, circ.program.params)
             np.testing.assert_allclose(got, oracle_state(circ), atol=1e-10)
             assert hashlib.sha256(got.tobytes()).hexdigest() == want, circ.label
 
@@ -598,40 +608,73 @@ class TestCompiledSimulator:
         with pytest.raises(ValueError, match="finite"):
             qc.simulate(template, [0.1, np.nan, 0.3, 0.4])
 
+    @settings(max_examples=40)
+    @given(rotation_run_circuits(), st.integers(0, 2**16))
+    def test_layer_matrices_are_the_kron_of_their_factors(self, circ, seed):
+        program = circ.program
+        values = np.random.default_rng(seed).uniform(-np.pi, np.pi, program.params.size)
+        factors = program.factors(values)
+        layer_steps = [s for s in program.steps if isinstance(s, tuple) and s[2] == "layer"]
+        assert factors.shape == (len(layer_steps), min(qc.LAYER_WIDTH, circ.num_qubits), 2, 2)
+        applied = program.matrices(values)["layer"]
+        for step, mat in zip(factors, applied):
+            # qubit low + j is bit j, so the highest qubit is the outer factor
+            kron = functools.reduce(lambda inner, outer: np.kron(outer, inner), step)
+            assert kron.tobytes() == mat.tobytes()
+
+    def test_factor_tolerance_keeps_the_layer_within_the_matrix_tolerance(self):
+        # a kron of w factors within delta of unitary is within (1 + delta)^(2w) - 1
+        assert (1 + qc._FACTOR_TOL) ** (2 * qc.LAYER_WIDTH) - 1 <= qc._UNITARY_TOL
+
     @pytest.mark.parametrize("entry", [2.0, np.nan])
     @pytest.mark.parametrize(
-        "builder, circ, match",
+        "kind, circ, match",
         [
-            ("a_gate_matrix", qc.build_ses_circuit(3, np.zeros(4)), "A gate matrix"),
-            ("ry_matrix", qc.Circuit(2, (qc.GateOp("RY", (1,), (0.0,)),)), "rotation layer matrix"),
-            ("rz_matrix", qc.Circuit(2, (qc.GateOp("RZ", (0,), (0.0,)),)), "rotation layer matrix"),
-            ("ry_matrix", qc.build_hardware_efficient_circuit(3, 2, np.zeros(12)), "rotation layer matrix"),
-            ("rz_matrix", qc.build_hardware_efficient_circuit(3, 2, np.zeros(12)), "rotation layer matrix"),
+            ("A", qc.build_ses_circuit(3, np.zeros(4)), "A gate matrix"),
+            ("RY", qc.Circuit(2, (qc.GateOp("RY", (1,), (0.0,)),)), "rotation layer factor"),
+            ("RZ", qc.Circuit(2, (qc.GateOp("RZ", (0,), (0.0,)),)), "rotation layer factor"),
+            ("RY", qc.build_hardware_efficient_circuit(3, 2, np.zeros(12)), "rotation layer factor"),
+            ("RZ", qc.build_hardware_efficient_circuit(3, 2, np.zeros(12)), "rotation layer factor"),
         ],
         ids=["A", "RY", "RZ", "RY-layer", "RZ-layer"],
     )
-    def test_each_evaluation_checks_unitarity(self, monkeypatch, builder, circ, match, entry):
-        real = getattr(qc, builder)
+    def test_each_evaluation_checks_unitarity(self, monkeypatch, kind, circ, match, entry):
+        # one broken gate matrix makes its A step, or the per-qubit factor it
+        # joins, non-unitary
+        if kind == "A":
+            real_a = qc.a_gate_matrix
 
-        def broken(*angles):
-            mats = real(*angles)
-            mats[..., 1, 1] = entry
-            return mats
+            def broken_a(*angles):
+                mats = real_a(*angles)
+                mats[..., 1, 1] = entry
+                return mats
 
-        monkeypatch.setattr(qc, builder, broken)
+            monkeypatch.setattr(qc, "a_gate_matrix", broken_a)
+        else:
+            real = qc._rotation_gates
+            # the stack is (identity, RY..., RZ...): break the kind's first gate
+            ry_gates = len(circ.program.slots.get("RY", ()))
+            first = 1 + (ry_gates if kind == "RZ" else 0)
+
+            def broken(values, slots):
+                gates = real(values, slots)
+                gates[first, 1, 1] = entry
+                return gates
+
+            monkeypatch.setattr(qc, "_rotation_gates", broken)
         with pytest.raises(ValueError, match=f"{match} is not unitary"):
             qc.simulate(circ, np.full(circ.program.params.size, 0.5))
 
     def test_norm_check_refuses_a_broken_rotation_layer(self, monkeypatch):
         # with the unitarity check out of the way, the norm check after the
         # fused step still stops the run
-        real = qc.ry_matrix
-        monkeypatch.setattr(qc, "ry_matrix", lambda theta: 1.5 * real(theta))
-        monkeypatch.setattr(qc, "_check_unitary", lambda mats, what: None)
+        real = qc._rotation_gates
+        monkeypatch.setattr(qc, "_rotation_gates", lambda values, slots: 1.5 * real(values, slots))
+        monkeypatch.setattr(qc, "_check_unitary", lambda mats, what, tol: None)
         circ = qc.build_hardware_efficient_circuit(3, 2, np.zeros(12))
         with pytest.raises(ValueError, match=r"rotation layer on \(0, 1, 2\) broke the norm"):
             qc.simulate(circ, np.full(12, 0.5))
 
     def test_too_wide_refused_before_allocation(self):
         with pytest.raises(ValueError, match="too wide"):
-            qc.simulate(qc.Circuit(sv.MAX_SIM_WIDTH + 1, ()))
+            qc.simulate(qc.Circuit(sv.MAX_SIM_WIDTH + 1, ()), [])

@@ -614,6 +614,16 @@ class TestEstimateEnergy:
         with pytest.raises(ValueError, match=r"site vector has shape .*, expected \(4,\)"):
             meas.estimate_setting(random_site_vector(4, 6).reshape(shape), setting)
 
+    @pytest.mark.parametrize("axis", [9, 2, -1, None])
+    @pytest.mark.parametrize("kind", ["cos", "sin"])
+    def test_estimate_setting_refuses_an_axis_off_the_register(self, kind, axis):
+        # a 4-site map has a 2-qubit register: axes 0 and 1
+        setting = meas.MeasurementSetting("BX9", "XZ", "binary", kind, axis)
+        record = sv.ShotHistogram("BX9", None, np.array([5, 0, 0, 5]), 10)
+        for source in (random_site_vector(4, 6), record):
+            with pytest.raises(ValueError, match=rf"setting 'BX9' flips axis {axis}, which its register does not have"):
+                meas.estimate_setting(source, setting, encoding.build_map(4))
+
     def test_shot_mode_one_hot_at_1024_sites(self):
         h = ham.chain_instance(1024, 1.0, disorder=1.0, seed=6)
         energy, diag = meas.estimate_energy(h, random_site_vector(1024, 6), "original", shots=1000, seed=3)

@@ -54,17 +54,17 @@ class TestApplyGate:
     the dense steps against a kron oracle."""
 
     def test_x_flips_qubit_zero(self):
-        out = qc.simulate(qc.Circuit(2, (qc.GateOp("X", (0,)),)))
+        out = qc.simulate(qc.Circuit(2, (qc.GateOp("X", (0,)),)), [])
         np.testing.assert_allclose(out, [0, 1, 0, 0], atol=1e-15)
 
     def test_cnot_control_zero_target_one(self):
         # |01> (qubit 0 set) -> |11>
         circ = qc.Circuit(2, (qc.GateOp("X", (0,)), qc.GateOp("CNOT", (0, 1))))
-        np.testing.assert_allclose(qc.simulate(circ), [0, 0, 0, 1], atol=1e-15)
+        np.testing.assert_allclose(qc.simulate(circ, circ.program.params), [0, 0, 0, 1], atol=1e-15)
 
     def test_cnot_idle_when_control_clear(self):
         circ = qc.Circuit(2, (qc.GateOp("X", (1,)), qc.GateOp("CNOT", (0, 1))))
-        np.testing.assert_allclose(qc.simulate(circ), [0, 0, 1, 0], atol=1e-15)
+        np.testing.assert_allclose(qc.simulate(circ, circ.program.params), [0, 0, 1, 0], atol=1e-15)
 
     def test_rejects_bad_indices(self):
         with pytest.raises(ValueError, match="exceeds width"):
@@ -78,7 +78,7 @@ class TestApplyGate:
         ccx = embed(CCX, [0, 2, 3], 4)
         for b in range(16):
             prep = tuple(qc.GateOp("X", (q,)) for q in range(4) if b >> q & 1)
-            got = qc.simulate(qc.Circuit(4, prep + (qc.GateOp("MCX", (0, 2, 3)),)))
+            got = qc.simulate(qc.Circuit(4, prep + (qc.GateOp("MCX", (0, 2, 3)),)), [])
             np.testing.assert_array_equal(got, ccx[:, b])
 
 

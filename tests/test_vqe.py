@@ -213,7 +213,7 @@ class TestPrepare:
 def packed_register_energy(h, params):
     """Oracle: the quadratic form of the simulated packed circuit's data block."""
     emap = encoding.build_map(h.n_sites, "shifted")
-    state = circuits.simulate(circuits.build_binary_ses_circuit(h.n_sites, params, emap))
+    state = circuits.simulate(circuits.build_binary_ses_circuit(h.n_sites, params, emap), params)
     alpha, _ = circuits.binary_data_amplitudes(state, emap)
     alpha = alpha / np.linalg.norm(alpha)
     return float((alpha.conj() @ h.matrix @ alpha).real)
@@ -243,7 +243,7 @@ class TestSiteVector:
         # simulated one-hot register, so the register it describes must agree
         h, params = point
         n = h.n_sites
-        register = circuits.simulate(circuits.build_ses_circuit(n, params))
+        register = circuits.simulate(circuits.build_ses_circuit(n, params), params)
         alpha = circuits.ses_site_amplitudes(n, params)
         embedded = dense_register(sv.SiteState(n, None, alpha))
         assert np.max(np.abs(register - embedded)) <= 1e-14
@@ -584,6 +584,10 @@ class TestNelderMeadPort:
     )
     # a simplex inside xatol whose values still differ by more than fatol
     @example(n=2, maxfev=120, seed=0, log_spread=-12.0, quantum=None)
+    # the converse: a flat objective, so the values lie within fatol while the
+    # vertices span more than xatol, which the test checks second
+    @example(n=2, maxfev=120, seed=0, log_spread=0.0, quantum=1e6)
+    @example(n=8, maxfev=120, seed=1, log_spread=0.0, quantum=1e6)
     def test_calls_match_scipy(self, n, maxfev, seed, log_spread, quantum):
         start = np.random.default_rng(seed).uniform(-np.pi, np.pi, size=n)
         simplex = np.vstack([start, start + 10.0**log_spread * np.eye(n)])
