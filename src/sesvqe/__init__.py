@@ -43,7 +43,6 @@ from .measurement import (
     MeasurementSetting,
     PhaseGraph,
     estimate_energy,
-    estimate_setting,
     reconstruct_profile,
     settings_binary,
     settings_original,
@@ -81,7 +80,6 @@ __all__ = [
     "diff_sets",
     "energy_from_profile",
     "estimate_energy",
-    "estimate_setting",
     "evaluate_cost",
     "extend_with_penalty",
     "gate_counts",

@@ -369,17 +369,12 @@ def a_gate_matrix(beta, gamma) -> np.ndarray:
 
 
 def _as_pair_params(params, n_pairs: int) -> np.ndarray:
+    """The flat vector of ``2 * n_pairs`` angles as (beta, gamma) rows; any other shape is refused."""
     arr = np.asarray(params, dtype=float)
-    if arr.ndim == 1:
-        if arr.size != 2 * n_pairs:
-            raise ValueError(
-                f"expected {2 * n_pairs} parameters (beta,gamma pairs), got {arr.size}"
-            )
-        arr = arr.reshape(n_pairs, 2)
-    elif arr.shape != (n_pairs, 2):
-        raise ValueError(f"expected parameter shape ({n_pairs}, 2), got {arr.shape}")
+    if arr.shape != (2 * n_pairs,):
+        raise ValueError(f"expected {2 * n_pairs} parameters (beta,gamma pairs), got shape {arr.shape}")
     _check_finite(arr, "ansatz parameters")
-    return arr
+    return arr.reshape(n_pairs, 2)
 
 
 def build_ses_circuit(n_sites: int, params) -> Circuit:

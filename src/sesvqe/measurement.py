@@ -11,19 +11,21 @@ measurements alone:
   elsewhere.  Each X/Y setting resolves every encoded pair whose codewords
   differ exactly at ell.
 
-Each setting carries its kind (``prob``, ``cos`` or ``sin``); one layout per
-(protocol, N), built once, says what each setting measures: the chain pairs
-(j, j+1) for ``original``, the hypercube edges of the encoding map for
-``binary``.  A setting's estimate is a bare array in that layout's order.
+Each setting carries its bases and its kind (``prob``, ``cos`` or ``sin``);
+one layout per (protocol, N), built once with its settings, is the one home of
+what each setting measures: the register, and the pairs each X/Y setting
+resolves, keyed by its label (the chain pairs (j, j+1) for ``original``, the
+hypercube edges of the encoding map on the setting's X/Y qubit for
+``binary``).  A setting's estimate is a bare array in that layout's order.
 Pairs are read in site order (j < k) as cos: 2 r_j r_k cos(t_k - t_j) and
 sin: 2 r_j r_k sin(t_k - t_j).  Relative phases come from a maximum-weight
 spanning forest over the measured pairs, so a state is reconstructed up to
 one global phase per connected component.
 
 ``estimate_energy`` is ``_measure`` -> ``reconstruct_profile`` ->
-``energy_from_profile``.  ``_measure`` runs each of a layout's settings once,
-through ``estimate_setting``, on a source bound to that layout: the site
-vector and the layout are checked once per estimate, not once per setting.
+``energy_from_profile``.  ``estimate_energy`` resolves the layout and checks
+the site vector once; ``_measure`` then runs each of the layout's settings
+once, through ``estimate_setting``, the one route into a setting's estimate.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ from __future__ import annotations
 import functools
 import numbers
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -45,13 +46,12 @@ EXACT_EPSILON = 1e-9
 @dataclass(frozen=True)
 class MeasurementSetting:
     """One product-measurement context: a basis letter per qubit, and the
-    ``kind`` it estimates (``prob``, ``cos`` or ``sin``)."""
+    ``kind`` it estimates (``prob``, ``cos`` or ``sin``).  Its register and
+    the pairs it resolves are its layout's (``_Layout``)."""
 
     label: str
     bases: str
-    protocol: str
     kind: str
-    axis: int | None = None
 
     def __post_init__(self):
         bad = set(self.bases) - set("XYZ")
@@ -127,9 +127,9 @@ def settings_original(n_sites: int) -> list:
         raise ValueError("n_sites must be >= 1")
     alternating = "".join("X" if q % 2 == 0 else "Y" for q in range(n_sites))
     return [
-        MeasurementSetting("MZ", "Z" * n_sites, "original", "prob"),
-        MeasurementSetting("MXX", "X" * n_sites, "original", "cos"),
-        MeasurementSetting("MXY", alternating, "original", "sin"),
+        MeasurementSetting("MZ", "Z" * n_sites, "prob"),
+        MeasurementSetting("MXX", "X" * n_sites, "cos"),
+        MeasurementSetting("MXY", alternating, "sin"),
     ]
 
 
@@ -137,11 +137,11 @@ def settings_binary(num_qubits: int) -> list:
     """The 2n + 1 settings for a packed ``num_qubits`` register."""
     if num_qubits < 1:
         raise ValueError("num_qubits must be >= 1")
-    out = [MeasurementSetting("BZ", "Z" * num_qubits, "binary", "prob")]
+    out = [MeasurementSetting("BZ", "Z" * num_qubits, "prob")]
     for axis in range(num_qubits):
         for letter, kind in (("X", "cos"), ("Y", "sin")):
             bases = "".join(letter if q == axis else "Z" for q in range(num_qubits))
-            out.append(MeasurementSetting(f"B{letter}{axis}", bases, "binary", kind, axis))
+            out.append(MeasurementSetting(f"B{letter}{axis}", bases, kind))
     return out
 
 
@@ -168,12 +168,13 @@ class _Layout:
     """What a protocol measures on one (protocol, N), built once.
 
     ``settings`` are the protocol's settings in sampling order.
-    ``groups[axis]`` holds the pairs of the X/Y settings on flip axis
-    ``axis`` (key ``None`` for the one-hot settings); ``pair_j``/``pair_k``
-    list every measured pair once, in site order (ascending ``j * N + k``).
-    ``positions`` holds each packed site's codeword, the register basis index
-    that carries it; it is None for the one-hot register, where site j is
-    qubit j.
+    ``groups[label]`` holds the pairs the X/Y setting ``label`` resolves: the
+    whole chain for both one-hot settings, the edges on the one X/Y qubit for
+    a packed one.  ``pair_j``/``pair_k`` list every measured pair once, in
+    site order (ascending ``j * N + k``).  ``positions`` holds each packed
+    site's codeword, the register basis index that carries it; it is None for
+    the one-hot register, where site j is qubit j.  The layout is the one
+    home of both facts: a setting names neither its register nor its pairs.
     """
 
     settings: tuple
@@ -201,7 +202,7 @@ def _chain_layout(n_sites: int) -> _Layout:
     j, k = _read_only(np.arange(n_sites - 1), np.arange(1, n_sites))
     # the alternating pattern puts X on even qubits
     group = _pair_group(j, k, j % 2 == 0, j)
-    return _Layout(settings, n_sites, {None: group}, None, j, k)
+    return _Layout(settings, n_sites, {s.label: group for s in settings[1:]}, None, j, k)
 
 
 def _binary_layout(emap: EncodingMap) -> _Layout:
@@ -211,12 +212,14 @@ def _binary_layout(emap: EncodingMap) -> _Layout:
     index[order] = np.arange(order.size)
     positions = np.array(emap.codewords, dtype=np.int64)
     j_is_low = (positions[j] >> axis) & 1 == 0
+    settings = tuple(settings_binary(emap.num_qubits))
     groups = {}
-    for a in range(emap.num_qubits):
-        on_axis = axis == a
-        groups[a] = _pair_group(j[on_axis], k[on_axis], j_is_low[on_axis], index[on_axis])
+    for setting in settings[1:]:
+        # the edges that flip the setting's one X/Y qubit
+        on_axis = axis == next(q for q, b in enumerate(setting.bases) if b != "Z")
+        groups[setting.label] = _pair_group(j[on_axis], k[on_axis], j_is_low[on_axis], index[on_axis])
     positions, pair_j, pair_k = _read_only(positions, j[order], k[order])
-    return _Layout(tuple(settings_binary(emap.num_qubits)), emap.n_sites, groups, positions, pair_j, pair_k)
+    return _Layout(settings, emap.n_sites, groups, positions, pair_j, pair_k)
 
 
 def _layout(protocol: str, n_sites: int, emap: EncodingMap | None) -> _Layout:
@@ -234,16 +237,17 @@ def _layout(protocol: str, n_sites: int, emap: EncodingMap | None) -> _Layout:
     return layout
 
 
-def _check_histogram(hist: sv.ShotHistogram, setting: MeasurementSetting):
+def _check_histogram(hist: sv.ShotHistogram, setting: MeasurementSetting, layout: _Layout):
     if hist.setting_label != setting.label:
         raise ValueError(
             f"histogram for setting {hist.setting_label!r} used with {setting.label!r}"
         )
     if hist.num_qubits != len(setting.bases):
         raise ValueError(f"histogram width {hist.num_qubits} != setting width {len(setting.bases)}")
-    if (hist.rows is None) != (setting.protocol == "binary"):
-        want = "2^width outcome counts" if setting.protocol == "binary" else "outcome rows"
-        raise ValueError(f"{setting.protocol} setting {setting.label!r} reads a record of {want}")
+    packed = layout.positions is not None
+    if (hist.rows is None) != packed:
+        protocol, want = ("binary", "2^width outcome counts") if packed else ("original", "outcome rows")
+        raise ValueError(f"{protocol} setting {setting.label!r} reads a record of {want}")
 
 
 def _site_vector(alpha, n_sites: int) -> np.ndarray:
@@ -260,19 +264,11 @@ def _site_vector(alpha, n_sites: int) -> np.ndarray:
     return alpha
 
 
-class _Bound(NamedTuple):
-    """What ``_measure`` hands ``estimate_setting``: the checked site vector or
-    a record sampled for the setting, with the layout the setting belongs to."""
-
-    data: np.ndarray | sv.ShotHistogram
-    layout: _Layout
-
-
 def _estimate_exact(alpha: np.ndarray, setting, layout: _Layout) -> np.ndarray:
     """Estimates read straight from checked site amplitudes."""
     if setting.kind == "prob":
         return np.abs(alpha) ** 2
-    group = layout.groups[setting.axis]
+    group = layout.groups[setting.label]
     raw = 2.0 * (np.conj(alpha[group.low]) * alpha[group.high])
     return raw.real if setting.kind == "cos" else group.sign * raw.imag
 
@@ -292,57 +288,40 @@ def _bit_sums(hist: sv.ShotHistogram, adjacent: bool = False) -> np.ndarray:
 def _estimate_histogram(hist: sv.ShotHistogram, setting, layout: _Layout) -> np.ndarray:
     """Estimates from integer outcome counts; each mean is an exact integer over the shots."""
     shots = hist.total_shots
-    if setting.protocol == "binary":
+    if layout.positions is not None:
         # a packed record holds the shots of every outcome index
         counts, positions = hist.counts, layout.positions
         if setting.kind == "prob":
             return counts[positions] / shots
-        group = layout.groups[setting.axis]
+        group = layout.groups[setting.label]
         raw = (counts[positions[group.low]] - counts[positions[group.high]]) / shots
     else:
         # means of +-1 bit products over the recorded outcomes
         if setting.kind == "prob":
             return _bit_sums(hist) / shots
-        group = layout.groups[None]
+        group = layout.groups[setting.label]
         raw = (shots - 2 * _bit_sums(hist, adjacent=True)) / shots
     return raw if setting.kind == "cos" else group.sign * raw
 
 
-def estimate_setting(source, setting: MeasurementSetting, emap: EncodingMap | None = None) -> np.ndarray:
-    """Evaluate one measurement setting on a site vector or a shot record.
+def estimate_setting(source, setting: MeasurementSetting, layout: _Layout) -> np.ndarray:
+    """Evaluate one setting of ``layout`` on a site vector or a shot record.
 
-    ``source`` is a site-amplitude vector (numpy array) or a ShotHistogram
-    recorded for this setting, in its register's form: outcome rows for
-    ``original``, the 2^n outcome counts for ``binary`` (the other form is
-    refused).  Binary-protocol settings need the encoding map.
+    ``source`` is the site vector as ``estimate_energy`` has checked it, or a
+    ShotHistogram recorded for this setting in its register's form: outcome
+    rows on the one-hot register, the 2^n outcome counts on the packed one
+    (a record's label, width and form are checked here).
 
     A ``prob`` setting returns one value per site, estimating |a_j|^2.  A
-    ``cos`` or ``sin`` setting returns one value per pair (j < k) it
-    resolves, estimating 2 r_j r_k cos(t_k - t_j) or 2 r_j r_k sin(t_k - t_j),
-    in a fixed order: on the one-hot register pair (j, j + 1) is at index j;
-    on the packed register the pairs come in ``hypercube_edges(emap)`` order,
-    restricted to the edges whose flip position is the setting's axis.
-
-    ``_measure`` passes a source already resolved against its layout (see
-    ``_Bound``); any other source is checked here first: the layout, the
-    setting's width and the site vector or the record's form.
+    ``cos`` or ``sin`` setting returns one value per pair (j < k) that
+    ``layout.groups[setting.label]`` lists, estimating 2 r_j r_k cos(t_k - t_j)
+    or 2 r_j r_k sin(t_k - t_j), in that group's order: on the one-hot
+    register pair (j, j + 1) is at index j; on the packed register the pairs
+    come in ``hypercube_edges(emap)`` order, restricted to the edges whose
+    flip position is the setting's X/Y qubit.  ``_measure`` is its one program caller.
     """
-    if isinstance(source, _Bound):
-        source, layout = source
-    else:
-        width = len(setting.bases)
-        layout = _layout(setting.protocol, width, emap)
-        register = len(layout.settings[0].bases)
-        if width != register:
-            raise ValueError(f"setting width {width} != register width {register}")
-        if setting.kind != "prob" and setting.axis not in layout.groups:
-            raise ValueError(
-                f"setting {setting.label!r} flips axis {setting.axis!r}, which its register does not have"
-            )
-        if not isinstance(source, sv.ShotHistogram):
-            source = _site_vector(source, layout.n_sites)
     if isinstance(source, sv.ShotHistogram):
-        _check_histogram(source, setting)
+        _check_histogram(source, setting, layout)
         return _estimate_histogram(source, setting, layout)
     return _estimate_exact(source, setting, layout)
 
@@ -564,11 +543,10 @@ def _measure(layout: _Layout, alpha: np.ndarray, shots: int | None = None, seed=
     ``alpha`` is a site vector as ``estimate_energy`` has checked it (complex,
     1-D, finite, one entry per site) and ``shots`` None or a checked count.
     Each setting is estimated by one ``estimate_setting`` call, from ``alpha``
-    in exact mode or from a record sampled on the layout's register; the
-    source carries the layout, so the call neither resolves it nor checks the
-    width or the site vector again.  In shot mode each setting draws from its
-    own generator, seeded by ``seed`` (an int or tuple of ints) and the
-    setting's index, so results do not depend on evaluation order.  ``probs``
+    in exact mode or from a record sampled on the layout's register, with the
+    layout that says which pairs it resolves.  In shot mode each setting draws
+    from its own generator, seeded by ``seed`` (an int or tuple of ints) and
+    the setting's index, so results do not depend on evaluation order.  ``probs``
     has one entry per site; ``cos`` and ``sin`` one per pair of
     ``layout.pair_j``/``pair_k``.  Private: it does no checks of its own, so
     ``estimate_energy`` is its one caller.
@@ -577,16 +555,16 @@ def _measure(layout: _Layout, alpha: np.ndarray, shots: int | None = None, seed=
         state = sv.SiteState(len(layout.settings[0].bases), layout.positions, alpha)
         seed_root = list(seed) if isinstance(seed, (tuple, list)) else [seed]
     cos, sin = np.empty(layout.pair_j.size), np.empty(layout.pair_j.size)
-    source = _Bound(alpha, layout)
+    source = alpha
     for idx, setting in enumerate(layout.settings):
         if shots is not None:
             rng = np.random.default_rng(np.random.SeedSequence(seed_root + [idx]))
-            source = _Bound(sv.sample_bitstrings(state, setting.bases, shots, rng, setting.label), layout)
-        values = estimate_setting(source, setting)
+            source = sv.sample_bitstrings(state, setting.bases, shots, rng, setting.label)
+        values = estimate_setting(source, setting, layout)
         if setting.kind == "prob":
             probs = values
         else:
-            (cos if setting.kind == "cos" else sin)[layout.groups[setting.axis].index] = values
+            (cos if setting.kind == "cos" else sin)[layout.groups[setting.label].index] = values
     return probs, cos, sin
 
 

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from sesvqe import hamiltonian as ham
+from sesvqe import measurement as meas
 from sesvqe import statevector as sv
 
 # every property test is reproducible and not timed; a test that needs more
@@ -97,6 +98,20 @@ def rows_histogram(label: str, dense) -> sv.ShotHistogram:
     seen = np.flatnonzero(dense)
     rows = (seen[:, None] >> np.arange(dense.size.bit_length() - 1)) & 1
     return sv.ShotHistogram(label, rows.astype(np.uint8), dense[seen], int(dense.sum()))
+
+
+def setting_estimate(source, setting: meas.MeasurementSetting, emap=None) -> np.ndarray:
+    """``measurement.estimate_setting`` on the layout ``estimate_energy`` binds:
+    the packed layout of ``emap``, or without a map the one-hot chain of the
+    setting's width.  A site vector is checked by ``_site_vector`` first, as
+    ``estimate_energy`` checks it; a record goes in as it is."""
+    if emap is None:
+        layout = meas._layout("original", len(setting.bases), None)
+    else:
+        layout = meas._layout("binary", emap.n_sites, emap)
+    if not isinstance(source, sv.ShotHistogram):
+        source = meas._site_vector(source, layout.n_sites)
+    return meas.estimate_setting(source, setting, layout)
 
 
 _lines = []

@@ -679,13 +679,26 @@ class TestReconstruct:
         ham_path = tmp_path / "h4.json"
         ham.save_hamiltonian(ham.chain_instance(4), ham_path)
         params_path = tmp_path / "params.json"
-        pairs = [[0.3, 0.1], [float("nan"), 0.2], [0.5, 0.4]]
+        pairs = [0.3, 0.1, float("nan"), 0.2, 0.5, 0.4]
         params_path.write_text(json.dumps({"ansatz": ansatz, "n_sites": 4, "pairs": pairs}))
         out = tmp_path / "rec.json"
         argv = ["reconstruct", "--hamiltonian", str(ham_path), "--protocol", protocol]
         rc = cli.main(argv + ["--params", str(params_path), "--out", str(out)])
         assert rc == 1
         assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_nested_params_rejected(self, tmp_path, capsys):
+        # ``pairs`` is the flat list of 2(N-1) angles; (beta, gamma) rows are refused
+        ham_path = tmp_path / "h4.json"
+        ham.save_hamiltonian(ham.chain_instance(4), ham_path)
+        params_path = tmp_path / "params.json"
+        pairs = [[0.3, 0.1], [0.7, 0.2], [0.5, 0.4]]
+        params_path.write_text(json.dumps({"ansatz": "one_hot_ses", "n_sites": 4, "pairs": pairs}))
+        out = tmp_path / "rec.json"
+        argv = ["reconstruct", "--hamiltonian", str(ham_path), "--protocol", "original"]
+        assert cli.main(argv + ["--params", str(params_path), "--out", str(out)]) == 1
+        assert "expected 6 parameters (beta,gamma pairs), got shape (3, 2)" in capsys.readouterr().err
         assert not out.exists()
 
     def test_non_finite_amplitudes_rejected(self, tmp_path, capsys):

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import dense_register, measurement_distribution, rows_histogram
+from conftest import dense_register, measurement_distribution, rows_histogram, setting_estimate
 from sesvqe import encoding, measurement as meas
 from sesvqe import hamiltonian as ham
 from sesvqe import statevector as sv
@@ -71,7 +71,6 @@ class TestSettingFamilies:
         by_label = {s.label: s for s in settings}
         assert by_label["BX1"].bases == "ZXZ"
         assert by_label["BY2"].bases == "ZZY"
-        assert by_label["BY2"].axis == 2
 
     def test_binary_single_qubit(self):
         assert [s.label for s in meas.settings_binary(1)] == ["BZ", "BX0", "BY0"]
@@ -82,9 +81,9 @@ class TestSettingFamilies:
 
     def test_setting_validation(self):
         with pytest.raises(ValueError, match="basis"):
-            meas.MeasurementSetting("M", "XQZ", "original", "prob")
+            meas.MeasurementSetting("M", "XQZ", "prob")
         with pytest.raises(ValueError, match="kind"):
-            meas.MeasurementSetting("M", "XYZ", "original", "phase")
+            meas.MeasurementSetting("M", "XYZ", "phase")
         with pytest.raises(ValueError):
             meas.settings_original(0)
         with pytest.raises(ValueError):
@@ -96,7 +95,7 @@ class TestOriginalEstimates:
     def test_site_vector_route_matches_oracle(self, n):
         alpha = random_site_vector(n, 70 + n)
         for setting in meas.settings_original(n):
-            est = meas.estimate_setting(alpha, setting)
+            est = setting_estimate(alpha, setting)
             if setting.label == "MZ":
                 assert setting.kind == "prob"
                 want = [oracle(alpha, j) for j in range(n)]
@@ -116,8 +115,8 @@ class TestOriginalEstimates:
         alpha = random_site_vector(n, 80 + n)
         state = onehot_state(alpha)
         for setting in meas.settings_original(n):
-            direct = meas.estimate_setting(alpha, setting)
-            via_state = meas.estimate_setting(exact_histogram(state, setting), setting)
+            direct = setting_estimate(alpha, setting)
+            via_state = setting_estimate(exact_histogram(state, setting), setting)
             assert via_state.shape == direct.shape
             np.testing.assert_allclose(via_state, direct, rtol=0, atol=1e-9)
 
@@ -125,7 +124,7 @@ class TestOriginalEstimates:
         # (|01> + i|10>)/sqrt(2): relative phase pi/2 puts everything in sine
         alpha = np.array([1.0, 1j]) / np.sqrt(2.0)
         mxy = meas.settings_original(2)[2]
-        est = meas.estimate_setting(alpha, mxy)
+        est = setting_estimate(alpha, mxy)
         assert mxy.kind == "sin" and est.shape == (1,)
         assert est[0] == pytest.approx(1.0, abs=1e-12)
 
@@ -134,8 +133,8 @@ class TestOriginalEstimates:
         state = onehot_state(alpha)
         for setting in meas.settings_original(3):
             hist = sv.sample_bitstrings(state, setting.bases, 200_000, 5, setting.label)
-            est = meas.estimate_setting(hist, setting)
-            exact = meas.estimate_setting(alpha, setting)
+            est = setting_estimate(hist, setting)
+            exact = setting_estimate(alpha, setting)
             assert est.shape == exact.shape
             np.testing.assert_allclose(est, exact, rtol=0, atol=0.02)
 
@@ -144,25 +143,30 @@ class TestOriginalEstimates:
         hist = sv.sample_bitstrings(state, "ZZ", 100, 0, "MZ")
         mxx = meas.settings_original(2)[1]
         with pytest.raises(ValueError, match="setting"):
-            meas.estimate_setting(hist, mxx)
+            setting_estimate(hist, mxx)
 
     def test_width_mismatch(self):
         hist = sv.sample_bitstrings(onehot_state(random_site_vector(3, 2)), "ZZZ", 100, 0, "MZ")
         with pytest.raises(ValueError, match="width"):
-            meas.estimate_setting(hist, meas.settings_original(2)[0])
+            setting_estimate(hist, meas.settings_original(2)[0])
 
     def test_counts_form_record_refused(self):
         # the one-hot estimators read outcome rows; a packed record has none
         hist = sv.ShotHistogram("MZ", None, np.array([10, 90, 0, 0]), 100)
         with pytest.raises(ValueError, match="original setting 'MZ' reads a record of outcome rows"):
-            meas.estimate_setting(hist, meas.settings_original(2)[0])
+            setting_estimate(hist, meas.settings_original(2)[0])
+
+
+def flip_qubit(setting) -> int:
+    """The one qubit a packed X/Y setting measures in X or Y."""
+    return next(q for q, b in enumerate(setting.bases) if b != "Z")
 
 
 def estimate_pairs(alpha, setting, emap) -> dict:
     """(j, k) -> value for one packed X/Y setting's estimates, read in their
-    documented order: the setting's axis's edges in ``hypercube_edges`` order."""
-    values = meas.estimate_setting(alpha, setting, emap)
-    pairs = [(j, k) for j, k, axis in encoding.hypercube_edges(emap) if axis == setting.axis]
+    documented order: the edges on its X/Y qubit in ``hypercube_edges`` order."""
+    values = setting_estimate(alpha, setting, emap)
+    pairs = [(j, k) for j, k, axis in encoding.hypercube_edges(emap) if axis == flip_qubit(setting)]
     assert len(pairs) == len(values)
     return dict(zip(pairs, values.tolist()))
 
@@ -203,7 +207,7 @@ class TestBinaryEstimates:
             assert by_label[f"BY{axis}"][j, k] == pytest.approx(s, abs=1e-12)
         # each axis resolves exactly its own edges
         assert sum(len(by_label[s.label]) for s in settings if s.kind == "cos") == 12
-        probs = meas.estimate_setting(alpha, settings[0], emap)
+        probs = setting_estimate(alpha, settings[0], emap)
         assert settings[0].kind == "prob" and probs.shape == (8,)
         for j in range(8):
             assert probs[j] == pytest.approx(oracle(alpha, j), abs=1e-12)
@@ -212,7 +216,7 @@ class TestBinaryEstimates:
         emap = encoding.build_map(5)
         alpha = random_site_vector(5, 3)
         bz = meas.settings_binary(3)[0]
-        assert meas.estimate_setting(alpha, bz, emap).sum() == pytest.approx(1.0, abs=1e-12)
+        assert setting_estimate(alpha, bz, emap).sum() == pytest.approx(1.0, abs=1e-12)
         h = ham.random_hermitian_instance(5, seed=3)
         _, diag = meas.estimate_energy(h, alpha, "binary", emap=emap)
         assert diag["unencoded_mass"] == pytest.approx(0.0, abs=1e-12)
@@ -224,8 +228,8 @@ class TestBinaryEstimates:
         state = packed_state(alpha, emap)
         for setting in meas.settings_binary(2):
             hist = sv.sample_bitstrings(state, setting.bases, 400_000, 9, setting.label)
-            est = meas.estimate_setting(hist, setting, emap)
-            exact = meas.estimate_setting(alpha, setting, emap)
+            est = setting_estimate(hist, setting, emap)
+            exact = setting_estimate(alpha, setting, emap)
             assert est.shape == exact.shape
             np.testing.assert_allclose(est, exact, rtol=0, atol=0.02)
 
@@ -234,7 +238,7 @@ class TestBinaryEstimates:
         emap = encoding.build_map(5)
         state = sv.SiteState(3, np.array([6]), np.array([1.0]))
         hist = sv.sample_bitstrings(state, "ZZZ", 1000, 0, "BZ")
-        out = meas.estimate_setting(hist, meas.settings_binary(3)[0], emap)
+        out = setting_estimate(hist, meas.settings_binary(3)[0], emap)
         assert out.tolist() == [0.0] * 5
 
     def test_rows_form_record_refused(self):
@@ -245,13 +249,15 @@ class TestBinaryEstimates:
         for setting in (bz, bx0):
             hist = rows_histogram(setting.label, np.array([10, 20, 30, 40]))
             with pytest.raises(ValueError, match="binary setting .* reads a record of 2\\^width outcome counts"):
-                meas.estimate_setting(hist, setting, emap)
+                setting_estimate(hist, setting, emap)
 
     def test_requires_encoding_map(self):
-        with pytest.raises(ValueError, match="encoding map"):
-            meas.estimate_setting(
-                random_site_vector(4, 0), meas.settings_binary(2)[0]
-            )
+        with pytest.raises(ValueError, match="binary protocol requires an encoding map"):
+            meas.estimate_energy(ham.chain_instance(4), random_site_vector(4, 0), "binary")
+
+    def test_unknown_protocol_refused(self):
+        with pytest.raises(ValueError, match="unknown protocol 'gray'"):
+            meas.estimate_energy(ham.chain_instance(4), random_site_vector(4, 0), "gray")
 
 
 class TestShotUnbiasedness:
@@ -261,9 +267,9 @@ class TestShotUnbiasedness:
         shots = 10_000
         n_seeds = 100
         for idx, setting in enumerate(meas.settings_original(3)):
-            exact = meas.estimate_setting(alpha, setting)
+            exact = setting_estimate(alpha, setting)
             draws = np.array([
-                meas.estimate_setting(
+                setting_estimate(
                     sv.sample_bitstrings(state, setting.bases, shots, 1000 * idx + seed, setting.label),
                     setting,
                 )
@@ -280,9 +286,9 @@ class TestShotUnbiasedness:
         shots = 10_000
         n_seeds = 100
         for idx, setting in enumerate(meas.settings_binary(2)):
-            exact = meas.estimate_setting(alpha, setting, emap)
+            exact = setting_estimate(alpha, setting, emap)
             draws = np.array([
-                meas.estimate_setting(
+                setting_estimate(
                     sv.sample_bitstrings(
                         state, setting.bases, shots, 7000 + 1000 * idx + seed, setting.label
                     ),
@@ -607,22 +613,6 @@ class TestEstimateEnergy:
         alpha = random_site_vector(4, 6).reshape(shape)
         with pytest.raises(ValueError, match=rf"site vector has shape \({shape[0]}, {shape[1]}\), expected \(4,\)"):
             meas.estimate_energy(ham.chain_instance(4), alpha, protocol, shots=shots, emap=emap)
-
-    @pytest.mark.parametrize("shape", [(2, 2), (1, 4), (4, 1)])
-    def test_estimate_setting_refuses_a_site_vector_not_1d(self, shape):
-        setting = meas.settings_original(4)[1]
-        with pytest.raises(ValueError, match=r"site vector has shape .*, expected \(4,\)"):
-            meas.estimate_setting(random_site_vector(4, 6).reshape(shape), setting)
-
-    @pytest.mark.parametrize("axis", [9, 2, -1, None])
-    @pytest.mark.parametrize("kind", ["cos", "sin"])
-    def test_estimate_setting_refuses_an_axis_off_the_register(self, kind, axis):
-        # a 4-site map has a 2-qubit register: axes 0 and 1
-        setting = meas.MeasurementSetting("BX9", "XZ", "binary", kind, axis)
-        record = sv.ShotHistogram("BX9", None, np.array([5, 0, 0, 5]), 10)
-        for source in (random_site_vector(4, 6), record):
-            with pytest.raises(ValueError, match=rf"setting 'BX9' flips axis {axis}, which its register does not have"):
-                meas.estimate_setting(source, setting, encoding.build_map(4))
 
     def test_shot_mode_one_hot_at_1024_sites(self):
         h = ham.chain_instance(1024, 1.0, disorder=1.0, seed=6)

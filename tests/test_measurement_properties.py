@@ -22,7 +22,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import rows_histogram
+from conftest import rows_histogram, setting_estimate
 from sesvqe import encoding
 from sesvqe import hamiltonian as ham
 from sesvqe import measurement as meas
@@ -182,7 +182,7 @@ def histograms(draw):
 def test_one_hot_histogram_estimates_equal_bitstring_sums(data):
     width, counts = data
     for setting in meas.settings_original(width):
-        est = meas.estimate_setting(rows_histogram(setting.label, counts), setting)
+        est = setting_estimate(rows_histogram(setting.label, counts), setting)
         if setting.label == "MZ":
             want = [brute_mean(counts, lambda i, j=j: bit(i, j)) for j in range(width)]
         else:
@@ -207,12 +207,12 @@ def test_packed_histogram_estimates_equal_bitstring_sums(data, choose):
     dtype = choose.draw(st.sampled_from([np.int64, np.uint64, np.uint8]))
     for setting in meas.settings_binary(width):
         record = sv.ShotHistogram(setting.label, None, counts.astype(dtype), shots)
-        est = meas.estimate_setting(record, setting, emap)
+        est = setting_estimate(record, setting, emap)
         if setting.label == "BZ":
             found = [int(counts[emap.codeword(s)]) for s in range(emap.n_sites)]
             assert est.tolist() == [c / shots for c in found]
             continue
-        axis = setting.axis
+        axis = next(q for q, b in enumerate(setting.bases) if b != "Z")
         # one value per edge on the setting's axis, in hypercube_edges order
         want = []
         for j, k, pos in encoding.hypercube_edges(emap):
@@ -224,6 +224,29 @@ def test_packed_histogram_estimates_equal_bitstring_sums(data, choose):
                 raw = -raw
             want.append(raw)
         assert est.tolist() == want
+
+
+@given(n=st.integers(2, 64), mode=st.sampled_from(["shifted", "plain"]))
+@example(n=64, mode="shifted")
+def test_each_packed_setting_resolves_the_pairs_its_bases_flip(n, mode):
+    # oracle: every site pair whose codewords differ exactly at the qubit the
+    # setting's bases hold X or Y on, found by brute force over the map
+    emap = encoding.build_map(n, mode)
+    layout = meas._layout("binary", n, emap)
+    codewords = emap.codewords
+    for setting in layout.settings:
+        if setting.kind == "prob":
+            assert setting.label not in layout.groups
+            continue
+        (flip,) = [q for q, b in enumerate(setting.bases) if b in "XY"]
+        want = {(j, k) for j in range(n) for k in range(j + 1, n) if codewords[j] ^ codewords[k] == 1 << flip}
+        group = layout.groups[setting.label]
+        low, high = group.low.tolist(), group.high.tolist()
+        assert all(codewords[a] >> flip & 1 == 0 for a in low)
+        got = [(min(a, b), max(a, b)) for a, b in zip(low, high)]
+        assert len(got) == len(want) and set(got) == want
+        # each estimate lands on its own pair of the layout's list
+        assert list(zip(layout.pair_j[group.index].tolist(), layout.pair_k[group.index].tolist())) == got
 
 
 @given(
