@@ -4,6 +4,7 @@ model, and the compiled simulator against a per-gate dense kron oracle."""
 import functools
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -224,6 +225,21 @@ class TestBinaryAnsatz:
             alpha, leak = qc.binary_data_amplitudes(state, emap)
             assert leak < 1e-12, emap.codewords
             np.testing.assert_allclose(np.abs(alpha), np.abs(qc.ses_site_amplitudes(n, params)), atol=1e-12)
+
+
+
+@pytest.mark.parametrize("shape", [(3, 2), (6, 1), (5,)])
+@pytest.mark.parametrize(
+    "builder", [qc.build_ses_circuit, qc.build_binary_ses_circuit, qc.ses_site_amplitudes]
+)
+def test_ses_builders_take_only_the_flat_angle_vector(builder, shape):
+    # 4 sites: the flat vector of 6 angles is the one accepted form; the
+    # (N-1, 2) rows of (beta, gamma) pairs are refused like any other shape
+    params = np.linspace(0.1, 0.6, math.prod(shape)).reshape(shape)
+    with pytest.raises(ValueError, match=re.escape(f"expected 6 parameters (beta,gamma pairs), got shape {shape}")):
+        builder(4, params)
+    if params.size == 6:
+        builder(4, params.reshape(-1))  # the same angles, flat, build
 
 
 class TestHardwareEfficientAnsatz:
