@@ -254,6 +254,9 @@ def _load_site_vector(args) -> tuple:
         n_sites = _config_get(doc, "n_sites", required=True)
         if isinstance(n_sites, bool) or not isinstance(n_sites, int) or n_sites < 1:
             raise ConfigError(f"params key 'n_sites': expected a positive integer, got {n_sites!r}")
+        if pairs.shape != (2 * (n_sites - 1),):
+            raise ConfigError(f"params key 'pairs': expected {2 * (n_sites - 1)} parameters"
+                              f" (beta,gamma pairs), got shape {pairs.shape}")
         if ansatz not in ("one_hot_ses", "binary_ses"):
             raise ConfigError(f"params key 'ansatz': unknown value {ansatz!r}")
         # both registers hold the same site amplitudes (criterion 3)
@@ -281,9 +284,7 @@ def cmd_reconstruct(args, argv) -> int:
     h = load_hamiltonian(args.hamiltonian)
     alpha, source_label = _load_site_vector(args)
     if alpha.size != h.n_sites:
-        raise ConfigError(
-            f"state covers {alpha.size} sites, Hamiltonian has {h.n_sites}"
-        )
+        raise ConfigError(f"state covers {alpha.size} sites, Hamiltonian has {h.n_sites}")
     emap = build_map(h.n_sites, "shifted") if args.protocol == "binary" else None
     energy, diagnostics = measurement.estimate_energy(
         h,

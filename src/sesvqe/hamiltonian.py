@@ -37,17 +37,16 @@ class SiteHamiltonian:
     def __post_init__(self):
         if self.n_sites < 1:
             raise ValueError(f"n_sites must be >= 1, got {self.n_sites}")
-        mat = np.asarray(self.matrix, dtype=complex)
+        mat = np.array(self.matrix, dtype=complex)  # the one copy
         if mat.shape != (self.n_sites, self.n_sites):
-            raise ValueError(
-                f"matrix shape {mat.shape} does not match n_sites={self.n_sites}"
-            )
-        if not np.all(np.isfinite(mat)):
-            raise ValueError("matrix entries must be finite")
-        dev = np.max(np.abs(mat - mat.conj().T))
+            raise ValueError(f"matrix shape {mat.shape} does not match n_sites={self.n_sites}")
+        rows, dev = max(1, (1 << 14) // self.n_sites), 0.0  # blocks of 2^14 entries, not N x N temporaries
+        for start in range(0, self.n_sites, rows):
+            if not np.isfinite(mat[start:start + rows]).all():
+                raise ValueError("matrix entries must be finite")
+            dev = max(dev, np.abs(mat[start:start + rows] - mat[:, start:start + rows].conj().T).max())
         if not dev <= _HERM_TOL:
             raise ValueError(f"matrix is not Hermitian (deviation {dev:.3e})")
-        mat = mat.copy()
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
 

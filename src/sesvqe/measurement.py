@@ -239,9 +239,7 @@ def _layout(protocol: str, n_sites: int, emap: EncodingMap | None) -> _Layout:
 
 def _check_histogram(hist: sv.ShotHistogram, setting: MeasurementSetting, layout: _Layout):
     if hist.setting_label != setting.label:
-        raise ValueError(
-            f"histogram for setting {hist.setting_label!r} used with {setting.label!r}"
-        )
+        raise ValueError(f"histogram for setting {hist.setting_label!r} used with {setting.label!r}")
     if hist.num_qubits != len(setting.bases):
         raise ValueError(f"histogram width {hist.num_qubits} != setting width {len(setting.bases)}")
     packed = layout.positions is not None
@@ -553,12 +551,13 @@ def _measure(layout: _Layout, alpha: np.ndarray, shots: int | None = None, seed=
     """
     if shots is not None:
         state = sv.SiteState(len(layout.settings[0].bases), layout.positions, alpha)
-        seed_root = list(seed) if isinstance(seed, (tuple, list)) else [seed]
+        words = sv.seed_words([*seed, 0] if isinstance(seed, (tuple, list)) else [seed, 0])
     cos, sin = np.empty(layout.pair_j.size), np.empty(layout.pair_j.size)
     source = alpha
     for idx, setting in enumerate(layout.settings):
         if shots is not None:
-            rng = np.random.default_rng(np.random.SeedSequence(seed_root + [idx]))
+            words[-1] = idx  # the setting's word; a SeedSequence mixes its words as it is built
+            rng = np.random.default_rng(np.random.SeedSequence(words))
             source = sv.sample_bitstrings(state, setting.bases, shots, rng, setting.label)
         values = estimate_setting(source, setting, layout)
         if setting.kind == "prob":

@@ -16,7 +16,11 @@ and runs one kernel per register:
   R_k = sum_{j>=k} |alpha_j|^2.  The bits are drawn in qubit order with
   P(s_k = 1 | s_<k) = 1/2 - Re(conj(P_k) c_k) / (|P_k|^2 + R_k), vectorised
   over shots: O(shots * N) time and memory (Bravyi, Gosset & Liu,
-  PRL 128, 220503 (2022)).
+  PRL 128, 220503 (2022)).  Step k, in place on buffers made once per block:
+  s_k = 1 where (|P|^2 + R_k)(u - 1/2) + Re(P conj(c_k)) < 0 (0 for a prefix
+  of probability 0); P += c_k or -c_k from a (c_k, -c_k) table.  The overlap
+  stays one complex product: numpy may fuse its multiply-adds, so real parts
+  taken apart would round differently and change drawn bits.
 * packed (site s at codeword positions[s]): a setting with X or Y on qubit a
   and Z elsewhere has the 2^n outcome probabilities |a_lo +- phi a_hi|^2 / 2
   for each codeword pair (lo, hi = lo | 2^a), an unpaired codeword giving
@@ -27,6 +31,7 @@ and runs one kernel per register:
 from __future__ import annotations
 
 import numbers
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -103,7 +108,9 @@ class ShotHistogram:
         if counts.min() < 0:  # not empty: the counts sum to a positive total
             raise ValueError("histogram counts must be non-negative integers")
         if self.rows is not None:
-            if rows.dtype.kind not in "biu" or rows.max() > 1 or rows.min() < 0:
+            if rows.dtype == bool:  # the sampler's record: only bits, viewed as bytes as it stands
+                rows = rows.view(np.uint8)
+            elif rows.dtype.kind not in "iu" or rows.max() > 1 or rows.min() < 0:
                 raise ValueError("outcome rows must hold bits")
             object.__setattr__(self, "rows", rows.astype(np.uint8, copy=False))
         # signed, so a difference of two counts cannot wrap
@@ -122,6 +129,18 @@ def check_shots(shots) -> None:
         raise ValueError(f"shots must be an integer >= 1 and <= 2^53, got {shots!r}")
 
 
+def seed_words(keys) -> np.ndarray:
+    """The uint32 words numpy's ``SeedSequence`` makes of a list of non-negative int ``keys``.
+
+    Each key gives its little-endian 32-bit words (0 gives one), so a SeedSequence of the array draws
+    the list's stream at a third of the cost to build; a negative key is refused as numpy refuses it.
+    """
+    keys = [operator.index(key) for key in keys]
+    if min(keys, default=0) < 0:
+        raise ValueError("expected non-negative integer")
+    return np.array([k >> s & 0xFFFFFFFF for k in keys for s in range(0, k.bit_length() or 1, 32)], np.uint32)
+
+
 def _one_hot_record(alpha: np.ndarray, bases: str, shots: int, rng) -> tuple:
     """Outcome rows and counts of ``shots`` one-hot measurements; see the module docstring."""
     n = alpha.size
@@ -134,30 +153,32 @@ def _one_hot_record(alpha: np.ndarray, bases: str, shots: int, rng) -> tuple:
         return rows, counts[sites]
     if set(bases) - set("XY"):
         raise ValueError(f"one-hot sampling takes all-Z or all-X/Y bases, got {bases!r}")
-    c = (np.where(np.array(list(bases)) == "Y", -1j, 1.0) * alpha).tolist()
+    c = np.where(np.array(list(bases)) == "Y", -1j, 1.0) * alpha
+    steps = np.stack([c, -c], axis=1)  # row k: the step to P_k for s_k = 0 and 1
     remaining = np.cumsum(weights[::-1])[::-1].tolist()  # R_k
     record = np.empty((n, shots), dtype=bool)  # qubit-major: each step fills one row
     block = max(1, _DRAW_BLOCK // n)
     for start in range(0, shots, block):
+        m = min(block, shots - start)
         # shot-major uniforms, so any block size draws the same bits
-        centred = (rng.random((min(block, shots - start), n)) - 0.5).T.copy()
-        m = centred.shape[1]
-        prefix = np.zeros(m, dtype=complex)  # P_k of each shot
-        re, im = prefix.real, prefix.imag
-        x, overlap = np.empty(m), np.empty(m, dtype=complex)
-        for k, ck in enumerate(c):
-            # u < 1/2 - Re(conj(P) c) / (|P|^2 + R) times the denominator, as
-            # (u - 1/2)(|P|^2 + R) + Re(conj(P) c) < 0: a zero denominator (a
-            # prefix of probability 0) reads 0
-            np.multiply(re, re, out=x)
-            x += im * im
-            x += remaining[k]
-            x *= centred[k]
-            np.multiply(prefix, ck.conjugate(), out=overlap)
-            x += overlap.real
-            one = np.less(x, 0.0, out=record[k, start:start + m])
-            prefix += np.where(one, -ck, ck)
-    return record.view(np.uint8).T, np.ones(shots, dtype=np.int64)
+        centred = np.subtract(rng.random((m, n)).T, 0.5, out=np.empty((n, m)))
+        prefix, x = np.zeros(m, dtype=complex), np.empty(m)  # P_k of each shot; the test value
+        work = np.empty_like(prefix)  # holds P's squares, then the overlap, then the step
+        parts, squares = prefix.view(float), work.view(float)  # re, im, re, im, ...
+        for rest, conj_c, u, bits, table in zip(remaining, c.conj().tolist(), centred,
+                                                record[:, start:start + m], steps):
+            # u < P(s_k = 1 | s_<k) times its denominator; see the module docstring
+            np.multiply(parts, parts, out=squares)
+            np.add(squares[0::2], squares[1::2], out=x)
+            x += rest
+            x *= u
+            np.multiply(prefix, conj_c, out=work)
+            x += work.real
+            np.less(x, 0.0, out=bits)
+            # "clip" skips a bounds check that the bits 0 and 1 never fail
+            table.take(bits.view(np.uint8), out=work, mode="clip")
+            prefix += work
+    return record.T, np.ones(shots, dtype=np.int64)
 
 
 def _packed_distribution(state: SiteState, bases: str) -> np.ndarray:
@@ -198,9 +219,7 @@ def sample_bitstrings(state: SiteState, bases: str, shots: int, seed, label: str
         counts = rng.multinomial(shots, _packed_distribution(state, bases))
         return ShotHistogram(label or bases, None, counts, shots)
     if shots * state.num_qubits > MAX_RECORD_ENTRIES:
-        raise ValueError(
-            f"a record of {shots} shots on {state.num_qubits} qubits is too large;"
-            f" limit is {MAX_RECORD_ENTRIES} bits"
-        )
+        raise ValueError(f"a record of {shots} shots on {state.num_qubits} qubits is too large;"
+                         f" limit is {MAX_RECORD_ENTRIES} bits")
     rows, counts = _one_hot_record(state.amplitudes, bases, shots, rng)
     return ShotHistogram(label or bases, rows, counts, shots)

@@ -9,10 +9,11 @@ Every route reads the ansatz state as one vector of site amplitudes
 register for the hardware-efficient one.
 
 Determinism contract: every random draw descends from the run seed through
-numpy SeedSequence spawn keys: [seed, 0, restart] for starting points and the
-simplex's in-restart kicks, [seed, 1, eval_index, setting_index] for shot
-sampling and [seed, 2, 0] for SPSA perturbations (SPSA runs from one start).
-Re-running a configuration reproduces the trace bit for bit.
+numpy SeedSequence keys, built as words by ``statevector.seed_words``:
+[seed, 0, restart] for starting points and the simplex's in-restart kicks,
+[seed, 1, eval_index, setting_index] for shot sampling and [seed, 2, 0] for
+SPSA perturbations (SPSA runs from one start).  Re-running a configuration
+reproduces the trace bit for bit.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .hamiltonian import (
     extend_with_penalty,
     ground_energy,
 )
-from .statevector import MAX_SIM_WIDTH, check_shots
+from .statevector import MAX_SIM_WIDTH, check_shots, seed_words
 
 ANSATZE = ("one_hot_ses", "binary_ses", "hardware_efficient")
 PROTOCOLS = ("original", "binary", "exact_operator")
@@ -182,10 +183,6 @@ def prepare(config: VqeConfig) -> RunPlan:
     return RunPlan(config, zeros.size, target, emap, ground_energy(h), circuit)
 
 
-def _shot_seed(config: VqeConfig, eval_index: int):
-    return (config.seed, 1, eval_index)
-
-
 def site_vector(plan: RunPlan, params) -> np.ndarray:
     """The ansatz state as amplitudes over ``plan.target``'s sites.
 
@@ -209,7 +206,7 @@ def evaluate_cost(plan: RunPlan, params, eval_index: int = 0) -> float:
         alpha,
         config.protocol,
         config.shots,
-        seed=_shot_seed(config, eval_index),
+        seed=(config.seed, 1, eval_index),
         emap=plan.emap,
         epsilon=config.epsilon,
         diagnostics=False,
@@ -262,7 +259,7 @@ def _initial_point(config: VqeConfig, dim: int, restart: int) -> tuple:
 
     The simplex goes on to draw its kicks from the same generator.
     """
-    rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0, restart]))
+    rng = np.random.default_rng(np.random.SeedSequence(seed_words([config.seed, 0, restart])))
     return np.pi - rng.uniform(0.0, 2.0 * np.pi, size=dim), rng
 
 
@@ -415,7 +412,7 @@ def _run_simplex(tracker: _Tracker, x0: np.ndarray, rng: np.random.Generator):
 def _run_spsa(tracker: _Tracker, x0: np.ndarray, config: VqeConfig):
     iterations = max(1, (tracker.budget - tracker.evals) // 2)
     stability = max(1.0, 0.1 * iterations)
-    rng = np.random.default_rng(np.random.SeedSequence([config.seed, 2, 0]))
+    rng = np.random.default_rng(np.random.SeedSequence(seed_words([config.seed, 2, 0])))
     theta = np.array(x0, dtype=float, copy=True)
     for k in range(iterations):
         ak = SPSA_A / (k + 1 + stability) ** SPSA_ALPHA

@@ -701,6 +701,20 @@ class TestReconstruct:
         assert "expected 6 parameters (beta,gamma pairs), got shape (3, 2)" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_params_of_the_wrong_length_are_a_config_error(self, tmp_path, capsys):
+        # once a bare "error:" line from the circuit builder
+        ham_path = tmp_path / "h4.json"
+        ham.save_hamiltonian(ham.chain_instance(4), ham_path)
+        params_path = tmp_path / "params.json"
+        params_path.write_text(json.dumps({"ansatz": "one_hot_ses", "n_sites": 4, "pairs": [0.1] * 5}))
+        out = tmp_path / "rec.json"
+        argv = ["reconstruct", "--hamiltonian", str(ham_path), "--protocol", "original"]
+        assert cli.main(argv + ["--params", str(params_path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(
+            "config error: params key 'pairs': expected 6 parameters (beta,gamma pairs), got shape (5,)"
+        )
+        assert not out.exists()
+
     def test_non_finite_amplitudes_rejected(self, tmp_path, capsys):
         ham_path = tmp_path / "h2.json"
         ham.save_hamiltonian(ham.chain_instance(2), ham_path)

@@ -2,6 +2,7 @@
 energy functional, I/O."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -50,6 +51,19 @@ def test_non_finite_entries_refused(bad):
     for mat in ([[bad, 0.0], [0.0, 1.0]], [[0.0, bad], [np.conj(bad), 1.0]]):
         with pytest.raises(ValueError, match="finite"):
             ham.SiteHamiltonian.from_matrix(mat)
+
+
+def test_hermiticity_is_checked_over_row_blocks():
+    # 300 sites take six row blocks of 54 rows; the largest deviation sits in the sixth
+    mat = ham.random_hermitian_instance(300, seed=4).matrix.copy()
+    mat[290, 3] += 1e-9j
+    mat[250, 280] += 3e-11
+    want = np.max(np.abs(mat - mat.conj().T))
+    with pytest.raises(ValueError, match=f"not Hermitian \\(deviation {want:.3e}\\)$"):
+        ham.SiteHamiltonian(300, mat)
+    mat[290, 3], mat[250, 280] = np.nan, mat[280, 250].conjugate()
+    with pytest.raises(ValueError, match="finite"):
+        ham.SiteHamiltonian(300, mat)
 
 
 def test_matrix_is_read_only():
@@ -119,6 +133,17 @@ class TestPenaltyExtension:
         ext = ham.extend_with_penalty(h, ham.default_penalty(h))
         assert ext.n_sites == 8
         assert ham.ground_energy(ext) == pytest.approx(ham.ground_energy(h), abs=1e-10)
+
+    def test_extension_holds_one_copy(self):
+        # the Hermitian check once built N x N temporaries: 3x the result's bytes
+        h = ham.chain_instance(1000)
+        tracemalloc.start()
+        try:
+            ext = ham.extend_with_penalty(h, 5.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * ext.matrix.nbytes
 
     def test_penalty_validation(self):
         for c_p in (0.0, -3.0, float("inf"), float("nan")):

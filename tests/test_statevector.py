@@ -1,7 +1,11 @@
 """Register simulation checked against dense kron-product oracles."""
 
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from scipy import stats
 
@@ -294,6 +298,30 @@ class TestOneHotRecord:
         blocked = sv.sample_bitstrings(state, "XYXYXYX", 500, seed=11)
         assert np.array_equal(whole.rows, blocked.rows)
 
+    def test_records_are_pinned(self, monkeypatch):
+        # sha256 of the one-hot X/Y records over a grid of widths, bases and
+        # amplitude patterns (a zero tail; two equal amplitudes, so a prefix
+        # such as (0, 1) of "XX..." has probability 0), each drawn in one
+        # block and in two; computed before the kernel's buffers were reused
+        digest = hashlib.sha256()
+        for n in (1, 2, 3, 12, 64):
+            states = [random_sites(n, 300 + n)]
+            if n > 1:
+                tail = random_sites(n, 400 + n)
+                tail[n // 2:] = 0.0
+                equal = np.zeros(n, dtype=complex)
+                equal[:2] = np.exp(0.3j) / np.sqrt(2.0)
+                states += [tail / np.linalg.norm(tail), equal]
+            alternating = "".join("XY"[q % 2] for q in range(n))
+            for alpha in states:
+                state = sv.SiteState(n, None, alpha)
+                for bases in sorted({"X" * n, alternating}):
+                    for block in (sv._DRAW_BLOCK, n * 501):  # 1000 shots: one block, then 501 + 499
+                        monkeypatch.setattr(sv, "_DRAW_BLOCK", block)
+                        hist = sv.sample_bitstrings(state, bases, 1000, seed=n)
+                        digest.update(hist.rows.tobytes() + hist.counts.tobytes())
+        assert digest.hexdigest() == "48c0a7f2c33b9322121b7a6b675af26578ce7a286ef1b191428c1b138b510849"
+
     def test_refuses_a_record_above_the_limit_before_any_draw(self):
         n = 1024
         shots = sv.MAX_RECORD_ENTRIES // n + 1
@@ -314,6 +342,25 @@ class TestOneHotRecord:
         state = sv.SiteState(n, np.array([0, 1]), np.ones(2) / np.sqrt(2))
         with pytest.raises(ValueError, match="too wide"):
             sv.sample_bitstrings(state, "Z" * n, 10, seed=0)
+
+
+class TestSeedWords:
+    @given(st.lists(st.integers(0, 2**70), min_size=1, max_size=5))
+    @example([0])
+    @example([2**32 - 1, 2**32, 0])
+    @example([7, 1, 2**70, 4])
+    def test_words_draw_the_stream_of_the_list(self, keys):
+        words = sv.seed_words(keys)
+        assert words.dtype == np.uint32
+        got, want = np.random.SeedSequence(words), np.random.SeedSequence(keys)
+        assert np.array_equal(got.generate_state(8), want.generate_state(8))
+        assert np.array_equal(np.random.default_rng(got).random(4), np.random.default_rng(want).random(4))
+
+    def test_a_negative_key_is_refused_as_numpy_refuses_it(self):
+        for keys in ([-1], [3, 1, -2**40]):
+            for build in (np.random.SeedSequence, sv.seed_words):
+                with pytest.raises(ValueError, match="expected non-negative integer"):
+                    build(keys)
 
 
 class TestOverlapAndHelpers:
