@@ -23,9 +23,12 @@ rotations) into rotation-layer steps: per qubit, its 2x2 matrices multiplied
 in gate order (``Program.factors``), and the qubits joined by kron into one
 matrix per ``LAYER_WIDTH`` adjacent qubits.  Every A gate stays a step of its
 own.  Dense gates read their angles from a flat parameter vector, so one
-template circuit serves every parameter binding.  Every dense step, fused or
-not, is one matrix product with the register viewed as ``(high, 2^m, 2^low)``
-for its run of m qubits from ``low``.
+template circuit serves every parameter binding; a program's arrays are
+read-only, as one template serves every solve of its register shape.  Every
+dense step, fused or not, is one matrix product with the register viewed as
+``(high, 2^m, 2^low)`` for its run of m qubits from ``low``, but for a step
+over the whole register that acts on the untouched |0...0>: it takes its
+matrix's first column.
 
 Each run checks what it applies: every A matrix unitary to 1e-10, every
 per-qubit layer factor unitary to 1e-11 (a kron of LAYER_WIDTH such factors
@@ -56,6 +59,8 @@ _UNITARY_TOL = 1e-10
 # layer step's matrix within 8e-11, inside _UNITARY_TOL
 _FACTOR_TOL = 1e-11
 _NO_SLOTS = np.zeros(0, dtype=np.intp)
+# the identities M^H M is held to: 2x2 layer factors and 4x4 A matrices
+_IDENTITIES = {d: np.eye(d) for d in (2, 4)}
 # widest kron-built step of a rotation layer: widths 2-4 time alike, 5 is
 # slower from n = 6 on and 6 slower than the per-gate steps from n = 7 on
 # (timeit sweep in BENCH_packed.json); 4 keeps registers up to 4 qubits at
@@ -70,8 +75,7 @@ def _check_finite(values, what: str) -> None:
 
 def _check_unitary(mats: np.ndarray, what: str, tol: float) -> None:
     """Refuse any matrix of a stack (..., d, d) whose M^H M is not the identity to ``tol``."""
-    eye = np.eye(mats.shape[-1])
-    dev = np.max(np.abs(mats.conj().swapaxes(-1, -2) @ mats - eye))
+    dev = np.max(np.abs(mats.conj().swapaxes(-1, -2) @ mats - _IDENTITIES[mats.shape[-1]]))
     if not dev <= tol:
         raise ValueError(f"{what} is not unitary (deviation {dev:.3e})")
 
@@ -191,6 +195,12 @@ class Program:
     params: np.ndarray
     layers: np.ndarray
 
+    def __post_init__(self):
+        # a template's program serves every solve of its register shape
+        for a in (*self.steps, *self.slots.values(), self.params, self.layers):
+            if isinstance(a, np.ndarray):
+                a.setflags(write=False)
+
     def bind(self, params) -> np.ndarray:
         """Flat parameter vector for one run; refuses a wrong count or non-finite angles."""
         values = np.asarray(params, dtype=float).reshape(-1)
@@ -254,8 +264,11 @@ def _rotation_gates(values: np.ndarray, slots: dict) -> np.ndarray:
     y[:, 0, 0] = y[:, 1, 1] = c
     y[:, 0, 1] = -s
     y[:, 1, 0] = s
-    z[:, 0, 0] = np.exp(-1j * rz / 2.0)
-    z[:, 1, 1] = np.exp(1j * rz / 2.0)
+    phase = np.exp(-1j * rz / 2.0)
+    z[:, 0, 0] = phase
+    # exp(i t / 2) bit for bit (sine is odd), but for the sign of a zero
+    # imaginary part at t = -0.0
+    z[:, 1, 1] = phase.conj()
     return gates
 
 
@@ -522,7 +535,9 @@ def simulate(circuit: Circuit, params) -> np.ndarray:
     in gate order, which is the order every ansatz builder takes, so a
     template circuit built once serves every evaluation; a circuit's own
     angles are ``circuit.program.params``.  Every step runs the same kernel:
-    a gather, or one GEMM of a dense matrix over its run of adjacent qubits.
+    a gather, or one GEMM of a dense matrix over its run of adjacent qubits
+    (the matrix's first column when it spans the register still at |0...0>,
+    the same numbers bit for bit).
     A run of RY/RZ gates on an n-qubit register (a hardware-efficient layer's
     2n rotations) is ``ceil(n / LAYER_WIDTH)`` such products, one when
     n <= LAYER_WIDTH, and rounds as its kron-built matrices do; every A gate
@@ -532,8 +547,9 @@ def simulate(circuit: Circuit, params) -> np.ndarray:
     """
     program = circuit.program
     mats = program.matrices(program.bind(params))
-    amps = np.zeros(2**program.num_qubits, dtype=complex)
-    amps[0] = 1.0
+    zero = np.zeros(2**program.num_qubits, dtype=complex)
+    zero[0] = 1.0
+    amps = zero  # every step makes a new array, so ``amps is zero`` until one runs
     for step in program.steps:
         if isinstance(step, np.ndarray):
             amps = amps[step]
@@ -541,7 +557,11 @@ def simulate(circuit: Circuit, params) -> np.ndarray:
         low, width, kind, index = step
         dim = 1 << width
         mat = mats[kind][index]
-        if dim == amps.size:
+        if amps is zero and dim == amps.size:
+            # a matrix over the whole register maps |0...0> to its first column;
+            # adding 0.0 makes a -0.0 entry 0.0, as the product's sum does
+            amps = mat[:, 0] + 0.0
+        elif dim == amps.size:
             # the whole register is already the (dim, 1) operand below
             amps = (mat @ amps.reshape(dim, 1)).reshape(-1)
         else:

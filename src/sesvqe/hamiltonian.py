@@ -23,12 +23,23 @@ _HERM_TOL = 1e-12
 _SPECTRUM_BUDGET = 4096
 
 
+class _Built:
+    """A complex matrix this module has just built, handed to ``SiteHamiltonian`` without a copy."""
+
+    __slots__ = ("array",)
+
+    def __init__(self, array: np.ndarray):
+        self.array = array
+
+
 @dataclass(frozen=True)
 class SiteHamiltonian:
     """Hermitian single-particle Hamiltonian over ``n_sites`` lattice sites.
 
     Other modules read its numbers through ``energy``, ``couplings`` and
     ``spectrum`` alone, so how ``matrix`` is stored is known in this module.
+    A caller's matrix is copied, so changing it later leaves ``h`` as it was;
+    the generators, the loader and ``extend_with_penalty`` hand theirs over.
     """
 
     n_sites: int
@@ -37,7 +48,8 @@ class SiteHamiltonian:
     def __post_init__(self):
         if self.n_sites < 1:
             raise ValueError(f"n_sites must be >= 1, got {self.n_sites}")
-        mat = np.array(self.matrix, dtype=complex)  # the one copy
+        given = self.matrix
+        mat = given.array if isinstance(given, _Built) else np.array(given, dtype=complex)
         if mat.shape != (self.n_sites, self.n_sites):
             raise ValueError(f"matrix shape {mat.shape} does not match n_sites={self.n_sites}")
         rows, dev = max(1, (1 << 14) // self.n_sites), 0.0  # blocks of 2^14 entries, not N x N temporaries
@@ -110,7 +122,7 @@ def extend_with_penalty(h: SiteHamiltonian, c_p: float) -> SiteHamiltonian:
     mat = np.zeros((dim, dim), dtype=complex)
     mat[: h.n_sites, : h.n_sites] = h.matrix
     np.fill_diagonal(mat[h.n_sites :, h.n_sites :], c_p)
-    return SiteHamiltonian(dim, mat)
+    return SiteHamiltonian(dim, _Built(mat))
 
 
 def ground_energy(h: SiteHamiltonian) -> float:
@@ -165,7 +177,7 @@ def chain_instance(
         raise ValueError(f"disorder must be a number from 0 to {half_max:.6g}, got {disorder!r}")
     rng = np.random.default_rng(seed)
     onsite = rng.uniform(-disorder, disorder, size=n_sites) if disorder else np.zeros(n_sites)
-    return SiteHamiltonian(n_sites, _chain_matrix(n_sites, hopping, onsite))
+    return SiteHamiltonian(n_sites, _Built(_chain_matrix(n_sites, hopping, onsite)))
 
 
 def random_hermitian_instance(
@@ -175,7 +187,7 @@ def random_hermitian_instance(
     rng = np.random.default_rng(seed)
     g = rng.normal(size=(n_sites, n_sites)) + 1j * rng.normal(size=(n_sites, n_sites))
     g *= scale
-    return SiteHamiltonian(n_sites, (g + g.conj().T) / 2.0)
+    return SiteHamiltonian(n_sites, _Built((g + g.conj().T) / 2.0))
 
 
 def complex_ring_instance(
@@ -193,7 +205,7 @@ def complex_ring_instance(
         # keep Hermiticity even for the wrap link of a 2-site ring
         mat[k, j] += val
         mat[j, k] += np.conj(val)
-    return SiteHamiltonian(n_sites, mat)
+    return SiteHamiltonian(n_sites, _Built(mat))
 
 
 FORMAT_TAG = "sesvqe-hamiltonian/1"
@@ -272,4 +284,4 @@ def load_hamiltonian(path) -> SiteHamiltonian:
         else:
             mat[row, col] = val
             mat[col, row] = np.conj(val)
-    return SiteHamiltonian(n, mat)
+    return SiteHamiltonian(n, _Built(mat))

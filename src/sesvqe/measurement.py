@@ -105,8 +105,9 @@ class PhaseGraph:
     """Measured pair-phase relations over the active sites.
 
     Edge ``i`` joins sites ``edge_j[i] < edge_k[i]`` (edges sorted in site
-    order); ``delta[i]`` estimates ``t_k - t_j`` and ``weight[i]`` is
-    ``cos_est^2 + sin_est^2``.  ``in_tree`` marks the maximum-weight spanning
+    order); ``cos[i]`` and ``sin[i]`` are its pair estimates, ``delta[i]``
+    estimates ``t_k - t_j`` and ``weight[i]`` is ``cos_est^2 + sin_est^2``,
+    computed when first read.  ``in_tree`` marks the maximum-weight spanning
     forest actually used for propagation; ``component[s]`` is the component
     index of site ``s`` (components numbered by their lowest site), -1 for an
     inactive site.
@@ -115,10 +116,23 @@ class PhaseGraph:
     edge_j: np.ndarray = field(repr=False)
     edge_k: np.ndarray = field(repr=False)
     delta: np.ndarray = field(repr=False)
-    weight: np.ndarray = field(repr=False)
+    cos: np.ndarray = field(repr=False)
+    sin: np.ndarray = field(repr=False)
     in_tree: np.ndarray = field(repr=False)
     component: np.ndarray = field(repr=False)
     n_components: int
+
+    @functools.cached_property
+    def weight(self) -> np.ndarray:
+        return _edge_weight(self.cos, self.sin)
+
+
+def _edge_weight(c: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """``s^2 + c^2`` per edge, the squares through libm pow, as Python's
+    ``x ** 2`` computes them: np.square (x * x) differs in the last bit for
+    about 0.1% of inputs, enough to reorder near-tied shot-mode edges and so
+    change which tree is used."""
+    return np.float_power(s, 2.0) + np.float_power(c, 2.0)
 
 
 def settings_original(n_sites: int) -> list:
@@ -488,7 +502,8 @@ def reconstruct_profile(probs, pair_j, pair_k, cos, sin, epsilon: float | None =
     """
     probs = np.asarray(probs, dtype=float)
     j, k = _pair_indices(pair_j), _pair_indices(pair_k)
-    c, s = np.asarray(cos, dtype=float), np.asarray(sin, dtype=float)
+    # copies: the PhaseGraph keeps them and computes its weights from them when read
+    c, s = np.array(cos, dtype=float), np.array(sin, dtype=float)
     n_sites = probs.size
     if probs.ndim != 1:
         raise ValueError(f"probs must be 1-D, got shape {probs.shape}")
@@ -508,19 +523,19 @@ def reconstruct_profile(probs, pair_j, pair_k, cos, sin, epsilon: float | None =
         keep = active[j] & active[k]
         j, k, c, s = j[keep], k[keep], c[keep], s[keep]
     delta = np.arctan2(s, c)
-    # squares through libm pow, as Python's ``x ** 2`` computes them: np.square
-    # (x * x) differs in the last bit for about 0.1% of inputs, enough to
-    # reorder near-tied shot-mode edges and so change which tree is used
-    weight = np.float_power(s, 2.0) + np.float_power(c, 2.0)
-    if path:
+    weight = None
+    if path:  # a path's forest is every pair, so it needs no weights
         forest = _chain_forest(active, k, delta)
     else:
+        weight = _edge_weight(c, s)
         forest = _spanning_forest(active.tolist(), j.tolist(), k.tolist(), delta.tolist(), weight.tolist())
     in_tree, component, n_components, phases = forest
 
     reference = int(active.argmax()) if n_components else None
     profile = AmplitudeProfile(n_sites, magnitudes, phases, active, float(epsilon), reference)
-    pgraph = PhaseGraph(j, k, delta, weight, in_tree, component, n_components)
+    pgraph = PhaseGraph(j, k, delta, c, s, in_tree, component, n_components)
+    if weight is not None:
+        object.__setattr__(pgraph, "weight", weight)  # fills the cached property
     return profile, pgraph
 
 

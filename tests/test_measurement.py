@@ -465,6 +465,18 @@ class TestReconstructProfile:
         profile, _ = meas.reconstruct_profile([0.0, 1.0], [0], [1], [0.0], [0.0], epsilon=0)
         assert profile.active.tolist() == [False, True]
 
+    def test_a_chain_computes_its_weights_only_when_read(self, monkeypatch):
+        weights = []
+        edge_weight = meas._edge_weight
+        monkeypatch.setattr(meas, "_edge_weight", lambda c, s: weights.append(c.size) or edge_weight(c, s))
+        cos, sin = np.array([0.3, -0.2]), np.array([0.4, 0.1])
+        _, pgraph = meas.reconstruct_profile([0.3, 0.3, 0.4], np.array([0, 1]), np.array([1, 2]), cos, sin)
+        assert weights == []
+        cos[:], sin[:] = 9.0, 9.0  # the graph keeps its own copies
+        assert pgraph.weight.tolist() == [0.4**2 + 0.3**2, 0.1**2 + (-0.2) ** 2]
+        assert pgraph.weight is pgraph.weight
+        assert weights == [2]
+
 
 class TestEstimateEnergy:
     def test_single_site(self):

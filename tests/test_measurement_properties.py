@@ -151,7 +151,10 @@ def test_unmeasured_terms_match_the_mask_form(n, seed, density, one_component, d
     component = np.where(active, labels, -1)
     empty = np.zeros(0)
     profile = meas.AmplitudeProfile(n, np.zeros(n), np.zeros(n), active, 0.0, None)
-    pgraph = meas.PhaseGraph(empty, empty, empty, empty, empty, component, len(set(component[active].tolist())))
+    pgraph = meas.PhaseGraph(
+        edge_j=empty, edge_k=empty, delta=empty, cos=empty, sin=empty, in_tree=empty,
+        component=component, n_components=len(set(component[active].tolist())),
+    )
     got = meas._unmeasured_terms(h, profile, pgraph)
     assert list(got) == list(unmeasured_terms_by_masks(h, profile, pgraph))
 

@@ -1,8 +1,10 @@
 """Driver behavior: configuration, cost routes, convergence, determinism."""
 
 import hashlib
+import json
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 from scipy import optimize
 
 from conftest import dense_register
+from test_cli import run_fresh
 from sesvqe import circuits, cli, encoding, measurement
 from sesvqe import hamiltonian as ham
 from sesvqe import statevector as sv
@@ -110,7 +113,8 @@ class TestTemplateCircuit:
             ("hardware_efficient", "binary", 100, "spsa"),
         ],
     )
-    def test_a_solve_compiles_once(self, monkeypatch, ansatz, protocol, shots, optimizer):
+    def test_solves_of_one_shape_compile_once(self, monkeypatch, ansatz, protocol, shots, optimizer):
+        vqe._template.cache_clear()
         compiled = []
         compile_circuit = circuits._compile
 
@@ -119,18 +123,36 @@ class TestTemplateCircuit:
             return compile_circuit(circuit)
 
         monkeypatch.setattr(circuits, "_compile", counting)
-        cfg = vqe.VqeConfig(
-            ham.chain_instance(4, disorder=0.5, seed=2),
-            ansatz=ansatz,
-            protocol=protocol,
-            shots=shots,
-            optimizer=optimizer,
-            max_evaluations=40,
-            seed=1,
-        )
-        result = vqe.optimize(cfg)
-        assert result.evaluations_used > 1
+
+        def solve(n_sites, seed):
+            cfg = vqe.VqeConfig(
+                ham.chain_instance(n_sites, disorder=0.5, seed=2),
+                ansatz=ansatz,
+                protocol=protocol,
+                shots=shots,
+                optimizer=optimizer,
+                max_evaluations=40,
+                seed=seed,
+            )
+            assert vqe.optimize(cfg).evaluations_used > 1
+
+        solve(4, 1)
+        solve(4, 2)
         assert compiled == [ansatz]
+        solve(5, 1)  # a wider register: a new template
+        assert compiled == [ansatz, ansatz]
+
+    @pytest.mark.parametrize("ansatz,protocol", [("binary_ses", "binary"), ("hardware_efficient", "binary")])
+    def test_cached_template_arrays_are_read_only(self, ansatz, protocol):
+        cfg = vqe.VqeConfig(ham.chain_instance(5), ansatz=ansatz, protocol=protocol)
+        program = vqe.prepare(cfg).circuit.program
+        gathers = [step for step in program.steps if isinstance(step, np.ndarray)]
+        arrays = [*gathers, *program.slots.values(), program.params, program.layers]
+        assert gathers and program.params.size
+        for array in arrays:
+            if array.size:
+                with pytest.raises(ValueError, match="read-only"):
+                    array.flat[0] = 1
 
     def test_one_hot_exact_mode_never_simulates(self, monkeypatch):
         monkeypatch.setattr(circuits, "_compile", None)  # any compile would fail
@@ -150,6 +172,26 @@ class TestTemplateCircuit:
         )
         assert vqe.prepare(cfg).circuit is None
         assert vqe.optimize(cfg).evaluations_used == 40
+
+
+@pytest.mark.parametrize("ansatz,protocol", [("binary_ses", "binary"), ("hardware_efficient", "exact_operator")])
+def test_a_reused_template_solves_as_a_fresh_process_does(tmp_path, ansatz, protocol):
+    h = str(tmp_path / "h.json")
+    assert cli.main(["gen", "--family", "chain", "--n-sites", "5", "--disorder", "0.5", "--out", h]) == 0
+    config = tmp_path / "solve.json"
+    config.write_text(json.dumps({"hamiltonian": h, "ansatz": ansatz, "protocol": protocol, "max_evaluations": 60}))
+
+    def solve(seed, name):
+        out = tmp_path / name
+        return ["solve", "--config", str(config), "--seed", str(seed), "--out", f"{out}.json", "--trace-csv", f"{out}.csv"]
+
+    vqe._template.cache_clear()
+    for seed in (2, 3):  # two solves of the shape leave their template cached
+        assert cli.main(solve(seed, f"warm-{seed}")) == 2  # non_converged at this budget
+    assert cli.main(solve(1, "reused")) == 2
+    proc = run_fresh([sys.executable, "-m", "sesvqe.cli", *solve(1, "fresh")])
+    assert proc.returncode == 2, proc.stderr
+    assert (tmp_path / "reused.csv").read_bytes() == (tmp_path / "fresh.csv").read_bytes()
 
 
 class TestParameterCount:
