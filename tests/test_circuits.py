@@ -555,6 +555,18 @@ class TestCompiledSimulator:
                 qc.simulate(template, params), qc.simulate(built, built.program.params)
             )
 
+    @settings(max_examples=60)
+    @given(st.integers(1, 4), st.integers(1, 3), st.data())
+    def test_first_column_equals_the_product_bit_for_bit(self, width, layers, data):
+        # a leading X X is an identity gather, after which the first layer
+        # step runs as a GEMM on a register that is no longer the untouched one
+        angle = st.one_of(st.sampled_from([0.0, -0.0, math.pi, -math.pi / 2]), st.floats(-7.0, 7.0))
+        params = np.array(data.draw(st.lists(angle, min_size=2 * width * layers, max_size=2 * width * layers)))
+        circuit = qc.build_hardware_efficient_circuit(width, layers, params)
+        padded = qc.Circuit(width, (qc.GateOp("X", (0,)), qc.GateOp("X", (0,)), *circuit.gates))
+        assert isinstance(padded.program.steps[0], np.ndarray)
+        assert qc.simulate(circuit, params).tobytes() == qc.simulate(padded, params).tobytes()
+
     def test_output_bytes_are_pinned(self):
         # sha256 of the amplitude bytes: the binary_ses case at a commit that
         # applied dense gates through a general axis-permuting kernel, the

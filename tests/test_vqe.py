@@ -145,7 +145,9 @@ class TestTemplateCircuit:
     @pytest.mark.parametrize("ansatz,protocol", [("binary_ses", "binary"), ("hardware_efficient", "binary")])
     def test_cached_template_arrays_are_read_only(self, ansatz, protocol):
         cfg = vqe.VqeConfig(ham.chain_instance(5), ansatz=ansatz, protocol=protocol)
-        program = vqe.prepare(cfg).circuit.program
+        circuit = vqe.prepare(cfg).circuit
+        assert vqe.prepare(cfg).circuit is circuit  # one template per shape
+        program = circuit.program
         gathers = [step for step in program.steps if isinstance(step, np.ndarray)]
         arrays = [*gathers, *program.slots.values(), program.params, program.layers]
         assert gathers and program.params.size
