@@ -69,7 +69,8 @@ LAYER_WIDTH = 4
 
 
 def _check_finite(values, what: str) -> None:
-    if not np.all(np.isfinite(values)):
+    finite = np.isfinite(values)
+    if np.count_nonzero(finite) < finite.size:  # a third of np.all's time at 22 values
         raise ValueError(f"{what} must be finite, got {values!r}")
 
 
@@ -381,13 +382,13 @@ def a_gate_matrix(beta, gamma) -> np.ndarray:
     return mat
 
 
-def _as_pair_params(params, n_pairs: int) -> np.ndarray:
-    """The flat vector of ``2 * n_pairs`` angles as (beta, gamma) rows; any other shape is refused."""
+def _pair_angles(params, n_pairs: int) -> list:
+    """The flat vector of ``2 * n_pairs`` angles as a list, pair j's (beta, gamma) at 2j, 2j + 1."""
     arr = np.asarray(params, dtype=float)
     if arr.shape != (2 * n_pairs,):
         raise ValueError(f"expected {2 * n_pairs} parameters (beta,gamma pairs), got shape {arr.shape}")
     _check_finite(arr, "ansatz parameters")
-    return arr.reshape(n_pairs, 2)
+    return arr.tolist()
 
 
 def build_ses_circuit(n_sites: int, params) -> Circuit:
@@ -399,10 +400,10 @@ def build_ses_circuit(n_sites: int, params) -> Circuit:
     """
     if n_sites < 1:
         raise ValueError("n_sites must be >= 1")
-    pairs = _as_pair_params(params, n_sites - 1)
+    angles = _pair_angles(params, n_sites - 1)
     gates = [GateOp("X", (0,))]
     for j in range(n_sites - 1):
-        gates.append(GateOp("A", (j, j + 1), (pairs[j, 0], pairs[j, 1])))
+        gates.append(GateOp("A", (j, j + 1), angles[2 * j:2 * j + 2]))
     return Circuit(n_sites, tuple(gates), "one_hot_ses")
 
 
@@ -465,12 +466,12 @@ def build_binary_ses_circuit(n_sites: int, params, emap: EncodingMap | None = No
             f"codeword 0 marks an unwritten data register, so only the last site may "
             f"hold it; this map gives it to site {emap.codewords.index(0)} of {n_sites}"
         )
-    pairs = _as_pair_params(params, n_sites - 1)
+    angles = _pair_angles(params, n_sites - 1)
     layout = binary_register_layout(emap)
     a0, a1 = layout["flag_a"], layout["flag_b"]
     gates = [GateOp("X", (a0,))]
     for i in range(n_sites - 1):
-        gates.append(GateOp("A", (a0, a1), (pairs[i, 0], pairs[i, 1])))
+        gates.append(GateOp("A", (a0, a1), angles[2 * i:2 * i + 2]))
         gates.extend(GateOp("CNOT", pair) for pair in ((a0, a1), (a1, a0), (a0, a1)))
         _prep_and_unflag(gates, emap, layout, i, a1)
     # terminal transfer: the residual branch still carries its flag on a0
@@ -589,9 +590,9 @@ def ses_site_amplitudes(n_sites: int, params) -> np.ndarray:
     simulation in the test suite; used as the exact-mode fast path at widths
     where a dense register is wasteful.
     """
-    pairs = _as_pair_params(params, n_sites - 1)
+    angles = _pair_angles(params, n_sites - 1)
     alpha, carry = [], 1.0 + 0.0j
-    for beta, gamma in pairs.tolist():
+    for beta, gamma in zip(angles[::2], angles[1::2]):
         alpha.append(math.cos(beta) * carry)
         carry = cmath.exp(-1j * gamma) * math.sin(beta) * carry
     return np.array(alpha + [carry])

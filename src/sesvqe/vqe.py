@@ -302,8 +302,9 @@ def _nelder_mead(func, simplex: np.ndarray, maxfev: int) -> None:
     ``initial_simplex``, ``maxfev``, ``xatol=1e-10`` and ``fatol=1e-12``,
     so ``func`` is called on the same points, bit for bit.  The arithmetic of
     every point is scipy's with its reflection coefficient rho = 1 multiplied
-    out, which is exact.  The tolerance test checks the value spread first, on
-    Python floats, and the vertex span only when that half holds: the same
+    out, which is exact.  Each step reads the sorted values once as Python
+    floats (no numpy scalar per comparison).  The tolerance test checks their
+    spread first and the vertex span only when that half holds: the same
     ``and`` of both halves, and with the values sorted the largest
     ``|f[0] - f[i]|`` is ``f[-1] - f[0]``, since rounding keeps the order.
     Stops after ``maxfev`` calls or within both tolerances; exceptions from
@@ -326,34 +327,35 @@ def _nelder_mead(func, simplex: np.ndarray, maxfev: int) -> None:
     try:
         for k in range(N + 1):
             fsim[k] = f(sim[k])
-        ind = np.argsort(fsim)  # scipy sorts twice before its first step
-        sim, fsim = sim[ind], fsim[ind]
+        ind = fsim.argsort()  # scipy sorts twice before its first step
+        sim, fsim = sim.take(ind, 0), fsim[ind]
         while True:
-            ind = np.argsort(fsim)
-            sim, fsim = sim[ind], fsim[ind]
-            if float(fsim[-1]) - float(fsim[0]) <= 1e-12 and np.max(np.abs(sim[1:] - sim[0])) <= 1e-10:
+            ind = fsim.argsort()
+            sim, fsim = sim.take(ind, 0), fsim[ind]
+            fs = fsim.tolist()
+            if fs[-1] - fs[0] <= 1e-12 and np.max(np.abs(sim[1:] - sim[0])) <= 1e-10:
                 return
-            xbar = np.add.reduce(sim[:-1], 0) / N
+            xbar = np.add.reduce(sim[:-1], 0) / dim  # / N, as a float: the same quotient
             xr = 2 * xbar - sim[-1]
             fxr = f(xr)
-            if fxr < fsim[0]:
+            if fxr < fs[0]:
                 xe = (1 + chi) * xbar - chi * sim[-1]
                 fxe = f(xe)
                 if fxe < fxr:
                     sim[-1], fsim[-1] = xe, fxe
                 else:
                     sim[-1], fsim[-1] = xr, fxr
-            elif fxr < fsim[-2]:
+            elif fxr < fs[-2]:
                 sim[-1], fsim[-1] = xr, fxr
             else:
-                if fxr < fsim[-1]:  # outside contraction
+                if fxr < fs[-1]:  # outside contraction
                     xc = (1 + psi) * xbar - psi * sim[-1]
                     fxc = f(xc)
                     accept = fxc <= fxr
                 else:  # inside contraction
                     xc = (1 - psi) * xbar + psi * sim[-1]
                     fxc = f(xc)
-                    accept = fxc < fsim[-1]
+                    accept = fxc < fs[-1]
                 if accept:
                     sim[-1], fsim[-1] = xc, fxc
                 else:  # shrink towards the best vertex

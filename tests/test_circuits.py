@@ -242,6 +242,26 @@ def test_ses_builders_take_only_the_flat_angle_vector(builder, shape):
         builder(4, params.reshape(-1))  # the same angles, flat, build
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("position", [0, -1])
+def test_each_finiteness_caller_refuses_a_bad_first_or_last_angle(bad, position):
+    # _check_finite is one reduction over every value: each of its callers
+    # must still see a non-finite angle at either end, with its own message
+    gate_params = [0.3, -0.2]
+    gate_params[position] = bad
+    with pytest.raises(ValueError, match=re.escape(f"A gate parameters must be finite, got {tuple(gate_params)!r}")):
+        qc.GateOp("A", (0, 1), gate_params)
+    circuit = qc.build_hardware_efficient_circuit(2, 1, np.zeros(4))
+    values = np.linspace(0.1, 0.4, 4)
+    values[position] = bad
+    with pytest.raises(ValueError, match=re.escape(f"circuit parameters must be finite, got {values!r}")):
+        qc.simulate(circuit, values)
+    angles = np.linspace(0.1, 0.6, 6)
+    angles[position] = bad
+    with pytest.raises(ValueError, match=re.escape(f"ansatz parameters must be finite, got {angles!r}")):
+        qc.ses_site_amplitudes(4, angles)
+
+
 class TestHardwareEfficientAnsatz:
     def test_zero_layers_is_identity(self):
         circ = qc.build_hardware_efficient_circuit(3, 0, [])

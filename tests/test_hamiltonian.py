@@ -2,6 +2,7 @@
 energy functional, I/O."""
 
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -303,6 +304,26 @@ class TestEnergyFromProfile:
                 1e-9,
                 0,
             )
+
+    @pytest.mark.parametrize("bad,message", [
+        (np.nan, "profile has a non-finite norm: sum r^2 = nan"),
+        (np.inf, "profile has a non-finite norm: sum r^2 = inf"),
+        (-0.5, "magnitudes must be non-negative"),
+    ])
+    @pytest.mark.parametrize("site", [0, 2])
+    def test_nan_infinite_and_negative_magnitudes_rejected(self, bad, message, site):
+        # a NaN magnitude once made a profile whose energy read nan
+        magnitudes = np.array([0.5, 0.5, 0.5])
+        magnitudes[site] = bad
+        with pytest.raises(ValueError, match=re.escape(message)):
+            AmplitudeProfile(3, magnitudes, np.zeros(3), np.array([False, True, True]), 1e-9, 1)
+
+    @pytest.mark.parametrize("sizes", [(2, 3, 3), (3, 4, 3), (3, 3, 2), (1, 1, 1)])
+    def test_fields_of_another_length_than_n_sites_rejected(self, sizes):
+        # they once reached energy_from_profile as a numpy broadcast error
+        r, phases, active = (np.full(size, 0.5) for size in sizes)
+        with pytest.raises(ValueError, match=re.escape("phases and active must each hold n_sites = 3 entries")):
+            AmplitudeProfile(3, r, phases, active > 0, 1e-9, 0)
 
     def test_size_mismatch(self):
         h = ham.chain_instance(3)

@@ -456,6 +456,12 @@ class TestReconstructProfile:
         got, _ = meas.reconstruct_profile([0.5, 0.5], np.array([0], dtype), np.array([1], dtype), [0.3], [0.4])
         assert got.phases.tobytes() == want.phases.tobytes()
 
+    @pytest.mark.parametrize("probs", [[np.nan, 0.5, 0.5], [0.5, 0.5, np.nan], [np.inf, 0.0, 0.0]])
+    def test_non_finite_probabilities_refused(self, probs):
+        # a NaN probability once gave a profile, and an energy, of nan
+        with pytest.raises(ValueError, match="profile has a non-finite norm"):
+            meas.reconstruct_profile(probs, [0, 1], [1, 2], [0.1, 0.1], [0.1, 0.1])
+
     def test_empty_pair_lists_are_accepted(self):
         profile, pgraph = meas.reconstruct_profile([0.25, 0.75], [], [], [], [])
         assert pgraph.n_components == 2

@@ -341,6 +341,33 @@ class TestEvaluateCost:
         assert vqe.evaluate_cost(plan, params, 7) == vqe.evaluate_cost(plan, params, 7)
         assert vqe.evaluate_cost(plan, params, 7) != vqe.evaluate_cost(plan, params, 8)
 
+    def test_one_hot_protocol_costs_are_pinned(self):
+        # sha256 over the repr of every one-hot ``original`` exact cost;
+        # beta = 0 ends the excitation there (every later site exactly 0) and
+        # beta = pi/2 leaves its site at |cos(pi/2)| ~ 6e-17, so inactive
+        # sites reach the masked energy and split the chain's phase walk
+        digest, split = hashlib.sha256(), 0
+        for n in (2, 3, 8, 12, 16):
+            instances = (ham.chain_instance(n, 0.8, disorder=1.0, seed=n), ham.complex_ring_instance(n, seed=n + 1))
+            for ring, h in enumerate(instances):
+                plan = vqe.prepare(vqe.VqeConfig(h, protocol="original"))
+                rng = np.random.default_rng(100 * n + ring)
+                for case in range(8):
+                    params = rng.uniform(-np.pi, np.pi, size=2 * (n - 1))
+                    if case >= 4:  # one or two betas exactly 0 or pi/2
+                        for j in rng.choice(n - 1, size=min(n - 1, case - 3 if case < 6 else 1), replace=False):
+                            params[2 * j] = (0.0, math.pi / 2)[(case + j) % 2]
+                    got = vqe.evaluate_cost(plan, params, 0)
+                    alpha = circuits.ses_site_amplitudes(n, params)
+                    assert got == measurement.estimate_energy(h, alpha, "original")[0]
+                    active = np.abs(alpha) > measurement.EXACT_EPSILON
+                    if active.all():
+                        assert abs(got - h.energy(alpha)) <= 1e-10
+                    split += bool(np.any(active[1:] & ~active[:-1]))
+                    digest.update(repr(got).encode())
+        assert split > 0
+        assert digest.hexdigest() == "37bb4c75f1456e68f5feba8a9d6d4bfbbb197ceb9352b96795f71f931872fb1e"
+
 
 class TestCostLoopCalls:
     """The benchmark's tracer counts calls through module attributes (as
