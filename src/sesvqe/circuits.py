@@ -16,16 +16,18 @@ controls = 6 CNOTs, k >= 3 controls = (2k - 3) * 6 CNOTs using one clean
 helper ancilla.  Its primitive realizations are standard library
 constructions; simulation applies it as an exact permutation.
 
-Simulation runs a circuit's compiled program (``Circuit.program``), built once
-per circuit: each run of consecutive permutation gates is fused into one
-gather index, and each run of RY/RZ gates (a hardware-efficient layer's 2n
-rotations) into rotation-layer steps: per qubit, its 2x2 matrices multiplied
-in gate order (``Program.factors``), and the qubits joined by kron into one
-matrix per ``LAYER_WIDTH`` adjacent qubits.  Every A gate stays a step of its
-own.  Dense gates read their angles from a flat parameter vector, so one
-template circuit serves every parameter binding; a program's arrays are
-read-only, as one template serves every solve of its register shape.  Every
-dense step, fused or not, is one matrix product with the register viewed as
+A circuit is a template: its width and its gates, with no angles in it.  The
+parametric gates (RY and RZ one angle each, A two) take theirs from the flat
+vector that ``simulate`` binds, in gate order, so one circuit serves every
+parameter binding.  Simulation runs a circuit's compiled program
+(``Circuit.program``), built once per circuit: each run of consecutive
+permutation gates is fused into one gather index, and each run of RY/RZ gates
+(a hardware-efficient layer's 2n rotations) into rotation-layer steps: per
+qubit, its 2x2 matrices multiplied in gate order (``Program.factors``), and
+the qubits joined by kron into one matrix per ``LAYER_WIDTH`` adjacent qubits.
+Every A gate stays a step of its own.  A program's arrays are read-only, as
+one template serves every solve of its register shape.  Every dense step,
+fused or not, is one matrix product with the register viewed as
 ``(high, 2^m, 2^low)`` for its run of m qubits from ``low``, but for a step
 over the whole register that acts on the untouched |0...0>: it takes its
 matrix's first column.
@@ -83,20 +85,20 @@ def _check_unitary(mats: np.ndarray, what: str, tol: float) -> None:
 
 @dataclass(frozen=True)
 class GateOp:
-    """One gate: kind, qubit tuple and its angles.
+    """One gate: kind and qubit tuple.
 
-    Qubit order is semantic: CNOT/MCX list controls first and the target
-    last; the A gate lists its adjacent pair ``(q, q + 1)``, the first qubit
-    being the low bit of its matrix.
+    A parametric gate holds no angles: RY and RZ take one from the vector
+    ``simulate`` binds, A two (beta, gamma), at the slot its place in the gate
+    order gives it.  Qubit order is semantic: CNOT/MCX list controls first and
+    the target last; the A gate lists its adjacent pair ``(q, q + 1)``, the
+    first qubit being the low bit of its matrix.
     """
 
     kind: str
     qubits: tuple
-    params: tuple = ()
 
     def __post_init__(self):
         object.__setattr__(self, "qubits", tuple(int(q) for q in self.qubits))
-        object.__setattr__(self, "params", tuple(float(p) for p in self.params))
         kind = self.kind
         if kind in _FIXED_ARITY:
             if len(self.qubits) != _FIXED_ARITY[kind]:
@@ -112,11 +114,6 @@ class GateOp:
             raise ValueError(f"duplicate qubit in {kind} gate: {self.qubits}")
         if kind == "A" and self.qubits[1] != self.qubits[0] + 1:
             raise ValueError(f"A acts on adjacent qubits (q, q + 1), got {self.qubits}")
-        want = _PARAM_COUNTS.get(kind, 0)
-        if len(self.params) != want:
-            raise ValueError(f"{kind} expects {want} parameter(s), got {self.params}")
-        if self.params:
-            _check_finite(self.params, f"{kind} gate parameters")
 
     def cnot_cost(self) -> int:
         kind = self.kind
@@ -134,11 +131,10 @@ class GateOp:
 
 @dataclass(frozen=True)
 class Circuit:
-    """Ordered gate list over a fixed register width."""
+    """Ordered gate list over a fixed register width: a template, with no angles."""
 
     num_qubits: int
     gates: tuple
-    label: str = ""
 
     def __post_init__(self):
         object.__setattr__(self, "gates", tuple(self.gates))
@@ -186,28 +182,28 @@ class Program:
     of its ``factors``.  ``matrices`` checks the A stack unitary to 1e-10 and
     the layer factors to 1e-11.  ``slots[kind]`` holds the offset of each
     parametric gate's first angle in the flat parameter vector, in gate
-    order, for the kinds the circuit holds; ``params`` is the circuit's own
-    vector.
+    order, for the kinds the circuit holds; the vector has ``n_params``
+    entries.
     """
 
     num_qubits: int
     steps: tuple
     slots: dict
-    params: np.ndarray
+    n_params: int
     layers: np.ndarray
 
     def __post_init__(self):
         # a template's program serves every solve of its register shape
-        for a in (*self.steps, *self.slots.values(), self.params, self.layers):
+        for a in (*self.steps, *self.slots.values(), self.layers):
             if isinstance(a, np.ndarray):
                 a.setflags(write=False)
 
     def bind(self, params) -> np.ndarray:
-        """Flat parameter vector for one run; refuses a wrong count or non-finite angles."""
-        values = np.asarray(params, dtype=float).reshape(-1)
-        if values.size != self.params.size:
+        """The angles of one run: refused unless a finite 1-D vector of ``n_params``."""
+        values = np.asarray(params, dtype=float)
+        if values.shape != (self.n_params,):
             raise ValueError(
-                f"circuit takes {self.params.size} parameters, got {values.size}"
+                f"circuit takes a flat vector of {self.n_params} parameters, got shape {values.shape}"
             )
         _check_finite(values, "circuit parameters")
         return values
@@ -301,13 +297,15 @@ def _compile(circuit: Circuit) -> Program:
         )
     idx = np.arange(2**width)
     layer_width = min(LAYER_WIDTH, width)
-    steps, params, slots, layers = [], [], {}, []
+    steps, slots, layers = [], {}, []
+    n_params = 0
 
     def slot(g: GateOp) -> int:
-        """Record a parametric gate's angles; return its entry in its kind's stack."""
+        """Give a parametric gate its next angles; return its entry in its kind's stack."""
+        nonlocal n_params
         offsets = slots.setdefault(g.kind, [])
-        offsets.append(len(params))
-        params.extend(g.params)
+        offsets.append(n_params)
+        n_params += _PARAM_COUNTS[g.kind]
         return len(offsets) - 1
 
     def family(g: GateOp) -> str:
@@ -346,7 +344,7 @@ def _compile(circuit: Circuit) -> Program:
         width,
         tuple(steps),
         {kind: np.array(s, dtype=np.intp) for kind, s in slots.items()},
-        np.array(params, dtype=float),
+        n_params,
         table,
     )
 
@@ -382,29 +380,18 @@ def a_gate_matrix(beta, gamma) -> np.ndarray:
     return mat
 
 
-def _pair_angles(params, n_pairs: int) -> list:
-    """The flat vector of ``2 * n_pairs`` angles as a list, pair j's (beta, gamma) at 2j, 2j + 1."""
-    arr = np.asarray(params, dtype=float)
-    if arr.shape != (2 * n_pairs,):
-        raise ValueError(f"expected {2 * n_pairs} parameters (beta,gamma pairs), got shape {arr.shape}")
-    _check_finite(arr, "ansatz parameters")
-    return arr.tolist()
-
-
-def build_ses_circuit(n_sites: int, params) -> Circuit:
+def build_ses_circuit(n_sites: int) -> Circuit:
     """One-hot single-excitation ansatz on an N-qubit register.
 
     X on qubit 0 creates the excitation; a chain of A gates on neighboring
-    qubits (j, j+1), j = 0..N-2, then distributes it.  N-1 (beta, gamma)
-    pairs.
+    qubits (j, j+1), j = 0..N-2, then distributes it.  It binds N-1
+    (beta, gamma) pairs, pair j's at 2j, 2j + 1.
     """
     if n_sites < 1:
         raise ValueError("n_sites must be >= 1")
-    angles = _pair_angles(params, n_sites - 1)
     gates = [GateOp("X", (0,))]
-    for j in range(n_sites - 1):
-        gates.append(GateOp("A", (j, j + 1), angles[2 * j:2 * j + 2]))
-    return Circuit(n_sites, tuple(gates), "one_hot_ses")
+    gates.extend(GateOp("A", (j, j + 1)) for j in range(n_sites - 1))
+    return Circuit(n_sites, tuple(gates))
 
 
 def binary_register_layout(emap: EncodingMap) -> dict:
@@ -439,7 +426,7 @@ def _prep_and_unflag(gates, emap, layout, site, flag):
         gates.append(GateOp("X", (b,)))
 
 
-def build_binary_ses_circuit(n_sites: int, params, emap: EncodingMap | None = None) -> Circuit:
+def build_binary_ses_circuit(n_sites: int, emap: EncodingMap | None = None) -> Circuit:
     """Packed-register equivalent of the one-hot ansatz.
 
     One module per site: an A gate on the two workspace ancillas splits off
@@ -448,7 +435,7 @@ def build_binary_ses_circuit(n_sites: int, params, emap: EncodingMap | None = No
     into the data register, and a pattern-controlled MCX clears the flag.
     The final site receives the residual amplitude through a write/unflag
     pair without a new A gate.  Produces the same site amplitudes as
-    build_ses_circuit with the same parameters.
+    build_ses_circuit bound to the same parameters.
 
     Codeword 0 is also the pattern of a data register not yet written, so
     an unflag for it would fire on the travelling branch too: a map that
@@ -466,76 +453,68 @@ def build_binary_ses_circuit(n_sites: int, params, emap: EncodingMap | None = No
             f"codeword 0 marks an unwritten data register, so only the last site may "
             f"hold it; this map gives it to site {emap.codewords.index(0)} of {n_sites}"
         )
-    angles = _pair_angles(params, n_sites - 1)
     layout = binary_register_layout(emap)
     a0, a1 = layout["flag_a"], layout["flag_b"]
     gates = [GateOp("X", (a0,))]
     for i in range(n_sites - 1):
-        gates.append(GateOp("A", (a0, a1), angles[2 * i:2 * i + 2]))
+        gates.append(GateOp("A", (a0, a1)))
         gates.extend(GateOp("CNOT", pair) for pair in ((a0, a1), (a1, a0), (a0, a1)))
         _prep_and_unflag(gates, emap, layout, i, a1)
     # terminal transfer: the residual branch still carries its flag on a0
     _prep_and_unflag(gates, emap, layout, n_sites - 1, a0)
-    return Circuit(layout["width"], tuple(gates), "binary_ses")
+    return Circuit(layout["width"], tuple(gates))
 
 
-def build_hardware_efficient_circuit(num_qubits: int, layers: int, params) -> Circuit:
+def build_hardware_efficient_circuit(num_qubits: int, layers: int) -> Circuit:
     """Layered RY/RZ rotations with a CNOT ring entangler.
 
-    Parameters are flat, length 2 * num_qubits * layers, ordered per layer as
-    all RY angles (qubit 0..n-1) then all RZ angles.
+    It binds 2 * num_qubits * layers angles, ordered per layer as all RY
+    angles (qubit 0..n-1) then all RZ angles.
     """
     if num_qubits < 1 or layers < 0:
         raise ValueError("num_qubits must be >= 1 and layers >= 0")
-    arr = np.asarray(params, dtype=float)
-    want = 2 * num_qubits * layers
-    if arr.shape != (want,):
-        raise ValueError(f"expected {want} parameters, got shape {arr.shape}")
-    gates = []
-    pos = 0
-    for _ in range(layers):
-        for q in range(num_qubits):
-            gates.append(GateOp("RY", (q,), (arr[pos],)))
-            pos += 1
-        for q in range(num_qubits):
-            gates.append(GateOp("RZ", (q,), (arr[pos],)))
-            pos += 1
-        if num_qubits > 1:
-            for q in range(num_qubits):
-                gates.append(GateOp("CNOT", (q, (q + 1) % num_qubits)))
-    return Circuit(num_qubits, tuple(gates), "hardware_efficient")
+    qubits = range(num_qubits)
+    layer = [GateOp("RY", (q,)) for q in qubits] + [GateOp("RZ", (q,)) for q in qubits]
+    if num_qubits > 1:
+        layer += [GateOp("CNOT", (q, (q + 1) % num_qubits)) for q in qubits]
+    return Circuit(num_qubits, tuple(layer * layers))
 
 
 def decompose(circuit: Circuit) -> Circuit:
     """Expand each A gate into its three CNOTs and four single-qubit rotations.
 
-    Every other gate is left as it is.  MCX is retained as a costed unit; its
-    CNOT total follows the documented model rather than an inline synthesis.
+    The A gate on ``(a, b)`` becomes CNOT(a, b), RZ(a), RY(a), CNOT(b, a),
+    RY(a), RZ(a), CNOT(a, b).  Its two slots (beta, gamma) of the bound
+    vector become those four rotations' slots, in that order, with the angles
+    -(gamma + pi), -(beta + pi/2), beta + pi/2, gamma + pi; every other angle
+    keeps its place in gate order.  Every other gate is left as it is.  MCX
+    is retained as a costed unit; its CNOT total follows the documented model
+    rather than an inline synthesis.
     """
     out = []
     for g in circuit.gates:
         if g.kind == "A":
             qa, qb = g.qubits
-            beta, gamma = g.params
             out.append(GateOp("CNOT", (qa, qb)))
-            out.append(GateOp("RZ", (qa,), (-(gamma + math.pi),)))
-            out.append(GateOp("RY", (qa,), (-(beta + math.pi / 2.0),)))
+            out.append(GateOp("RZ", (qa,)))
+            out.append(GateOp("RY", (qa,)))
             out.append(GateOp("CNOT", (qb, qa)))
-            out.append(GateOp("RY", (qa,), (beta + math.pi / 2.0,)))
-            out.append(GateOp("RZ", (qa,), (gamma + math.pi,)))
+            out.append(GateOp("RY", (qa,)))
+            out.append(GateOp("RZ", (qa,)))
             out.append(GateOp("CNOT", (qa, qb)))
         else:
             out.append(g)
-    return Circuit(circuit.num_qubits, tuple(out), circuit.label)
+    return Circuit(circuit.num_qubits, tuple(out))
 
 
 def simulate(circuit: Circuit, params) -> np.ndarray:
     """Amplitudes of the circuit's compiled program run from |0...0>.
 
     ``params`` binds a flat angle vector to the parametric gates (RY, RZ, A)
-    in gate order, which is the order every ansatz builder takes, so a
-    template circuit built once serves every evaluation; a circuit's own
-    angles are ``circuit.program.params``.  Every step runs the same kernel:
+    in gate order, which is the order every ansatz builder documents, so a
+    template circuit built once serves every evaluation; it is refused unless
+    a finite 1-D vector of ``circuit.program.n_params`` angles, and it is the
+    only place angles enter a run.  Every step runs the same kernel:
     a gather, or one GEMM of a dense matrix over its run of adjacent qubits
     (the matrix's first column when it spans the register still at |0...0>,
     the same numbers bit for bit).
@@ -590,7 +569,11 @@ def ses_site_amplitudes(n_sites: int, params) -> np.ndarray:
     simulation in the test suite; used as the exact-mode fast path at widths
     where a dense register is wasteful.
     """
-    angles = _pair_angles(params, n_sites - 1)
+    arr = np.asarray(params, dtype=float)
+    if arr.shape != (2 * (n_sites - 1),):
+        raise ValueError(f"expected {2 * (n_sites - 1)} parameters (beta,gamma pairs), got shape {arr.shape}")
+    _check_finite(arr, "ansatz parameters")
+    angles = arr.tolist()
     alpha, carry = [], 1.0 + 0.0j
     for beta, gamma in zip(angles[::2], angles[1::2]):
         alpha.append(math.cos(beta) * carry)

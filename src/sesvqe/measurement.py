@@ -458,11 +458,15 @@ def _spanning_forest(active: list, js: list, ks: list, deltas: list, weights: li
 
 
 def _pair_indices(pairs) -> np.ndarray:
-    """Pair indices as int64; refused unless of an integer dtype (bool is not) or empty."""
+    """Pair indices as int64; refused unless of an integer dtype (bool is not) or empty.
+
+    The ``PhaseGraph`` keeps them, so a writeable array is copied; a layout's
+    read-only arrays pass through.
+    """
     idx = np.asarray(pairs)
     if idx.dtype.kind not in "iu" and idx.size:
         raise ValueError(f"pair indices must be integers, got dtype {idx.dtype}")
-    return idx.astype(np.int64, copy=False)
+    return idx.astype(np.int64, copy=idx.flags.writeable)
 
 
 @functools.lru_cache(maxsize=64)

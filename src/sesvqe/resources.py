@@ -106,8 +106,7 @@ def leading_figure(value: float, digits: int = 2) -> str:
 
 def binary_ansatz_cnot_total(n_sites: int) -> int:
     """CNOT-equivalent count of the packed ansatz circuit at ``n_sites``."""
-    params = np.zeros(2 * (n_sites - 1)) if n_sites > 1 else np.zeros(0)
-    return circuits.build_binary_ses_circuit(n_sites, params).cnot_count
+    return circuits.build_binary_ses_circuit(n_sites).cnot_count
 
 
 def scaling_exponent(sizes, costs, reference) -> float:

@@ -169,26 +169,26 @@ TEMPLATES_HELD = 8
 
 
 @functools.lru_cache(maxsize=TEMPLATES_HELD)
-def _template(ansatz: str, *shape: int) -> circuits.Circuit:
+def _template(ansatz: str, *shape) -> circuits.Circuit:
     """The ansatz's template circuit for one register shape, built once per process.
 
-    ``shape`` is ``(n_sites,)`` for ``binary_ses``, whose map is always the
-    shifted one, and ``(width, layers)`` for ``hardware_efficient``.  Every
-    solve of the shape shares the circuit and its compiled program, whose
-    arrays are read-only.
+    ``shape`` is ``(emap,)`` for ``binary_ses``, the encoding map ``prepare``
+    chose, and ``(width, layers)`` for ``hardware_efficient``.  Every solve
+    of the shape shares the circuit and its compiled program, whose arrays
+    are read-only.
     """
     if ansatz == "binary_ses":
-        (n,) = shape
-        return circuits.build_binary_ses_circuit(n, np.zeros(2 * (n - 1)), build_map(n, "shifted"))
-    width, layers = shape
-    return circuits.build_hardware_efficient_circuit(width, layers, np.zeros(2 * width * layers))
+        (emap,) = shape
+        return circuits.build_binary_ses_circuit(emap.n_sites, emap)
+    return circuits.build_hardware_efficient_circuit(*shape)
 
 
 def prepare(config: VqeConfig) -> RunPlan:
     """Resolve registers, penalty extension and the exact reference energy.
 
-    The encoding map is built per solve; the template circuit comes from
-    ``_template``, after a too-wide packed register has been refused.
+    The encoding map is chosen here, once per solve, and keys the packed
+    template; the template circuit comes from ``_template``, after a
+    too-wide packed register has been refused.
     """
     h = config.hamiltonian
     n = h.n_sites
@@ -202,7 +202,7 @@ def prepare(config: VqeConfig) -> RunPlan:
         width = circuits.binary_register_layout(emap)["width"]
         if width > MAX_SIM_WIDTH:
             raise ValueError(f"packed register would need {width} qubits; limit is {MAX_SIM_WIDTH}")
-        circuit = _template(config.ansatz, n)
+        circuit = _template(config.ansatz, emap)
     else:
         c_p = default_penalty(h) if config.penalty is None else config.penalty
         target = extend_with_penalty(h, c_p)

@@ -456,6 +456,19 @@ class TestReconstructProfile:
         got, _ = meas.reconstruct_profile([0.5, 0.5], np.array([0], dtype), np.array([1], dtype), [0.3], [0.4])
         assert got.phases.tobytes() == want.phases.tobytes()
 
+    def test_phase_graph_keeps_its_own_pair_indices(self):
+        # a caller's writeable int64 arrays are copied: writing them later
+        # once moved the graph's first edge to (5, 1), a pair the checks refuse
+        j, k = np.array([0, 1]), np.array([1, 2])
+        _, pgraph = meas.reconstruct_profile([0.3, 0.3, 0.4], j, k, [0.1, 0.1], [0.1, 0.2])
+        j[0], k[0] = 5, 7
+        assert pgraph.edge_j.tolist() == [0, 1] and pgraph.edge_k.tolist() == [1, 2]
+        assert meas.phase_graph_summary(pgraph)["edges"][0][:2] == [0, 1]
+        # a layout's read-only arrays are kept as they are
+        layout = meas._layout("original", 3, None)
+        _, pgraph = meas.reconstruct_profile([0.3, 0.3, 0.4], layout.pair_j, layout.pair_k, [0.1, 0.1], [0.1, 0.2])
+        assert pgraph.edge_j is layout.pair_j and pgraph.edge_k is layout.pair_k
+
     @pytest.mark.parametrize("probs", [[np.nan, 0.5, 0.5], [0.5, 0.5, np.nan], [np.inf, 0.0, 0.0]])
     def test_non_finite_probabilities_refused(self, probs):
         # a NaN probability once gave a profile, and an energy, of nan

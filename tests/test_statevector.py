@@ -64,11 +64,11 @@ class TestApplyGate:
     def test_cnot_control_zero_target_one(self):
         # |01> (qubit 0 set) -> |11>
         circ = qc.Circuit(2, (qc.GateOp("X", (0,)), qc.GateOp("CNOT", (0, 1))))
-        np.testing.assert_allclose(qc.simulate(circ, circ.program.params), [0, 0, 0, 1], atol=1e-15)
+        np.testing.assert_allclose(qc.simulate(circ, []), [0, 0, 0, 1], atol=1e-15)
 
     def test_cnot_idle_when_control_clear(self):
         circ = qc.Circuit(2, (qc.GateOp("X", (1,)), qc.GateOp("CNOT", (0, 1))))
-        np.testing.assert_allclose(qc.simulate(circ, circ.program.params), [0, 0, 1, 0], atol=1e-15)
+        np.testing.assert_allclose(qc.simulate(circ, []), [0, 0, 1, 0], atol=1e-15)
 
     def test_rejects_bad_indices(self):
         with pytest.raises(ValueError, match="exceeds width"):

@@ -119,7 +119,7 @@ class TestTemplateCircuit:
         compile_circuit = circuits._compile
 
         def counting(circuit):
-            compiled.append(circuit.label)
+            compiled.append(circuit.num_qubits)
             return compile_circuit(circuit)
 
         monkeypatch.setattr(circuits, "_compile", counting)
@@ -138,9 +138,9 @@ class TestTemplateCircuit:
 
         solve(4, 1)
         solve(4, 2)
-        assert compiled == [ansatz]
+        assert len(compiled) == 1
         solve(5, 1)  # a wider register: a new template
-        assert compiled == [ansatz, ansatz]
+        assert len(compiled) == 2 and compiled[1] > compiled[0]
 
     @pytest.mark.parametrize("ansatz,protocol", [("binary_ses", "binary"), ("hardware_efficient", "binary")])
     def test_cached_template_arrays_are_read_only(self, ansatz, protocol):
@@ -149,8 +149,8 @@ class TestTemplateCircuit:
         assert vqe.prepare(cfg).circuit is circuit  # one template per shape
         program = circuit.program
         gathers = [step for step in program.steps if isinstance(step, np.ndarray)]
-        arrays = [*gathers, *program.slots.values(), program.params, program.layers]
-        assert gathers and program.params.size
+        arrays = [*gathers, *program.slots.values(), program.layers]
+        assert gathers and program.n_params
         for array in arrays:
             if array.size:
                 with pytest.raises(ValueError, match="read-only"):
@@ -257,7 +257,7 @@ class TestPrepare:
 def packed_register_energy(h, params):
     """Oracle: the quadratic form of the simulated packed circuit's data block."""
     emap = encoding.build_map(h.n_sites, "shifted")
-    state = circuits.simulate(circuits.build_binary_ses_circuit(h.n_sites, params, emap), params)
+    state = circuits.simulate(circuits.build_binary_ses_circuit(h.n_sites, emap), params)
     alpha, _ = circuits.binary_data_amplitudes(state, emap)
     alpha = alpha / np.linalg.norm(alpha)
     return float((alpha.conj() @ h.matrix @ alpha).real)
@@ -287,7 +287,7 @@ class TestSiteVector:
         # simulated one-hot register, so the register it describes must agree
         h, params = point
         n = h.n_sites
-        register = circuits.simulate(circuits.build_ses_circuit(n, params), params)
+        register = circuits.simulate(circuits.build_ses_circuit(n), params)
         alpha = circuits.ses_site_amplitudes(n, params)
         embedded = dense_register(sv.SiteState(n, None, alpha))
         assert np.max(np.abs(register - embedded)) <= 1e-14
