@@ -76,6 +76,14 @@ def _check_finite(values, what: str) -> None:
         raise ValueError(f"{what} must be finite, got {values!r}")
 
 
+def _real_angles(params) -> np.ndarray:
+    """``params`` as float angles; refused if complex, where a float cast would drop the imaginary part."""
+    values = np.asarray(params)
+    if values.dtype.kind == "c":
+        raise ValueError(f"angles must be real, got dtype {values.dtype}")
+    return values.astype(float, copy=False)
+
+
 def _check_unitary(mats: np.ndarray, what: str, tol: float) -> None:
     """Refuse any matrix of a stack (..., d, d) whose M^H M is not the identity to ``tol``."""
     dev = np.max(np.abs(mats.conj().swapaxes(-1, -2) @ mats - _IDENTITIES[mats.shape[-1]]))
@@ -199,8 +207,8 @@ class Program:
                 a.setflags(write=False)
 
     def bind(self, params) -> np.ndarray:
-        """The angles of one run: refused unless a finite 1-D vector of ``n_params``."""
-        values = np.asarray(params, dtype=float)
+        """The angles of one run: refused unless a real, finite 1-D vector of ``n_params``."""
+        values = _real_angles(params)
         if values.shape != (self.n_params,):
             raise ValueError(
                 f"circuit takes a flat vector of {self.n_params} parameters, got shape {values.shape}"
@@ -569,7 +577,7 @@ def ses_site_amplitudes(n_sites: int, params) -> np.ndarray:
     simulation in the test suite; used as the exact-mode fast path at widths
     where a dense register is wasteful.
     """
-    arr = np.asarray(params, dtype=float)
+    arr = _real_angles(params)
     if arr.shape != (2 * (n_sites - 1),):
         raise ValueError(f"expected {2 * (n_sites - 1)} parameters (beta,gamma pairs), got shape {arr.shape}")
     _check_finite(arr, "ansatz parameters")

@@ -39,7 +39,7 @@ from .hamiltonian import (
 
 MANIFEST_TAG = "sesvqe-manifest/1"
 SOLVE_REPORT_TAG = "sesvqe-solve-report/1"
-RECONSTRUCTION_TAG = "sesvqe-reconstruction/2"
+RECONSTRUCTION_TAG = "sesvqe-reconstruction/3"
 RESOURCES_TAG = "sesvqe-resources/1"
 
 

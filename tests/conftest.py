@@ -1,6 +1,6 @@
 """Shared test plumbing: acceptance-criterion result lines, the hypothesis
-profile, dense kron oracles, the dense measurement oracle and shared
-instances."""
+profile, dense kron oracles, the dense measurement oracle, the version-2 rows
+of a phase graph and shared instances."""
 
 import functools
 import math
@@ -112,6 +112,20 @@ def setting_estimate(source, setting: meas.MeasurementSetting, emap=None) -> np.
     if not isinstance(source, sv.ShotHistogram):
         source = meas._site_vector(source, layout.n_sites)
     return meas.estimate_setting(source, setting, layout)
+
+
+def phase_graph_rows(graph: dict) -> dict:
+    """A report's phase-graph columns rendered as the ``sesvqe-reconstruction/2``
+    rows: edges ``[j, k, delta, weight]``, tree edges ``[j, k]`` and
+    ``[site, component]`` for each active site, as the pinned report hashes
+    were computed over them."""
+    edges = [list(e) for e in zip(graph["edge_j"], graph["edge_k"], graph["delta"], graph["weight"])]
+    return {
+        "edges": edges,
+        "tree_edges": [e[:2] for e, t in zip(edges, graph["in_tree"]) if t],
+        "n_components": graph["n_components"],
+        "component_of": [[s, c] for s, c in enumerate(graph["component"]) if c >= 0],
+    }
 
 
 _lines = []

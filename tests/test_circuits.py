@@ -5,6 +5,7 @@ import functools
 import hashlib
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -258,6 +259,25 @@ def test_each_finiteness_caller_refuses_a_bad_first_or_last_angle(bad, position)
     angles[position] = bad
     with pytest.raises(ValueError, match=re.escape(f"ansatz parameters must be finite, got {angles!r}")):
         qc.ses_site_amplitudes(4, angles)
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda p: qc.simulate(qc.build_ses_circuit(2), p),
+        lambda p: qc.simulate(qc.build_binary_ses_circuit(2), p),
+        lambda p: qc.ses_site_amplitudes(2, p),
+    ],
+    ids=["one_hot", "binary", "cascade"],
+)
+@pytest.mark.parametrize("angles", [np.array([0.3 + 1j, 0.1]), [0.3, 0.1 + 0j]], ids=["array", "list"])
+def test_complex_angles_refused(run, angles):
+    # a float cast once dropped the imaginary part with only a ComplexWarning,
+    # and ran the state for beta = 0.3
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="angles must be real, got dtype complex128"):
+            run(angles)
 
 
 class TestHardwareEfficientAnsatz:

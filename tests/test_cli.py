@@ -533,7 +533,7 @@ class TestReconstruct:
         )
         assert rc == 0
         report = read_json(out)
-        assert report["format"] == "sesvqe-reconstruction/2"
+        assert report["format"] == "sesvqe-reconstruction/3"
         assert report["energy"] == pytest.approx(h.matrix[2, 2].real, abs=1e-10)
         assert report["energy_error"] == pytest.approx(0.0, abs=1e-10)
         profile = report["diagnostics"]["profile"]

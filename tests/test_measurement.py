@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 import sesvqe
-from conftest import dense_register, measurement_distribution, rows_histogram, setting_estimate
+from conftest import dense_register, measurement_distribution, phase_graph_rows, rows_histogram, setting_estimate
 from sesvqe import encoding, measurement as meas
 from sesvqe import hamiltonian as ham
 from sesvqe import statevector as sv
@@ -463,7 +463,8 @@ class TestReconstructProfile:
         _, pgraph = meas.reconstruct_profile([0.3, 0.3, 0.4], j, k, [0.1, 0.1], [0.1, 0.2])
         j[0], k[0] = 5, 7
         assert pgraph.edge_j.tolist() == [0, 1] and pgraph.edge_k.tolist() == [1, 2]
-        assert meas.phase_graph_summary(pgraph)["edges"][0][:2] == [0, 1]
+        summary = meas.phase_graph_summary(pgraph)
+        assert (summary["edge_j"][0], summary["edge_k"][0]) == (0, 1)
         # a layout's read-only arrays are kept as they are
         layout = meas._layout("original", 3, None)
         _, pgraph = meas.reconstruct_profile([0.3, 0.3, 0.4], layout.pair_j, layout.pair_k, [0.1, 0.1], [0.1, 0.2])
@@ -474,6 +475,22 @@ class TestReconstructProfile:
         # a NaN probability once gave a profile, and an energy, of nan
         with pytest.raises(ValueError, match="profile has a non-finite norm"):
             meas.reconstruct_profile(probs, [0, 1], [1, 2], [0.1, 0.1], [0.1, 0.1])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("column", ["cos", "sin"])
+    @pytest.mark.parametrize("route", ["path", "kruskal"])
+    def test_non_finite_pair_estimates_refused_before_any_work(self, monkeypatch, route, column, bad):
+        # a NaN cos once put edge (0, 1) into the tree and gave site 1 a NaN phase
+        def not_reached(*args, **kwargs):
+            raise AssertionError("pairs were routed or a forest was built before the check")
+
+        for name in ("_pair_route", "_chain_forest", "_spanning_forest"):
+            monkeypatch.setattr(meas, name, not_reached)
+        j, k = ([0, 1], [1, 2]) if route == "path" else ([0, 0, 1], [1, 2, 2])
+        estimates = {"cos": [0.1, 0.2, 0.1][:len(j)], "sin": [0.1, 0.2, 0.1][:len(j)]}
+        estimates[column][0] = bad
+        with pytest.raises(ValueError, match="pair estimates cos and sin must be finite"):
+            meas.reconstruct_profile([0.3, 0.3, 0.4], j, k, estimates["cos"], estimates["sin"])
 
     def test_empty_pair_lists_are_accepted(self):
         profile, pgraph = meas.reconstruct_profile([0.25, 0.75], [], [], [], [])
@@ -676,7 +693,8 @@ class TestEstimateEnergy:
         # before the per-setting estimates became bare arrays and recomputed,
         # before ``unknown_codeword_count`` was deleted, with that key left
         # out; any change to the estimates, their order or their rounding
-        # moves it
+        # moves it.  The phase graph is hashed as the version-2 rows it was
+        # pinned in (``phase_graph_rows``), so the columns carry the same facts
         families = (
             lambda n, s: ham.chain_instance(n, 0.8, disorder=0.5, seed=s),
             lambda n, s: ham.random_hermitian_instance(n, seed=s),
@@ -697,6 +715,7 @@ class TestEstimateEnergy:
             kwargs = dict(shots=shots, seed=idx, emap=encoding.build_map(n, mode) if mode else None,
                           epsilon=(None, 0, 0.05)[idx % 3])
             energy, diag = meas.estimate_energy(*args, **kwargs)
+            diag["phase_graph"] = phase_graph_rows(diag["phase_graph"])
             digest.update(json.dumps([repr(energy), diag], sort_keys=True).encode())
             # the cost loop's call builds no report and gets the same energy
             assert meas.estimate_energy(*args, **kwargs, diagnostics=False) == (energy, None)
@@ -705,8 +724,9 @@ class TestEstimateEnergy:
     def test_outputs_are_pinned_at_large_n(self):
         # the same hash at N = 128 and 256, computed before the one-hot chain
         # took its own phase route and recomputed, like the hash above,
-        # without the deleted key; the shot runs and epsilon 0.05 leave
-        # inactive sites that split the chain and the hypercube forest
+        # without the deleted key and over the version-2 phase-graph rows; the
+        # shot runs and epsilon 0.05 leave inactive sites that split the chain
+        # and the hypercube forest
         cases = itertools.product((128, 256), (("original", None), ("binary", "shifted")),
                                   (None, 1000), (None, 0.05))
         digest = hashlib.sha256()
@@ -718,8 +738,30 @@ class TestEstimateEnergy:
                 ham.random_hermitian_instance(n, seed=idx), alpha, protocol, shots=shots, seed=idx,
                 emap=encoding.build_map(n, mode) if mode else None, epsilon=epsilon,
             )
+            diag["phase_graph"] = phase_graph_rows(diag["phase_graph"])
             digest.update(json.dumps([repr(energy), diag], sort_keys=True).encode())
         assert digest.hexdigest() == "a2a78c02c98ddac2128accb834d841b1e955f5dbdeb3f77e626c2f1cc8b79ef4"
+
+    @pytest.mark.parametrize("n", [1, 8, 13, 64])
+    @pytest.mark.parametrize("protocol", ["original", "binary"])
+    @pytest.mark.parametrize("shots", [None, 1000])
+    def test_phase_graph_columns_are_the_graphs_arrays(self, n, protocol, shots):
+        rng = np.random.default_rng(n)
+        alpha = rng.normal(size=n) + 1j * rng.normal(size=n)
+        alpha[n // 3: n // 2] = 0.0  # inactive sites split the chain, and some forests
+        alpha /= np.linalg.norm(alpha)
+        layout = meas._layout(protocol, n, encoding.build_map(n) if protocol == "binary" else None)
+        probs, cos, sin = meas._measure(layout, alpha, shots, seed=n)
+        profile, pgraph = meas.reconstruct_profile(probs, layout.pair_j, layout.pair_k, cos, sin, shots=shots)
+        summary = meas.phase_graph_summary(pgraph)
+        assert set(summary) == {"edge_j", "edge_k", "delta", "weight", "in_tree", "component", "n_components"}
+        for name in ("edge_j", "edge_k", "delta", "weight", "in_tree", "component"):
+            # as JSON, so a bool stays true and an int is not written as a float
+            assert json.dumps(summary[name]) == json.dumps(getattr(pgraph, name).tolist()), name
+        assert summary["n_components"] == pgraph.n_components
+        assert summary["component"] == np.where(profile.active, pgraph.component, -1).tolist()
+        # a forest has one edge fewer than sites in each component
+        assert sum(summary["in_tree"]) == int(profile.active.sum()) - summary["n_components"]
 
     def test_unknown_protocol(self):
         h = ham.chain_instance(2)
@@ -774,7 +816,7 @@ for n in (5, 8):
     assert abs(energy - want) < 1e-10, (n, energy, want)
     graph = diag["phase_graph"]
     if n == 8:  # the 3-cube: 12 measured pairs, a 7-edge tree, five cycles
-        assert (len(graph["edges"]), len(graph["tree_edges"])) == (12, 7), graph
+        assert (len(graph["edge_j"]), sum(graph["in_tree"])) == (12, 7), graph
     energy, _ = measurement.estimate_energy(h, alpha, "original", shots=2000, seed=1)
     assert np.isfinite(energy)
     energy, _ = measurement.estimate_energy(h, alpha, "binary", shots=2000, seed=1, emap=emap)

@@ -10,8 +10,9 @@ form they were once built from, pair for pair and in order.
 Shot mode: on random outcome counts, every histogram estimate equals the
 per-bitstring sum it stands for, bit for bit.
 
-Phase forest: pairs that form a path in site order give the forest and the
-phases of the Kruskal walk that every pair graph once took, bit for bit, and
+Phase forest: pairs that form a path in site order, and the packed
+protocol's hypercube edges, give the forest and the phases of the
+root-chasing Kruskal walk that every pair graph once took, bit for bit, and
 ``np.float_power(x, 2.0)`` squares like Python's ``x ** 2``.
 """
 
@@ -101,7 +102,7 @@ def test_exact_mode_matches_brute_force(n, seed, zeroed, density, protocol, mode
     inactive, cross = unmeasured_terms(h, active, label)
     assert diag["inactive_terms"] == inactive
     assert diag["cross_component_terms"] == cross
-    assert diag["phase_graph"]["component_of"] == [[s, c] for s, c in enumerate(label) if c >= 0]
+    assert diag["phase_graph"]["component"] == label
     assert diag["n_components"] == max(label) + 1
 
     # each component comes back with its lowest site's phase set to 0
@@ -271,15 +272,17 @@ def test_phase_graph_lists_each_measured_pair_once_in_site_order(n, seed, protoc
     _, diag = meas.estimate_energy(h, alpha, protocol, emap=emap)
 
     assert all(diag["profile"]["active"])
-    listed = [(j, k) for j, k, _, _ in diag["phase_graph"]["edges"]]
+    listed = list(zip(diag["phase_graph"]["edge_j"], diag["phase_graph"]["edge_k"]))
     assert listed == sorted(measured_pairs(protocol, n, emap))
     assert len(set(listed)) == len(listed)
     assert all(j < k for j, k in listed)
 
 
 def parent_spanning_forest(active, js, ks, deltas, weights):
-    """Kruskal and the walk over its tree, as every pair graph took them before
-    pairs forming a path in site order got their own route: the oracle for that route."""
+    """Kruskal with a path-halving union-find over a sorted edge list, and the
+    walk over its tree, as every pair graph took them before pairs forming a
+    path in site order got their own route: the oracle for that route and for
+    the relabelling union-find that replaced it."""
     n_sites = len(active)
     root = list(range(n_sites))
 
@@ -387,6 +390,47 @@ def test_path_route_equals_the_kruskal_walk(n, seed, dropped, inactive, tied, ep
     assert profile.phases.tobytes() == np.array(phases).tobytes()
     assert pgraph.delta.tobytes() == delta.tobytes()
     assert pgraph.weight.tobytes() == np.array(weights).tobytes()
+
+
+@settings(max_examples=300)
+@given(
+    n=st.integers(1, 64),
+    seed=st.integers(0, 2**32 - 1),
+    mode=st.sampled_from(["shifted", "plain"]),
+    shots=st.sampled_from([None, 1000]),
+    # a few zeroed sites leave one forest, many split it
+    zeroed=st.one_of(st.lists(st.integers(0, 63), max_size=3), st.lists(st.integers(0, 63), max_size=40)),
+    tied=st.sampled_from([0.0, 0.5, 1.0]),
+)
+# every site active at reconstruct_sweep's size, then tied and split at it
+@example(n=256, seed=5, mode="shifted", shots=None, zeroed=[], tied=0.0)
+@example(n=256, seed=6, mode="shifted", shots=1000, zeroed=[3, 40, 41, 200], tied=0.5)
+def test_packed_forest_equals_the_union_find_kruskal(n, seed, mode, shots, zeroed, tied):
+    # the relabelling Kruskal over one stable argsort against the root-chasing
+    # one over a sorted list: the same forest, found in the same order, so the
+    # same phases bit for bit, on the hypercube edges the packed protocol measures
+    rng = np.random.default_rng(seed)
+    alpha = rng.normal(size=n) + 1j * rng.normal(size=n)
+    alpha[[z % n for z in zeroed]] = 0.0
+    if not alpha.any():
+        alpha[n - 1] = 1.0
+    alpha /= np.linalg.norm(alpha)
+    layout = meas._layout("binary", n, encoding.build_map(n, mode))
+    probs, cos, sin = meas._measure(layout, alpha, shots, seed)
+    ties = rng.random(cos.size) < tied
+    cos[ties] = rng.choice(TIED, size=int(ties.sum()))
+    sin[ties] = rng.choice(TIED, size=int(ties.sum()))
+    active = np.sqrt(np.maximum(probs, 0.0)) > meas.pick_epsilon(shots)
+    keep = active[layout.pair_j] & active[layout.pair_k]
+    j, k, c, s = layout.pair_j[keep].tolist(), layout.pair_k[keep].tolist(), cos[keep], sin[keep]
+    delta, weight = np.arctan2(s, c).tolist(), meas._edge_weight(c, s)
+
+    in_tree, component, n_components, phases = meas._spanning_forest(active.tolist(), j, k, delta, weight)
+    want = parent_spanning_forest(active.tolist(), j, k, delta, weight.tolist())
+    assert in_tree.tolist() == want[0]
+    assert component.tolist() == want[1]
+    assert n_components == want[2]
+    assert phases.tobytes() == np.array(want[3]).tobytes()
 
 
 # many doubles over the whole range the squares stay finite in
